@@ -15,6 +15,7 @@ from .costmodel import (
     power_curve,
 )
 from .errors import (
+    CellReopenedError,
     ConfigurationError,
     ParameterDomainError,
     ProcureError,
@@ -23,6 +24,7 @@ from .errors import (
 from .mechanism import (
     BuyerUtility,
     ContractOutcome,
+    Instance,
     PriceSchedule,
     QuantityGrid,
     best_response,
@@ -38,9 +40,11 @@ from .weather import WeatherModel, empirical_model, expect, weibull_model
 
 __all__ = [
     "BuyerUtility",
+    "CellReopenedError",
     "ConfigurationError",
     "ContractOutcome",
     "CostModel",
+    "Instance",
     "ParameterDomainError",
     "PluginCostModel",
     "PriceSchedule",

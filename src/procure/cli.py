@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ProcureError
-from .mechanism import PriceSchedule, QuantityGrid, exclusion_search, solve
+from .mechanism import Instance, PriceSchedule, QuantityGrid, exclusion_search, solve
 from .scenario import Scenario, load_scenario
 from .settlement import settlement_table
 from .verify import grid_tolerance, report_text, run_checks
@@ -127,6 +127,7 @@ def _load(
     sc = load_scenario(scenario_path)
     if grid_cells is not None:
         sc.grid = QuantityGrid(q_max=sc.grid.q_max, n_cells=grid_cells)
+        sc.instance = Instance.build(sc.space, sc.model, sc.weather, sc.grid, sc.vprime)
     if admissible:
         sc.admissible = tuple(admissible.split(","))
         sc.space.subset(sc.admissible)  # validate ids early
@@ -136,11 +137,12 @@ def _load(
 def _solve_scenario(sc: Scenario):
     if sc.exclusion_search:
         ids, outcome, _exhaustive = exclusion_search(
-            sc.space, sc.model, sc.weather, sc.vprime, sc.grid
+            sc.space, sc.model, sc.weather, sc.vprime, sc.grid, instance=sc.instance
         )
         return outcome
     return solve(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, admissible=sc.admissible
+        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, admissible=sc.admissible,
+        instance=sc.instance,
     )
 
 
@@ -151,7 +153,10 @@ def _manifest(sc: Scenario, scenario_path: Path, outcome) -> str:
         "scenario_sha256": digest,
         "package_version": __version__,
         "grid": {"q_max": sc.grid.q_max, "n_cells": sc.grid.n_cells, "dq": sc.grid.dq},
-        "tol_grid": grid_tolerance(adm_space, sc.model, sc.weather, sc.grid),
+        "tol_grid": grid_tolerance(
+            adm_space, sc.model, sc.weather, sc.grid,
+            instance=outcome.instance if outcome else None,
+        ),
         "admissible": list(outcome.admissible_ids) if outcome else None,
         "buyer_utility": outcome.buyer_utility if outcome else None,
         "buyer_utility_survival": outcome.buyer_utility_survival if outcome else None,
@@ -229,7 +234,7 @@ def cmd_exclusion_search(
 ) -> int:
     sc = _load(scenario_path, grid_cells)
     ids, outcome, exhaustive = exclusion_search(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid
+        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, instance=sc.instance
     )
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
@@ -246,7 +251,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         prog="procure",
         description="Optimal nonlinear-pricing contracts for energy procurement",
     )
-    parser.add_argument("--seed", type=int, default=None, help="reserved; pipeline is deterministic")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, **kwargs):

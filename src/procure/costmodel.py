@@ -153,9 +153,14 @@ class CostModel:
 
     def check_assumptions(
         self, space: TypeSpace, weather: WeatherModel, qs: np.ndarray
-    ) -> None:
-        """Hard checks of convexity and weather-free startup cost on a grid."""
+    ) -> np.ndarray:
+        """Hard checks of convexity and weather-free startup cost on a grid.
+
+        Returns the expected-cost rows it checked, one per type on qs, so
+        that callers need not compute them again.
+        """
         w_lo, w_hi = weather.speeds[0], weather.speeds[-1]
+        rows = []
         for x in space:
             self.validate_type(x)
             c0 = x.param("c0")
@@ -171,6 +176,8 @@ class CostModel:
                 raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")
             if np.any(np.diff(d) < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
                 raise ConfigurationError(f"type {x.id!r}: expected cost not convex in q")
+            rows.append(ec)
+        return np.array(rows)
 
 
 class SimpleCostModel(CostModel):
@@ -335,6 +342,31 @@ def make_model(kind: str) -> CostModel:
         raise ConfigurationError(f"unknown cost model kind {kind!r}") from None
 
 
+def dominance_matrix(ec: np.ndarray) -> np.ndarray:
+    """rel[i, j]: how type i's expected-cost row ec[i] compares with ec[j]
+    ("better", "worse", "equal" or "incomparable", as in dominates)."""
+    scale = np.maximum(1.0, np.max(np.abs(ec), axis=1))
+    rel = np.empty((len(ec), len(ec)), dtype="<U12")
+    for i, row in enumerate(ec):
+        tol = EQUAL_COST_TOL * np.maximum(scale[i], scale)[:, None]
+        d = row - ec
+        below = np.all(d <= tol, axis=1)
+        above = np.all(d >= -tol, axis=1)
+        rel[i] = np.where(
+            below & above,
+            "equal",
+            np.where(below, "better", np.where(above, "worse", "incomparable")),
+        )
+    return rel
+
+
+def worst_index(rel: np.ndarray) -> Optional[int]:
+    """First type that every other type dominates or equals, or None."""
+    covered = (rel == "better") | (rel == "equal")
+    hits = np.flatnonzero(covered.all(axis=0))
+    return int(hits[0]) if hits.size else None
+
+
 def dominates(
     x: SellerType,
     y: SellerType,
@@ -348,17 +380,10 @@ def dominates(
     strict gap somewhere, "worse" for the reverse, "equal" when the curves
     coincide within tolerance, else "incomparable".
     """
-    ex = model.expected_cost_grid(x, qs, weather)
-    ey = model.expected_cost_grid(y, qs, weather)
-    tol = EQUAL_COST_TOL * max(1.0, float(np.max(np.abs(ex))), float(np.max(np.abs(ey))))
-    d = ex - ey
-    if np.all(np.abs(d) <= tol):
-        return "equal"
-    if np.all(d <= tol):
-        return "better"
-    if np.all(d >= -tol):
-        return "worse"
-    return "incomparable"
+    ec = np.array(
+        [model.expected_cost_grid(x, qs, weather), model.expected_cost_grid(y, qs, weather)]
+    )
+    return str(dominance_matrix(ec)[0, 1])
 
 
 def find_worst_type(
@@ -368,11 +393,6 @@ def find_worst_type(
     qs: np.ndarray,
 ) -> Optional[SellerType]:
     """The type every other type dominates (or equals), if one exists."""
-    for cand in space:
-        if all(
-            dominates(other, cand, model, weather, qs) in ("better", "equal")
-            for other in space
-            if other.id != cand.id
-        ):
-            return cand
-    return None
+    ec = np.array([model.expected_cost_grid(x, qs, weather) for x in space])
+    i = worst_index(dominance_matrix(ec))
+    return None if i is None else space.types[i]

@@ -15,3 +15,12 @@ class ConfigurationError(ProcureError, ValueError):
 
 class UnsupportedConfigurationError(ProcureError):
     """The requested computation is well-formed but not supported for these inputs."""
+
+
+class CellReopenedError(ProcureError, RuntimeError):
+    """A quantity cell priced open after an earlier cell closed.
+
+    With V' nonincreasing and convex expected costs a closed cell stays
+    closed, so this signals inputs that break those assumptions within
+    rounding (for example a cost curve that dips just past the closure).
+    """

@@ -22,8 +22,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costmodel import CostModel, SellerType, TypeSpace, dominates, find_worst_type
-from .errors import ConfigurationError, ParameterDomainError
+from .costmodel import CostModel, SellerType, TypeSpace, dominance_matrix, worst_index
+from .errors import CellReopenedError, ConfigurationError
 from .weather import WeatherModel
 
 DEFAULT_N_CELLS = 2000
@@ -157,18 +157,110 @@ class PriceSchedule:
     def n_open(self) -> int:
         return self.grid.n_cells if self.closed_from is None else self.closed_from
 
-    @property
-    def last_point(self) -> int:
-        """Index of the last grid point the seller may deliver."""
-        return self.n_open
-
     def payments(self) -> np.ndarray:
         """t at every grid point; flat beyond the closed range."""
         contrib = np.where(np.isnan(self.p), 0.0, self.p) * self.grid.dq
         return self.t0 + np.concatenate([[0.0], np.cumsum(contrib)])
 
-    def payment_at_index(self, k: int) -> float:
-        return float(self.payments()[k])
+
+@dataclass(frozen=True, eq=False)
+class Instance:
+    """The type x grid-point data every stage reads, built once.
+
+    ec[i, k] is type i's weather-expected cost at grid point k, computed
+    with the cost model's own expected_cost_grid. cbar[i, j] is type i's
+    average expected marginal cost on cell j and vbar[j] the buyer's
+    average marginal utility there (None when built without a buyer).
+    dominance[i, j] compares type i with type j as dominates() does, and
+    worst indexes the type every other type dominates or equals, or is
+    None. An admissible subset is a row selection (restrict), so nothing
+    is recomputed per subset.
+    """
+
+    space: TypeSpace
+    model: CostModel
+    weather: WeatherModel
+    grid: QuantityGrid
+    vprime: Optional[BuyerUtility]
+    priors: np.ndarray
+    ec: np.ndarray
+    cbar: np.ndarray
+    vbar: Optional[np.ndarray]
+    dominance: np.ndarray
+    worst: Optional[int]
+
+    @classmethod
+    def build(
+        cls,
+        space: TypeSpace,
+        model: CostModel,
+        weather: WeatherModel,
+        grid: QuantityGrid,
+        vprime: Optional[BuyerUtility] = None,
+        ec: Optional[np.ndarray] = None,
+    ) -> "Instance":
+        """ec, when given, holds the types' expected costs on grid.points
+        (as CostModel.check_assumptions returns them)."""
+        if ec is None:
+            ec = np.array([model.expected_cost_grid(x, grid.points, weather) for x in space])
+        dominance = dominance_matrix(ec)
+        return cls(
+            space=space,
+            model=model,
+            weather=weather,
+            grid=grid,
+            vprime=vprime,
+            priors=np.array([x.prior_weight for x in space]),
+            ec=ec,
+            cbar=np.diff(ec, axis=1) / grid.dq,
+            vbar=None if vprime is None else cell_marginal_utility(vprime, grid),
+            dominance=dominance,
+            worst=worst_index(dominance),
+        )
+
+    def restrict(self, ids: Sequence[str]) -> "Instance":
+        """The admissible subset ids (validated as TypeSpace.subset does)."""
+        space = self.space.subset(ids)
+        kept = {x.id for x in space}
+        rows = np.array([i for i, x in enumerate(self.space) if x.id in kept])
+        dominance = self.dominance[np.ix_(rows, rows)]
+        return replace(
+            self,
+            space=space,
+            priors=self.priors[rows],
+            ec=self.ec[rows],
+            cbar=self.cbar[rows],
+            dominance=dominance,
+            worst=worst_index(dominance),
+        )
+
+    @property
+    def worst_type(self) -> Optional[SellerType]:
+        return None if self.worst is None else self.space.types[self.worst]
+
+
+def instance_for(
+    space: TypeSpace,
+    model: CostModel,
+    weather: WeatherModel,
+    grid: QuantityGrid,
+    vprime: Optional[BuyerUtility] = None,
+    instance: Optional[Instance] = None,
+) -> Instance:
+    """instance when it was built for these arguments, else a new build.
+
+    A buyer is only required to match when vprime is given.
+    """
+    if (
+        instance is not None
+        and instance.space.types == space.types
+        and instance.model is model
+        and instance.weather is weather
+        and instance.grid == grid
+        and (vprime is None or instance.vprime is vprime)
+    ):
+        return instance
+    return Instance.build(space, model, weather, grid, vprime)
 
 
 @dataclass(frozen=True)
@@ -185,13 +277,15 @@ class TypeOutcome:
 @dataclass
 class ContractOutcome:
     """Solved contract: per-type best responses plus aggregate buyer utility
-    computed both directly and via the survival-integral identity."""
+    computed both directly and via the survival-integral identity, and the
+    instance (admissible rows only) it was solved on."""
 
     schedule: PriceSchedule
     per_type: tuple[TypeOutcome, ...]
     buyer_utility: float
     buyer_utility_survival: float
     admissible_ids: tuple[str, ...]
+    instance: Optional[Instance] = field(default=None, repr=False, compare=False)
 
     def by_id(self, type_id: str) -> TypeOutcome:
         for rec in self.per_type:
@@ -204,9 +298,7 @@ def cell_marginal_costs(
     space: TypeSpace, model: CostModel, weather: WeatherModel, grid: QuantityGrid
 ) -> np.ndarray:
     """cbar[i, j]: average expected marginal cost of type i on cell j."""
-    pts = grid.points
-    rows = [model.expected_cost_grid(x, pts, weather) for x in space]
-    return np.diff(np.array(rows), axis=1) / grid.dq
+    return Instance.build(space, model, weather, grid).cbar
 
 
 def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarray:
@@ -228,28 +320,43 @@ def survival_probability(
     )
 
 
-def _best_cell_price(
-    costs: np.ndarray, priors: np.ndarray, v_marg: float
-) -> Optional[float]:
-    """Maximize survival(p_hat) * (v_marg - p_hat) over candidate prices.
+def price_cells(
+    cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray
+) -> tuple[np.ndarray, Optional[int]]:
+    """Pointwise-optimal price of every cell, in one pass over all cells.
 
-    Candidates are the per-type costs; the survival function is a step
-    function jumping exactly there, so the maximum is attained at a
-    candidate. Ties break to the smallest candidate. Returns None when no
-    margin is profitable (the cell is closed).
+    In cell j the price maximizes survival(p) * (vbar[j] - p) over the
+    candidates cbar[:, j]; survival is a step function jumping exactly at
+    the candidates, so the maximum is attained at one. Survival at a
+    candidate counts every type whose cost equals it, and ties break to
+    the smallest candidate. A cell is closed (NaN) when no margin is
+    profitable. Returns (p, closed_from); raises CellReopenedError when an
+    open cell follows a closed one.
     """
-    order = np.argsort(costs, kind="stable")
-    cs = costs[order]
-    cum = np.cumsum(priors[order])
-    # survival at candidate value cs[i] must count every type with cost <= cs[i]
-    surv = cum[np.searchsorted(cs, cs, side="right") - 1]
-    obj = surv * (v_marg - cs)
-    best = int(np.argmax(obj))
-    if obj[best] <= 0.0 and v_marg < cs[0]:
-        return None
-    # smallest maximizing candidate
-    ties = np.nonzero(obj == obj[best])[0]
-    return float(cs[ties[0]])
+    order = np.argsort(cbar, axis=0, kind="stable")
+    cs = np.take_along_axis(cbar, order, axis=0)
+    cum = np.cumsum(priors[order], axis=0)
+    # index of the last sorted entry equal to each entry
+    n_types, n_cells = cs.shape
+    run_end = np.ones(cs.shape, dtype=bool)
+    run_end[:-1] = cs[1:] != cs[:-1]
+    last = np.where(run_end, np.arange(n_types)[:, None], n_types)
+    last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
+    obj = np.take_along_axis(cum, last, axis=0) * (vbar - cs)
+    best = np.argmax(obj, axis=0)  # first maximum: the smallest candidate
+    cells = np.arange(n_cells)
+    closed = (obj[best, cells] <= 0.0) & (vbar < cs[0])
+    p = np.where(closed, np.nan, cs[best, cells])
+    shut = np.flatnonzero(closed)
+    if shut.size == 0:
+        return p, None
+    closed_from = int(shut[0])
+    if shut.size != n_cells - closed_from:
+        # V' is nonincreasing and costs nondecreasing, so closure is
+        # permanent unless the inputs break those assumptions.
+        reopened = closed_from + int(np.argmin(closed[closed_from:]))
+        raise CellReopenedError(f"cell {reopened} reopened after closure at {closed_from}")
+    return p, closed_from
 
 
 def optimal_marginal_price(
@@ -262,9 +369,10 @@ def optimal_marginal_price(
     """Pointwise optimal marginal price at quantity q; None means closed."""
     if len(space) == 0:
         raise ConfigurationError("empty admissible set")
-    costs = np.array([model.expected_marginal_cost(x, q, weather) for x in space])
+    costs = np.array([[model.expected_marginal_cost(x, q, weather)] for x in space])
     priors = np.array([x.prior_weight for x in space])
-    return _best_cell_price(costs, priors, float(vprime.marginal(q)))
+    p, closed_from = price_cells(costs, priors, np.array([vprime.marginal(q)]))
+    return None if closed_from == 0 else float(p[0])
 
 
 def build_price_schedule(
@@ -273,52 +381,74 @@ def build_price_schedule(
     weather: WeatherModel,
     vprime: BuyerUtility,
     grid: QuantityGrid,
+    *,
+    instance: Optional[Instance] = None,
 ) -> PriceSchedule:
     """Pointwise-optimal price for every cell; t0 is left at 0 (see
-    anchor_payment)."""
-    cbar = cell_marginal_costs(space, model, weather, grid)
-    vbar = cell_marginal_utility(vprime, grid)
-    priors = np.array([x.prior_weight for x in space])
-    p = np.full(grid.n_cells, np.nan)
-    closed_from: Optional[int] = None
-    for j in range(grid.n_cells):
-        price = _best_cell_price(cbar[:, j], priors, float(vbar[j]))
-        if price is None:
-            if closed_from is None:
-                closed_from = j
-        else:
-            if closed_from is not None:
-                # V' is nonincreasing and costs nondecreasing, so closure
-                # must be permanent; anything else is a bug.
-                raise RuntimeError(f"cell {j} reopened after closure at {closed_from}")
-            p[j] = price
+    anchor_payment). instance, when built for these arguments, supplies
+    the cell costs."""
+    inst = instance_for(space, model, weather, grid, vprime, instance)
+    p, closed_from = price_cells(inst.cbar, inst.priors, inst.vbar)
     return PriceSchedule(grid=grid, p=p, t0=0.0, closed_from=closed_from)
 
 
-def _responses_zero_anchor(
-    schedule: PriceSchedule,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Best-response grid indices and expected costs with t0 = 0.
+def _best_points(
+    schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray, t0: float
+) -> np.ndarray:
+    """Best-response grid index of every type (rows of ec and cbar) under
+    the schedule's prices with anchor t0. Ties break to the largest
+    quantity.
 
-    t0 shifts every grid utility equally, so the argmax is anchor-free.
-    Ties break to the largest quantity.
+    Utilities accumulate per-cell margins rather than subtracting the cost
+    curve from the payment curve. When the cell price coincides with a
+    type's own cell cost the margin is exactly zero, so runs of
+    indifferent cells stay exact ties and the largest-quantity tie-break
+    resolves them deterministically.
+    """
+    last = schedule.n_open
+    dq = schedule.grid.dq
+    util = np.empty((len(ec), last + 1))
+    util[:, 0] = t0 - ec[:, 0]
+    if last > 0:
+        margins = (schedule.p[None, :last] - cbar[:, :last]) * dq
+        util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
+    return last - np.argmax(util[:, ::-1], axis=1)
+
+
+def _responses(
+    schedule: PriceSchedule,
+    types: Sequence[SellerType],
+    ec: np.ndarray,
+    cbar: np.ndarray,
+) -> tuple[TypeOutcome, ...]:
+    """Every type's global argmax of t(l) - EC(l, x) over deliverable grid
+    points, under the schedule's own anchor.
+
+    Also computes the per-cell threshold quantity (produce while the cell
+    price covers the cell's average marginal cost) and flags whether the
+    two agree within one cell (the quasi-concavity audit).
     """
     pts = schedule.grid.points
-    last = schedule.last_point
-    dq = schedule.grid.dq
-    ecs = np.array([model.expected_cost_grid(x, pts, weather) for x in space])
-    cbars = np.diff(ecs, axis=1) / dq
-    util = np.empty((len(space), last + 1))
-    util[:, 0] = -ecs[:, 0]
+    last = schedule.n_open
+    t = schedule.payments()
+    best = _best_points(schedule, ec, cbar, schedule.t0)
+    scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
+    ok = schedule.p[None, :last] >= cbar[:, :last] - 1e-12 * scale[:, None]
+    thr = np.zeros(len(ec), dtype=int)
     if last > 0:
-        margins = (schedule.p[None, :last] - cbars[:, :last]) * dq
-        util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
-    rev = util[:, ::-1]
-    idx = last - np.argmax(rev, axis=1)
-    return idx, ecs
+        thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
+    return tuple(
+        TypeOutcome(
+            type_id=x.id,
+            q=float(pts[k]),
+            payment=float(t[k]),
+            expected_cost=float(ec[i, k]),
+            utility=float(t[k] - ec[i, k]),
+            threshold_q=float(pts[thr[i]]),
+            quasi_concave=abs(int(k) - int(thr[i])) <= 1,
+        )
+        for i, (x, k) in enumerate(zip(types, best))
+    )
 
 
 def anchor_payment(
@@ -326,27 +456,26 @@ def anchor_payment(
     space: TypeSpace,
     model: CostModel,
     weather: WeatherModel,
+    *,
+    instance: Optional[Instance] = None,
 ) -> float:
     """Set and return t(0).
 
     With a worst type the anchor is its startup cost C(0, worst). Without
     one it is found a posteriori as the largest per-type deficit
     max_x [EC(q(x), x) - integral of p to q(x)], which makes every type's
-    utility nonnegative and at least one exactly zero.
+    utility nonnegative and at least one exactly zero. t0 shifts every
+    grid utility equally, so the quantities are found with t0 = 0.
     """
-    worst = find_worst_type(space, model, weather, schedule.grid.points)
-    if worst is not None:
-        w0 = weather.speeds[0]
-        t0 = model.realized_cost(worst, 0.0, w0)
+    inst = instance_for(space, model, weather, schedule.grid, instance=instance)
+    if inst.worst_type is not None:
+        t0 = model.realized_cost(inst.worst_type, 0.0, weather.speeds[0])
     else:
-        idx, ecs = _responses_zero_anchor(schedule, space, model, weather)
+        idx = _best_points(schedule, inst.ec, inst.cbar, 0.0)
         cum = np.concatenate(
             [[0.0], np.cumsum(np.nan_to_num(schedule.p) * schedule.grid.dq)]
         )
-        deficits = [
-            float(ecs[i, k] - cum[k]) for i, k in enumerate(idx)
-        ]
-        t0 = max(deficits)
+        t0 = float(np.max(inst.ec[np.arange(len(idx)), idx] - cum[idx]))
     schedule.t0 = t0
     return t0
 
@@ -357,72 +486,34 @@ def best_response(
     model: CostModel,
     weather: WeatherModel,
 ) -> TypeOutcome:
-    """Global argmax of t(l) - EC(l, x) over deliverable grid points.
-
-    Also computes the per-cell threshold quantity (produce while the cell
-    price covers the cell's average marginal cost) and flags whether the
-    two agree within one cell (the quasi-concavity audit).
-    """
-    grid = schedule.grid
-    pts = grid.points
-    last = schedule.last_point
-    t = schedule.payments()
-    ec = model.expected_cost_grid(x, pts, weather)
-    cbar = np.diff(ec) / grid.dq
-
-    # Accumulate per-cell margins rather than subtracting the cost curve
-    # from the payment curve.  When the cell price coincides with this
-    # type's own cell cost the margin is exactly zero, so runs of
-    # indifferent cells stay exact ties and the largest-quantity
-    # tie-break resolves them deterministically.
-    util = np.empty(last + 1)
-    util[0] = schedule.t0 - ec[0]
-    if last > 0:
-        util[1:] = util[0] + np.cumsum(
-            (schedule.p[:last] - cbar[:last]) * grid.dq
-        )
-    k = int(last - np.argmax(util[::-1]))
-
-    open_p = schedule.p[:last]
-    ok = open_p >= cbar[:last] - 1e-12 * max(1.0, float(np.max(np.abs(cbar))))
-    thr = int(np.nonzero(ok)[0][-1] + 1) if ok.any() else 0
-    return TypeOutcome(
-        type_id=x.id,
-        q=float(pts[k]),
-        payment=float(t[k]),
-        expected_cost=float(ec[k]),
-        utility=float(t[k] - ec[k]),
-        threshold_q=float(pts[thr]),
-        quasi_concave=abs(k - thr) <= 1,
-    )
+    """Global argmax of t(l) - EC(l, x) over deliverable grid points, with
+    the threshold quantity and quasi-concavity flag (see _responses)."""
+    ec = model.expected_cost_grid(x, schedule.grid.points, weather)[None, :]
+    return _responses(schedule, (x,), ec, np.diff(ec, axis=1) / schedule.grid.dq)[0]
 
 
 def _buyer_utility_survival(
-    schedule: PriceSchedule,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
+    schedule: PriceSchedule, inst: Instance, vprime: BuyerUtility
 ) -> float:
-    """Survival-integral form: -t0 + sum over open cells of
+    """Survival-integral form: -t0 * P[admissible] + sum over open cells of
     P[p(l) >= c(l, x)] (V'(l) - p(l)) dq at the cells' left endpoints.
 
-    Participation is tested against the cell-averaged costs that priced
-    the schedule, so a type indifferent in a cell (price equal to its own
-    cost) counts as producing there. Marginal utility stays pointwise at
-    the left endpoint; its discretization error vanishes with the cell
-    width.
+    Every admissible type is paid t0, so the anchor is weighted by the
+    admissible prior mass (1 for the full type set). Participation is
+    tested against the cell-averaged costs that priced the schedule, so a
+    type indifferent in a cell (price equal to its own cost) counts as
+    producing there. Marginal utility stays pointwise at the left
+    endpoint; its discretization error vanishes with the cell width.
     """
     grid = schedule.grid
     n = schedule.n_open
+    anchor = schedule.t0 * math.fsum(inst.priors)
     if n == 0:
-        return -schedule.t0
-    cbar = cell_marginal_costs(space, model, weather, grid)[:, :n]
-    priors = np.array([x.prior_weight for x in space])
-    surv = priors @ (schedule.p[None, :n] >= cbar)
-    vmarg = np.array([float(vprime.marginal(float(l))) for l in grid.points[:n]])
+        return -anchor
+    surv = inst.priors @ (schedule.p[None, :n] >= inst.cbar[:, :n])
+    vmarg = vprime.marginal(grid.points[:n])
     total = float(np.sum(surv * (vmarg - schedule.p[:n]) * grid.dq))
-    return total - schedule.t0
+    return total - anchor
 
 
 def solve(
@@ -432,48 +523,49 @@ def solve(
     vprime: BuyerUtility,
     grid: QuantityGrid,
     admissible: Optional[Sequence[str]] = None,
+    *,
+    instance: Optional[Instance] = None,
 ) -> ContractOutcome:
-    """Full pipeline: schedule, anchor, best responses, utilities."""
-    adm = space if admissible is None else space.subset(admissible)
-    schedule = build_price_schedule(adm, model, weather, vprime, grid)
-    anchor_payment(schedule, adm, model, weather)
-    records = tuple(best_response(x, schedule, model, weather) for x in adm)
+    """Full pipeline: schedule, anchor, best responses, utilities.
+
+    instance, when built for these arguments over the whole space, is
+    reused; the admissible subset selects its rows.
+    """
+    inst = instance_for(space, model, weather, grid, vprime, instance)
+    if admissible is not None:
+        inst = inst.restrict(admissible)
+    adm = inst.space
+    schedule = build_price_schedule(adm, model, weather, vprime, grid, instance=inst)
+    anchor_payment(schedule, adm, model, weather, instance=inst)
+    records = _responses(schedule, adm.types, inst.ec, inst.cbar)
     direct = math.fsum(
         x.prior_weight * (float(vprime.value(rec.q)) - rec.payment)
         for x, rec in zip(adm, records)
     )
-    surv = _buyer_utility_survival(schedule, adm, model, weather, vprime)
     return ContractOutcome(
         schedule=schedule,
         per_type=records,
         buyer_utility=direct,
-        buyer_utility_survival=surv,
+        buyer_utility_survival=_buyer_utility_survival(schedule, inst, vprime),
         admissible_ids=tuple(x.id for x in adm),
+        instance=inst,
     )
 
 
 MAX_EXCLUSION_TYPES = 12
 
 
-def _upward_closed_subsets(
-    space: TypeSpace, model: CostModel, weather: WeatherModel, grid: QuantityGrid
-) -> list[tuple[str, ...]]:
+def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     """Non-empty subsets closed upward under dominance: keeping a type
     means keeping every better type. With no comparable pairs this is the
     full power set."""
-    ids = [t.id for t in space]
-    rel = {}
-    for a, b in itertools.combinations(space.types, 2):
-        rel[(a.id, b.id)] = dominates(a, b, model, weather, grid.points)
-    better_than = {i: set() for i in ids}  # better_than[y] = types better than y
-    for (a, b), r in rel.items():
-        if r == "better":
-            better_than[b].add(a)
-        elif r == "worse":
-            better_than[a].add(b)
-    out = []
-    full = tuple(ids)
-    out.append(full)
+    ids = [t.id for t in inst.space]
+    # better_than[y] = types better than y
+    better_than = {
+        y: {ids[i] for i in np.flatnonzero(inst.dominance[:, j] == "better")}
+        for j, y in enumerate(ids)
+    }
+    out = [tuple(ids)]
     for r in range(1, len(ids)):
         for combo in itertools.combinations(ids, r):
             kept = set(combo)
@@ -489,19 +581,23 @@ def exclusion_search(
     vprime: BuyerUtility,
     grid: QuantityGrid,
     max_subsets: Optional[int] = None,
+    *,
+    instance: Optional[Instance] = None,
 ) -> tuple[tuple[str, ...], ContractOutcome, bool]:
     """Search admissible subsets for the best buyer utility.
 
     Returns (subset ids, outcome, exhaustive). The full set is always a
     candidate and wins ties. exhaustive is False when max_subsets truncated
-    the enumeration (the result is then a heuristic).
+    the enumeration (the result is then a heuristic). Every subset is
+    solved on rows of one instance, so expected costs are computed once.
     """
     if len(space) > MAX_EXCLUSION_TYPES and max_subsets is None:
         raise ConfigurationError(
             f"{len(space)} types exceed the enumeration limit "
             f"({MAX_EXCLUSION_TYPES}); pass max_subsets for a budgeted search"
         )
-    candidates = _upward_closed_subsets(space, model, weather, grid)
+    inst = instance_for(space, model, weather, grid, vprime, instance)
+    candidates = _upward_closed_subsets(inst)
     exhaustive = True
     if max_subsets is not None and len(candidates) > max_subsets:
         candidates = candidates[:max_subsets]
@@ -509,7 +605,7 @@ def exclusion_search(
     best_ids: Optional[tuple[str, ...]] = None
     best_outcome: Optional[ContractOutcome] = None
     for ids in candidates:
-        outcome = solve(space, model, weather, vprime, grid, admissible=ids)
+        outcome = solve(space, model, weather, vprime, grid, admissible=ids, instance=inst)
         if best_outcome is None or outcome.buyer_utility > best_outcome.buyer_utility:
             best_ids, best_outcome = ids, outcome
     assert best_ids is not None and best_outcome is not None

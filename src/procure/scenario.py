@@ -13,7 +13,7 @@ import yaml
 
 from .costmodel import CostModel, SellerType, TypeSpace, make_model
 from .errors import ConfigurationError
-from .mechanism import BuyerUtility, QuantityGrid, default_grid, DEFAULT_N_CELLS
+from .mechanism import BuyerUtility, Instance, QuantityGrid, default_grid, DEFAULT_N_CELLS
 from .weather import WeatherModel, empirical_model, weibull_model
 
 CORRUPTIONS = ("halve_prices",)
@@ -31,6 +31,8 @@ class Scenario:
     admissible: Optional[tuple[str, ...]] = None
     exclusion_search: bool = False
     corruption: Optional[str] = None
+    # expected costs, cell costs and dominance of the whole type set on grid
+    instance: Optional[Instance] = None
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -159,8 +161,9 @@ def load_scenario(path: str | Path) -> Scenario:
     if corruption is not None and corruption not in CORRUPTIONS:
         raise ConfigurationError(f"options.corruption: unknown corruption {corruption!r}")
 
-    # invariant checks happen at load so bad scenarios fail before any solve
-    model.check_assumptions(space, weather, grid.points)
+    # invariant checks happen at load so bad scenarios fail before any
+    # solve; the expected costs they check seed the instance
+    ec = model.check_assumptions(space, weather, grid.points)
     if admissible is not None:
         space.subset(admissible)
 
@@ -175,4 +178,5 @@ def load_scenario(path: str | Path) -> Scenario:
         admissible=admissible,
         exclusion_search=bool(options.get("exclusion_search", False)),
         corruption=corruption,
+        instance=Instance.build(space, model, weather, grid, vprime, ec),
     )

@@ -16,7 +16,7 @@ import numpy as np
 
 from .costmodel import CostModel, SellerType, TypeSpace, find_worst_type
 from .errors import ParameterDomainError, UnsupportedConfigurationError
-from .mechanism import ContractOutcome, PriceSchedule
+from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, instance_for
 from .weather import WeatherModel
 
 
@@ -33,10 +33,11 @@ def expost_payment(
     The correction has zero weather mean, so expected payments match the
     base schedule; the worst type's realized profit is identically zero.
     """
+    grid, pts, t = schedule.grid, schedule.grid.points, schedule.payments()
     q_worst = outcome.by_id(worst.id).q
     return (
-        _payment_at(schedule, q)
-        - _payment_at(schedule, q_worst)
+        _payment_at(grid, pts, t, q)
+        - _payment_at(grid, pts, t, q_worst)
         + model.realized_cost(worst, q_worst, w)
     )
 
@@ -59,12 +60,12 @@ def risk_payment(
     return rec.payment + alpha * (model.realized_cost(x, rec.q, w) - rec.expected_cost)
 
 
-def _payment_at(schedule: PriceSchedule, q: float) -> float:
-    pts = schedule.grid.points
-    k = int(round(q / schedule.grid.dq))
+def _payment_at(grid: QuantityGrid, pts: np.ndarray, t: np.ndarray, q: float) -> float:
+    """t(q) from the payments t at the grid points pts; q must be one."""
+    k = int(round(q / grid.dq))
     if not (0 <= k < len(pts)) or abs(pts[k] - q) > 1e-9 * max(1.0, q):
         raise ParameterDomainError(f"quantity {q} is not a grid point")
-    return schedule.payment_at_index(k)
+    return float(t[k])
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,22 @@ def settlement_table(
     The ex-post column is present only when a worst type exists (the
     construction needs one); profit is under the risk-shared payment.
     """
-    worst = find_worst_type(space, model, weather, schedule.grid.points)
+    grid = schedule.grid
+    worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
+    pts, t = grid.points, schedule.payments()
+    if worst is not None:
+        q_worst = outcome.by_id(worst.id).q
+        t_worst = _payment_at(grid, pts, t, q_worst)
     rows = []
     for x in space:
         rec = outcome.by_id(x.id)
+        if worst is not None:
+            # t(q) - t(q_worst), added to the cost as in expost_payment
+            shift = _payment_at(grid, pts, t, rec.q) - t_worst
         for w, _prob in weather.states:
             cost = model.realized_cost(x, rec.q, w)
             expost = (
-                expost_payment(outcome, schedule, worst, rec.q, w, model)
+                shift + model.realized_cost(worst, q_worst, w)
                 if worst is not None
                 else None
             )

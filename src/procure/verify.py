@@ -13,16 +13,15 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, SellerType, TypeSpace, dominates, find_worst_type
+from .costmodel import CostModel, TypeSpace, find_worst_type
 from .errors import ConfigurationError
 from .mechanism import (
     BuyerUtility,
     ContractOutcome,
+    Instance,
     PriceSchedule,
     QuantityGrid,
-    cell_marginal_costs,
-    cell_marginal_utility,
-    survival_probability,
+    instance_for,
 )
 from .weather import WeatherModel
 
@@ -48,9 +47,14 @@ class CheckResult:
 
 
 def grid_tolerance(
-    space: TypeSpace, model: CostModel, weather: WeatherModel, grid: QuantityGrid
+    space: TypeSpace,
+    model: CostModel,
+    weather: WeatherModel,
+    grid: QuantityGrid,
+    *,
+    instance: Optional[Instance] = None,
 ) -> float:
-    cbar = cell_marginal_costs(space, model, weather, grid)
+    cbar = instance_for(space, model, weather, grid, instance=instance).cbar
     return grid.dq * float(np.max(cbar))
 
 
@@ -62,19 +66,19 @@ def check_ic(
     weather: WeatherModel,
 ) -> CheckResult:
     """No type gains more than tol_grid by taking another type's bundle."""
-    tol = grid_tolerance(space, model, weather, schedule.grid)
+    inst = instance_for(space, model, weather, schedule.grid, instance=outcome.instance)
+    tol = grid_tolerance(space, model, weather, schedule.grid, instance=inst)
     t = schedule.payments()
-    pts = schedule.grid.points
     worst_gain = -math.inf
     witness = "none"
-    for x in space:
+    for i, x in enumerate(space):
         rec = outcome.by_id(x.id)
         for y in space:
             if y.id == x.id:
                 continue
             other = outcome.by_id(y.id)
             k = int(round(other.q / schedule.grid.dq))
-            deviation = float(t[k]) - model.expected_cost(x, float(pts[k]), weather)
+            deviation = float(t[k]) - float(inst.ec[i, k])
             gain = deviation - rec.utility
             if gain > worst_gain:
                 worst_gain = gain
@@ -93,7 +97,7 @@ def check_vp(
     grid: QuantityGrid,
 ) -> CheckResult:
     """All utilities >= -tol and the minimum utility is 0 within tol."""
-    tol = grid_tolerance(space, model, weather, grid)
+    tol = grid_tolerance(space, model, weather, grid, instance=outcome.instance)
     utils = {rec.type_id: rec.utility for rec in outcome.per_type}
     min_id = min(utils, key=utils.get)
     min_u = utils[min_id]
@@ -110,12 +114,14 @@ def check_monotone(
 ) -> CheckResult:
     """Dominance-ordered pairs: the better type gets more utility and
     produces more."""
-    tol = grid_tolerance(space, model, weather, grid)
+    inst = instance_for(space, model, weather, grid, instance=outcome.instance)
+    tol = grid_tolerance(space, model, weather, grid, instance=inst)
     worst = -math.inf
     witness = "no ordered pairs"
-    for a, b in itertools.permutations(space.types, 2):
-        if dominates(a, b, model, weather, grid.points) != "better":
+    for i, j in itertools.permutations(range(len(space)), 2):
+        if inst.dominance[i, j] != "better":
             continue
+        a, b = space.types[i], space.types[j]
         ra, rb = outcome.by_id(a.id), outcome.by_id(b.id)
         for kindname, viol in (
             ("U", rb.utility - ra.utility),
@@ -142,9 +148,7 @@ def check_identity(
     # 0.5% relative floor for fine grids.
     n = schedule.n_open
     if n > 0:
-        vmarg = np.array(
-            [float(vprime.marginal(float(l))) for l in schedule.grid.points[:n]]
-        )
+        vmarg = vprime.marginal(schedule.grid.points[:n])
         c_gate = float(np.max(np.abs(vmarg - schedule.p[:n])))
     else:
         c_gate = 0.0
@@ -162,30 +166,31 @@ def check_pointwise(
     weather: WeatherModel,
     vprime: BuyerUtility,
 ) -> CheckResult:
-    """Every open cell's price is a candidate and beats all candidates."""
+    """Every open cell's price is a candidate and beats all candidates.
+
+    Survival at a price counts the types whose cell cost is within 1e-15
+    of it or below. All open cells are checked at once.
+    """
     schedule = outcome.schedule
-    grid = schedule.grid
-    cbar = cell_marginal_costs(space, model, weather, grid)
-    vbar = cell_marginal_utility(vprime, grid)
-    priors = np.array([x.prior_weight for x in space])
-    worst = 0.0
-    witness = "none"
-    for j in range(schedule.n_open):
-        pj = schedule.p[j]
-        costs = cbar[:, j]
-        if not np.any(np.isclose(costs, pj, rtol=0.0, atol=1e-12 * max(1.0, abs(pj)))):
-            return CheckResult(
-                "pointwise", False, math.inf, 0.0, f"cell {j}: p not a candidate"
-            )
-        surv_p = priors[costs <= pj + 1e-15].sum()
-        obj_p = surv_p * (vbar[j] - pj)
-        for c in costs:
-            surv_c = priors[costs <= c + 1e-15].sum()
-            gap = surv_c * (vbar[j] - c) - obj_p
-            if gap > worst:
-                worst = gap
-                witness = f"cell {j}"
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(vbar))))
+    inst = instance_for(space, model, weather, schedule.grid, vprime, outcome.instance)
+    n = schedule.n_open
+    p = schedule.p[:n]
+    cbar, vbar = inst.cbar[:, :n], inst.vbar[:n]
+    near = np.abs(cbar - p) <= 1e-12 * np.maximum(1.0, np.abs(p))
+    missing = np.flatnonzero(~near.any(axis=0))
+    if missing.size:
+        return CheckResult(
+            "pointwise", False, math.inf, 0.0, f"cell {missing[0]}: p not a candidate"
+        )
+    # row c of prices holds candidate c, the last row the schedule's price
+    prices = np.vstack([cbar, p])
+    below = cbar[None, :, :] <= prices[:, None, :] + 1e-15
+    surv = (inst.priors[None, :, None] * below).sum(axis=1)
+    obj = surv * (vbar - prices)
+    gap = np.max(obj[:-1] - obj[-1], axis=0, initial=0.0)
+    worst = float(np.max(gap, initial=0.0))
+    witness = f"cell {int(np.argmax(gap))}" if worst > 0.0 else "none"
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(inst.vbar))))
     return CheckResult("pointwise", worst <= tol, worst, tol, witness)
 
 
@@ -212,19 +217,18 @@ def check_worst_type_pricing(
     (within one cell). None when there is no worst type."""
     schedule = outcome.schedule
     grid = schedule.grid
-    worst_type = find_worst_type(space, model, weather, grid.points)
-    if worst_type is None:
+    inst = instance_for(space, model, weather, grid, instance=outcome.instance)
+    if inst.worst_type is None:
         return None
-    cbar = cell_marginal_costs(space, model, weather, grid)
-    i = [x.id for x in space].index(worst_type.id)
-    k = int(round(outcome.by_id(worst_type.id).q / grid.dq))
+    k = int(round(outcome.by_id(inst.worst_type.id).q / grid.dq))
     stop = max(0, min(k - 1, schedule.n_open))  # allow one-cell slack
-    dev = 0.0
-    for j in range(stop):
-        dev = max(dev, abs(float(schedule.p[j]) - float(cbar[i, j])))
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(cbar))))
+    dev = float(
+        np.max(np.abs(schedule.p[:stop] - inst.cbar[inst.worst, :stop]), initial=0.0)
+    )
+    tol = 1e-9 * max(1.0, float(np.max(np.abs(inst.cbar))))
     return CheckResult(
-        "worst_type_pricing", dev <= tol, dev, tol, f"worst={worst_type.id}, cells<{stop}"
+        "worst_type_pricing", dev <= tol, dev, tol,
+        f"worst={inst.worst_type.id}, cells<{stop}",
     )
 
 

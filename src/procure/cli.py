@@ -10,6 +10,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -44,16 +45,15 @@ def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
 
 
 def schedule_csv(schedule: PriceSchedule) -> str:
-    t = schedule.payments()
-    pts = schedule.grid.points
+    t = schedule.payments().tolist()
+    p = schedule.p.tolist()
     rows = []
-    for k, q in enumerate(pts):
-        if k < schedule.grid.n_cells and not np.isnan(schedule.p[k]):
-            pk = float(schedule.p[k])
-            p_cell, p_kwh = _fmt(pk), _fmt(pk)  # k$/MWh equals $/kWh numerically
+    for k, q in enumerate(schedule.grid.points.tolist()):
+        if k < schedule.grid.n_cells and not math.isnan(p[k]):
+            p_cell = p_kwh = _fmt(p[k])  # k$/MWh equals $/kWh numerically
         else:
             p_cell = p_kwh = "closed"
-        rows.append([_fmt(float(q)), p_cell, p_kwh, _fmt(float(t[k]))])
+        rows.append([_fmt(q), p_cell, p_kwh, _fmt(t[k])])
     return _csv_text(["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"], rows)
 
 

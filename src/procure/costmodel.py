@@ -19,6 +19,13 @@ from .weather import WeatherModel
 
 EQUAL_COST_TOL = 1e-12
 
+# Grid points per column block of the expected-cost kernel. In one thread,
+# BLAS's gemv sums each point over the states in the same order whatever
+# the number of points, except on a tail of fewer points than its unroll;
+# with a multiple of 64 that tail falls only in the last block, on the same
+# points as in one product over the whole grid, so blocking changes no bit.
+EC_BLOCK = 128
+
 
 @dataclass(frozen=True)
 class SellerType:
@@ -180,6 +187,38 @@ class CostModel:
         return np.array(rows)
 
 
+def _expected_cost_blocked(
+    c0: float,
+    weights: np.ndarray,
+    qs: np.ndarray,
+    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """c0 + weights @ integrand(qs): the weather-expected cost at each grid
+    point, for state weights over the states x points integrand.
+
+    integrand(q, out) gets a (1, n) row of at most EC_BLOCK + 3 grid
+    points and an uninitialized states x n buffer it may write into, and
+    returns the states x n integrand. Only one block exists at a time.
+    """
+    qs = np.asarray(qs, dtype=float)
+    if np.any(qs < 0.0):
+        raise ParameterDomainError("negative quantity in grid")
+    n = len(qs)
+    ec = np.empty(n)
+    buf = np.empty(len(weights) * min(EC_BLOCK + 3, n))
+    lo = 0
+    while lo < n:
+        # A leftover of 1-3 points joins the block before it: numpy takes a
+        # one-point product through dot, and gemv sums a matrix only 2 or 3
+        # points wide in another order.
+        hi = n if n - lo < EC_BLOCK + 4 else lo + EC_BLOCK
+        out = buf[: len(weights) * (hi - lo)].reshape(len(weights), hi - lo)
+        np.matmul(weights, integrand(qs[None, lo:hi], out), out=ec[lo:hi])
+        lo = hi
+    ec += c0
+    return ec
+
+
 class SimpleCostModel(CostModel):
     """Free wind generation gamma*w^3 plus a conventional plant with
     constant marginal cost: C(q,w,x) = c0 + theta_c * max(q - gamma*w^3, 0)."""
@@ -205,13 +244,14 @@ class SimpleCostModel(CostModel):
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        if np.any(qs < 0.0):
-            raise ParameterDomainError("negative quantity in grid")
-        g = x.param("gamma") * np.array(weather.speeds) ** 3
-        probs = np.array(weather.probs)
-        short = np.maximum(qs[None, :] - g[:, None], 0.0)
-        return x.param("c0") + x.param("theta_c") * probs @ short
+        g = (x.param("gamma") * np.array(weather.speeds) ** 3)[:, None]
+
+        def shortfall(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.subtract(q, g, out=out)
+            return np.maximum(out, 0.0, out=out)
+
+        weights = x.param("theta_c") * np.array(weather.probs)
+        return _expected_cost_blocked(x.param("c0"), weights, qs, shortfall)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel
@@ -258,14 +298,18 @@ class WindConventionalCostModel(CostModel):
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        qs = np.asarray(qs, dtype=float)
-        if np.any(qs < 0.0):
-            raise ParameterDomainError("negative quantity in grid")
-        g = self._gen_array(x, weather)
-        probs = np.array(weather.probs)
-        wind = np.minimum(qs[None, :], g[:, None])
-        short = np.maximum(qs[None, :] - g[:, None], 0.0)
-        return x.param("c0") + probs @ (x.param("theta_w") * wind + x.param("theta_c") * short)
+        g = self._gen_array(x, weather)[:, None]
+        theta_w, theta_c = x.param("theta_w"), x.param("theta_c")
+
+        def cost_above_c0(q: np.ndarray, out: np.ndarray) -> np.ndarray:
+            wind = np.minimum(q, g, out=out)
+            # q - min(q, g) is max(q - g, 0) bit for bit
+            short = np.subtract(q, wind)
+            wind *= theta_w
+            short *= theta_c
+            return np.add(wind, short, out=out)
+
+        return _expected_cost_blocked(x.param("c0"), np.array(weather.probs), qs, cost_above_c0)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel

@@ -93,26 +93,29 @@ def settlement_table(
     The ex-post column is present only when a worst type exists (the
     construction needs one); profit is under the risk-shared payment.
     """
+    if not (0.0 <= alpha <= 1.0):
+        raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
     grid = schedule.grid
     worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
     pts, t = grid.points, schedule.payments()
+    speeds = weather.speeds
     if worst is not None:
         q_worst = outcome.by_id(worst.id).q
         t_worst = _payment_at(grid, pts, t, q_worst)
+        worst_cost = [model.realized_cost(worst, q_worst, w) for w in speeds]
     rows = []
     for x in space:
         rec = outcome.by_id(x.id)
         if worst is not None:
-            # t(q) - t(q_worst), added to the cost as in expost_payment
+            # t(q) - t(q_worst) + C(q_worst, w, worst), as in expost_payment
             shift = _payment_at(grid, pts, t, rec.q) - t_worst
-        for w, _prob in weather.states:
+            expost = [shift + c for c in worst_cost]
+        else:
+            expost = [None] * len(speeds)
+        for w, payment_expost in zip(speeds, expost):
             cost = model.realized_cost(x, rec.q, w)
-            expost = (
-                shift + model.realized_cost(worst, q_worst, w)
-                if worst is not None
-                else None
-            )
-            risk = risk_payment(outcome, x, w, alpha, model)
+            # risk_payment, on the cost already in hand
+            risk = rec.payment + alpha * (cost - rec.expected_cost)
             rows.append(
                 SettlementRow(
                     type_id=x.id,
@@ -120,7 +123,7 @@ def settlement_table(
                     generation=model.generation(x, w),
                     realized_cost=cost,
                     payment_base=rec.payment,
-                    payment_expost=expost,
+                    payment_expost=payment_expost,
                     payment_risk=risk,
                     profit=risk - cost,
                 )

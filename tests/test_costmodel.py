@@ -1,11 +1,18 @@
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import procure
 from procure.costmodel import (
+    EC_BLOCK,
     SellerType,
     SimpleCostModel,
     TypeSpace,
@@ -96,6 +103,83 @@ def test_expected_cost_grid_matches_scalar(weather):
         grid_vals = model.expected_cost_grid(x, qs, weather)
         scalar = [model.expected_cost(x, float(q), weather) for q in qs]
         assert np.allclose(grid_vals, scalar, rtol=0, atol=1e-9)
+
+
+def dense_simple(x, qs, weather):
+    g = (x.param("gamma") * np.array(weather.speeds) ** 3)[:, None]
+    probs = np.array(weather.probs)
+    return x.param("c0") + x.param("theta_c") * probs @ np.maximum(qs[None, :] - g, 0.0)
+
+
+def dense_wind_conventional(x, qs, weather):
+    g = np.array([power_curve(x, w) for w in weather.speeds])[:, None]
+    probs = np.array(weather.probs)
+    wind = np.minimum(qs[None, :], g)
+    short = np.maximum(qs[None, :] - g, 0.0)
+    return x.param("c0") + probs @ (x.param("theta_w") * wind + x.param("theta_c") * short)
+
+
+def blocked_kernel_mismatches():
+    """(model kind, states, points) of each case where expected_cost_grid
+    differs in any bit from one states x points product over the grid."""
+    cases = (
+        (SimpleCostModel(), simple_type(), dense_simple),
+        (WindConventionalCostModel(), wc_type(), dense_wind_conventional),
+    )
+    bad = []
+    for n_states in (1, 200, 2000):
+        if n_states == 1:
+            weather = WeatherModel(states=((8.0, 1.0),))
+        else:
+            weather = weibull_model(3.0, 5.0, n_states)
+        # at 2000 states, 20,001 points would take 320 MB per dense temporary
+        most = 20_001 if n_states < 2000 else 2001
+        for n in (1, 2, 3, *range(EC_BLOCK - 1, EC_BLOCK + 4), most):
+            qs = np.random.default_rng(n).uniform(0.0, 3000.0, n)
+            for model, x, dense in cases:
+                if not np.array_equal(
+                    model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
+                ):
+                    bad.append((model.kind, n_states, n))
+    return bad
+
+
+def test_blocked_expected_cost_is_bit_identical_to_dense_product():
+    # Run in a child process with one BLAS thread: with several, gemv
+    # splits the points between threads and the dense product's bits
+    # change at the split.
+    path = [str(Path(procure.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(
+        os.environ,
+        OPENBLAS_NUM_THREADS="1",
+        OMP_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(path),
+    )
+    code = "import test_costmodel; print(test_costmodel.blocked_kernel_mismatches())"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
+    "model, x",
+    [(SimpleCostModel(), simple_type()), (WindConventionalCostModel(), wc_type())],
+    ids=["simple", "wind_conventional"],
+)
+def test_expected_cost_grid_peak_memory(weather, model, x):
+    # One dense 200 x 20,001 integrand alone is 32 MB. numpy reports its
+    # buffers to tracemalloc.
+    qs = np.linspace(0.0, 3000.0, 20_001)
+    tracemalloc.start()
+    try:
+        model.expected_cost_grid(x, qs, weather)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_marginal_cost_simple_at_zero(weather):

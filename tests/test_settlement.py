@@ -175,3 +175,19 @@ def test_payment_requires_grid_point(worst_scenario, worst_outcome):
         expost_payment(
             worst_outcome, worst_outcome.schedule, worst, 1.2345, sc.weather.speeds[0], sc.model
         )
+
+
+def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome):
+    # the table computes both payments inline; they must match the public
+    # per-row functions bit for bit
+    sc = worst_scenario
+    worst = _worst(sc, worst_outcome)
+    schedule = worst_outcome.schedule
+    rows = settlement_table(worst_outcome, schedule, sc.space, sc.model, sc.weather, alpha=0.3)
+    for r in rows:
+        q = worst_outcome.by_id(r.type_id).q
+        x = sc.space.by_id(r.type_id)
+        assert r.payment_expost == expost_payment(worst_outcome, schedule, worst, q, r.w, sc.model)
+        assert r.payment_risk == risk_payment(worst_outcome, x, r.w, 0.3, sc.model)
+    with pytest.raises(ParameterDomainError):
+        settlement_table(worst_outcome, schedule, sc.space, sc.model, sc.weather, alpha=1.5)

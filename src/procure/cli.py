@@ -10,7 +10,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from pathlib import Path
@@ -22,12 +21,32 @@ from . import __version__
 from .errors import ProcureError
 from .mechanism import Instance, PriceSchedule, QuantityGrid, exclusion_search, solve
 from .scenario import Scenario, load_scenario
-from .settlement import settlement_table
+from .settlement import SettlementTable, settlement_table
 from .verify import grid_tolerance, report_text, run_checks
 
 
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
+
+
+def _fmt_column(a) -> list[str]:
+    """_fmt of every element of a float array, in C order.
+
+    Each distinct value is formatted once; values are told apart by their
+    bit pattern, so -0.0 and 0.0 (and NaNs) each keep their own text.
+    """
+    a = np.ascontiguousarray(a, dtype=float).reshape(-1)
+    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
+    text = np.array([_fmt(x) for x in bits.view(float).tolist()], dtype=object)
+    return text[inverse].tolist()
+
+
+def _csv_field(s: str) -> str:
+    """s as csv.writer writes it among other fields of a row: quoted when
+    it holds a comma, a quote or a line break."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([s, ""])
+    return buf.getvalue()[:-2]
 
 
 def _write_atomic(path: Path, text: str) -> None:
@@ -36,25 +55,22 @@ def _write_atomic(path: Path, text: str) -> None:
     os.replace(tmp, path)
 
 
-def _csv_text(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _csv_text(header: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
+    """A header line and one line per row of equal-length columns of
+    already formatted fields; LF line endings."""
+    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
 
 
 def schedule_csv(schedule: PriceSchedule) -> str:
-    t = schedule.payments().tolist()
-    p = schedule.p.tolist()
-    rows = []
-    for k, q in enumerate(schedule.grid.points.tolist()):
-        if k < schedule.grid.n_cells and not math.isnan(p[k]):
-            p_cell = p_kwh = _fmt(p[k])  # k$/MWh equals $/kWh numerically
-        else:
-            p_cell = p_kwh = "closed"
-        rows.append([_fmt(q), p_cell, p_kwh, _fmt(t[k])])
-    return _csv_text(["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"], rows)
+    p = schedule.p
+    is_open = ~np.isnan(p)
+    prices = np.full(len(p) + 1, "closed", dtype=object)
+    prices[:-1][is_open] = _fmt_column(p[is_open])  # k$/MWh equals $/kWh numerically
+    prices = prices.tolist()
+    return _csv_text(
+        ["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"],
+        [_fmt_column(schedule.grid.points), prices, prices, _fmt_column(schedule.payments())],
+    )
 
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
@@ -77,27 +93,23 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
 
 
 def outcome_csv(outcome) -> str:
-    rows = [
-        [rec.type_id, _fmt(rec.q), _fmt(rec.payment), _fmt(rec.expected_cost), _fmt(rec.utility)]
-        for rec in outcome.per_type
-    ]
-    return _csv_text(["type_id", "q", "payment", "expected_cost", "utility"], rows)
+    recs = outcome.per_type
+    values = np.array([[r.q, r.payment, r.expected_cost, r.utility] for r in recs])
+    return _csv_text(
+        ["type_id", "q", "payment", "expected_cost", "utility"],
+        [[_csv_field(r.type_id) for r in recs], *map(_fmt_column, values.T)],
+    )
 
 
-def settlement_csv(rows) -> str:
-    out = [
-        [
-            r.type_id,
-            _fmt(r.w),
-            _fmt(r.generation),
-            _fmt(r.realized_cost),
-            _fmt(r.payment_base),
-            "" if r.payment_expost is None else _fmt(r.payment_expost),
-            _fmt(r.payment_risk),
-            _fmt(r.profit),
-        ]
-        for r in rows
-    ]
+def settlement_csv(table: SettlementTable) -> str:
+    n_states = len(table.w)
+    # type_id and payment_base hold one field per type, repeated over its states
+    ids = [cell for cell in map(_csv_field, table.type_ids) for _ in range(n_states)]
+    base = [cell for cell in _fmt_column(table.payment_base) for _ in range(n_states)]
+    if table.payment_expost is None:
+        expost = [""] * len(table)
+    else:
+        expost = _fmt_column(table.payment_expost)
     return _csv_text(
         [
             "type_id",
@@ -109,7 +121,16 @@ def settlement_csv(rows) -> str:
             "payment_risk_alpha",
             "profit",
         ],
-        out,
+        [
+            ids,
+            _fmt_column(table.w) * len(table.type_ids),
+            _fmt_column(table.generation),
+            _fmt_column(table.realized_cost),
+            base,
+            expost,
+            _fmt_column(table.payment_risk),
+            _fmt_column(table.profit),
+        ],
     )
 
 
@@ -181,10 +202,10 @@ def cmd_solve(
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     if sc.alpha is not None:
         adm = sc.space.subset(outcome.admissible_ids)
-        rows = settlement_table(
+        table = settlement_table(
             outcome, outcome.schedule, adm, sc.model, sc.weather, sc.alpha
         )
-        _write_atomic(out_dir / "settlement.csv", settlement_csv(rows))
+        _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
     _write_atomic(out_dir / "run_manifest.json", _manifest(sc, scenario_path, outcome))
     return 0
 
@@ -207,23 +228,22 @@ def cmd_plotdata(
     outcome = _solve_scenario(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = outcome.schedule
-    pts = schedule.grid.points
-    t = schedule.payments()
     n = schedule.n_open
+    header = ["q_MWh", "p_k$_per_MWh", "t_k$"]
     if n == 0:
-        series = "# schedule closed at q=0; no open quantity range\n" + _csv_text(
-            ["q_MWh", "p_k$_per_MWh", "t_k$"], []
-        )
+        series = "# schedule closed at q=0; no open quantity range\n" + _csv_text(header, [])
     else:
-        rows = [
-            [_fmt(float(pts[k])), _fmt(float(schedule.p[k])), _fmt(float(t[k]))]
-            for k in range(n)
-        ]
-        series = _csv_text(["q_MWh", "p_k$_per_MWh", "t_k$"], rows)
+        columns = (schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n])
+        series = _csv_text(header, [_fmt_column(c) for c in columns])
     _write_atomic(out_dir / "price_series.csv", series)
+    recs = outcome.per_type
     markers = _csv_text(
         ["type_id", "q_MWh", "t_k$"],
-        [[rec.type_id, _fmt(rec.q), _fmt(rec.payment)] for rec in outcome.per_type],
+        [
+            [_csv_field(r.type_id) for r in recs],
+            _fmt_column([r.q for r in recs]),
+            _fmt_column([r.payment for r in recs]),
+        ],
     )
     _write_atomic(out_dir / "type_markers.csv", markers)
     return 0

@@ -8,7 +8,8 @@ payment, and hence its optimal quantity, unchanged.
 """
 from __future__ import annotations
 
-import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import Optional
 
@@ -80,6 +81,69 @@ class SettlementRow:
     profit: float
 
 
+@dataclass(frozen=True, eq=False)
+class SettlementTable(Sequence[SettlementRow]):
+    """Per (type, weather-state) settlement, stored as columns.
+
+    type_ids and payment_base run over the types, w over the weather
+    states, and the other columns are types x states arrays. As a sequence
+    it is the rows type by type, each type through every state in order.
+    payment_expost is None when there is no worst type.
+    """
+
+    type_ids: tuple[str, ...]
+    w: np.ndarray
+    payment_base: np.ndarray
+    generation: np.ndarray
+    realized_cost: np.ndarray
+    payment_expost: Optional[np.ndarray]
+    payment_risk: np.ndarray
+    profit: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.type_ids) * len(self.w)
+
+    def __iter__(self) -> Iterator[SettlementRow]:
+        n_states = len(self.w)
+        if self.payment_expost is None:
+            expost = [[None] * n_states] * len(self.type_ids)
+        else:
+            expost = self.payment_expost.tolist()
+        columns = zip(
+            self.generation.tolist(),
+            self.realized_cost.tolist(),
+            expost,
+            self.payment_risk.tolist(),
+            self.profit.tolist(),
+        )
+        w = self.w.tolist()
+        for type_id, base, per_state in zip(self.type_ids, self.payment_base.tolist(), columns):
+            for w_j, gen, cost, payment_expost, risk, profit in zip(w, *per_state):
+                yield SettlementRow(type_id, w_j, gen, cost, base, payment_expost, risk, profit)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[r] for r in range(*index.indices(len(self)))]
+        r = operator.index(index)
+        if r < 0:
+            r += len(self)
+        if not 0 <= r < len(self):
+            raise IndexError(f"settlement row {index} out of range")
+        i, j = divmod(r, len(self.w))
+        return SettlementRow(
+            type_id=self.type_ids[i],
+            w=float(self.w[j]),
+            generation=float(self.generation[i, j]),
+            realized_cost=float(self.realized_cost[i, j]),
+            payment_base=float(self.payment_base[i]),
+            payment_expost=None
+            if self.payment_expost is None
+            else float(self.payment_expost[i, j]),
+            payment_risk=float(self.payment_risk[i, j]),
+            profit=float(self.profit[i, j]),
+        )
+
+
 def settlement_table(
     outcome: ContractOutcome,
     schedule: PriceSchedule,
@@ -87,11 +151,13 @@ def settlement_table(
     model: CostModel,
     weather: WeatherModel,
     alpha: float,
-) -> list[SettlementRow]:
+) -> SettlementTable:
     """Per (type, weather-state) settlement enumeration.
 
     The ex-post column is present only when a worst type exists (the
     construction needs one); profit is under the risk-shared payment.
+    Every entry equals the per-row expost_payment and risk_payment bit for
+    bit: the columns repeat their operations in the same order.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
@@ -99,36 +165,31 @@ def settlement_table(
     worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
     pts, t = grid.points, schedule.payments()
     speeds = weather.speeds
+    recs = [outcome.by_id(x.id) for x in space]
+    base = np.array([rec.payment for rec in recs])
+    cost = np.array(
+        [model.realized_cost_array(x, rec.q, speeds) for x, rec in zip(space, recs)]
+    )
+    expected = np.array([rec.expected_cost for rec in recs])
+    # risk_payment: t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
+    risk = base[:, None] + alpha * (cost - expected[:, None])
+    expost = None
     if worst is not None:
+        # expost_payment: t(q) - t(q_worst) + C(q_worst, w, worst)
         q_worst = outcome.by_id(worst.id).q
         t_worst = _payment_at(grid, pts, t, q_worst)
-        worst_cost = [model.realized_cost(worst, q_worst, w) for w in speeds]
-    rows = []
-    for x in space:
-        rec = outcome.by_id(x.id)
-        if worst is not None:
-            # t(q) - t(q_worst) + C(q_worst, w, worst), as in expost_payment
-            shift = _payment_at(grid, pts, t, rec.q) - t_worst
-            expost = [shift + c for c in worst_cost]
-        else:
-            expost = [None] * len(speeds)
-        for w, payment_expost in zip(speeds, expost):
-            cost = model.realized_cost(x, rec.q, w)
-            # risk_payment, on the cost already in hand
-            risk = rec.payment + alpha * (cost - rec.expected_cost)
-            rows.append(
-                SettlementRow(
-                    type_id=x.id,
-                    w=w,
-                    generation=model.generation(x, w),
-                    realized_cost=cost,
-                    payment_base=rec.payment,
-                    payment_expost=payment_expost,
-                    payment_risk=risk,
-                    profit=risk - cost,
-                )
-            )
-    return rows
+        shift = np.array([_payment_at(grid, pts, t, rec.q) - t_worst for rec in recs])
+        expost = shift[:, None] + model.realized_cost_array(worst, q_worst, speeds)
+    return SettlementTable(
+        type_ids=tuple(x.id for x in space),
+        w=np.array(speeds, dtype=float),
+        payment_base=base,
+        generation=np.array([model.generation_array(x, speeds) for x in space]),
+        realized_cost=cost,
+        payment_expost=expost,
+        payment_risk=risk,
+        profit=risk - cost,
+    )
 
 
 def require_worst_type(

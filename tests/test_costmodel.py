@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import procure
 from procure.costmodel import (
     EC_BLOCK,
+    _aligned_empty,
     SellerType,
     SimpleCostModel,
     TypeSpace,
@@ -377,3 +378,14 @@ def test_wind_conventional_rejects_bad_speeds(weather):
     x = wc_type(v_ci=13.0, v_r=3.0)
     with pytest.raises(ParameterDomainError):
         model.validate_type(x)
+
+
+def test_aligned_empty_starts_on_a_cache_line():
+    # the blocked kernel's buffer; keep smaller arrays alive in between so
+    # that malloc hands out many different offsets
+    keep = []
+    for n in range(1, 301):
+        a = _aligned_empty(n)
+        assert a.shape == (n,) and a.dtype == np.float64
+        assert a.ctypes.data % 64 == 0
+        keep.append(np.empty(n % 7 + 1))

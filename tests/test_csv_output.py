@@ -1,0 +1,230 @@
+"""The columnar settlement table and CSV writers against the row-wise
+writers they replaced, kept here as references: byte-equal output on every
+bundled scenario, with --alpha, --admissible, a fully closed schedule and a
+type id that needs CSV quoting."""
+import csv
+import io
+import math
+import sys
+
+import numpy as np
+import pytest
+
+from procure.cli import _csv_field, _fmt_column, _load, _solve_scenario, main
+from procure.mechanism import instance_for
+from procure.settlement import SettlementRow, _payment_at
+
+SIMPLE_YAML = """\
+description: simple pair whose ids need CSV quoting
+weather: {{kind: weibull, shape: 3.0, mean: 5.0, n_points: 60}}
+cost_model: {{kind: simple}}
+types:
+  - {{id: '{worse}', params: {{c0: 4, theta_c: 1.2, gamma: 1}}}}
+  - {{id: '{better}', params: {{c0: 4, theta_c: 1.2, gamma: 2}}}}
+buyer:
+  marginal_utility: {{kind: affine, intercept: {intercept}, slope: 1.5e-3}}
+grid: {{q_max: 300, n_cells: 150}}
+options: {{alpha: 0.4}}
+"""
+
+# a comma and a quote in one id (YAML doubles the single quote), and a
+# quote alone in the other
+QUOTED = SIMPLE_YAML.format(worse='lo,"x', better="hi''s", intercept=1.0)
+# the buyer values no unit above any seller's cost: every cell is closed
+CLOSED = SIMPLE_YAML.format(worse="a", better="b", intercept=1e-4)
+
+
+def _fmt(x):
+    return f"{x:.12g}"
+
+
+def _csv_text(header, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def ref_settlement_table(outcome, schedule, space, model, weather, alpha):
+    """One (type, state) row at a time, with the scalar cost calls."""
+    grid = schedule.grid
+    worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
+    pts, t = grid.points, schedule.payments()
+    speeds = weather.speeds
+    if worst is not None:
+        q_worst = outcome.by_id(worst.id).q
+        t_worst = _payment_at(grid, pts, t, q_worst)
+        worst_cost = [model.realized_cost(worst, q_worst, w) for w in speeds]
+    rows = []
+    for x in space:
+        rec = outcome.by_id(x.id)
+        if worst is not None:
+            shift = _payment_at(grid, pts, t, rec.q) - t_worst
+            expost = [shift + c for c in worst_cost]
+        else:
+            expost = [None] * len(speeds)
+        for w, payment_expost in zip(speeds, expost):
+            cost = model.realized_cost(x, rec.q, w)
+            risk = rec.payment + alpha * (cost - rec.expected_cost)
+            rows.append(
+                SettlementRow(
+                    type_id=x.id,
+                    w=w,
+                    generation=model.generation(x, w),
+                    realized_cost=cost,
+                    payment_base=rec.payment,
+                    payment_expost=payment_expost,
+                    payment_risk=risk,
+                    profit=risk - cost,
+                )
+            )
+    return rows
+
+
+def ref_schedule_csv(schedule):
+    t = schedule.payments().tolist()
+    p = schedule.p.tolist()
+    rows = []
+    for k, q in enumerate(schedule.grid.points.tolist()):
+        if k < schedule.grid.n_cells and not math.isnan(p[k]):
+            p_cell = p_kwh = _fmt(p[k])
+        else:
+            p_cell = p_kwh = "closed"
+        rows.append([_fmt(q), p_cell, p_kwh, _fmt(t[k])])
+    return _csv_text(["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"], rows)
+
+
+def ref_outcome_csv(outcome):
+    rows = [
+        [rec.type_id, _fmt(rec.q), _fmt(rec.payment), _fmt(rec.expected_cost), _fmt(rec.utility)]
+        for rec in outcome.per_type
+    ]
+    return _csv_text(["type_id", "q", "payment", "expected_cost", "utility"], rows)
+
+
+def ref_settlement_csv(rows):
+    out = [
+        [
+            r.type_id,
+            _fmt(r.w),
+            _fmt(r.generation),
+            _fmt(r.realized_cost),
+            _fmt(r.payment_base),
+            "" if r.payment_expost is None else _fmt(r.payment_expost),
+            _fmt(r.payment_risk),
+            _fmt(r.profit),
+        ]
+        for r in rows
+    ]
+    header = [
+        "type_id", "w", "g_w", "realized_cost", "payment_base",
+        "payment_expost", "payment_risk_alpha", "profit",
+    ]
+    return _csv_text(header, out)
+
+
+def ref_plotdata(outcome):
+    schedule = outcome.schedule
+    pts = schedule.grid.points
+    t = schedule.payments()
+    n = schedule.n_open
+    if n == 0:
+        series = "# schedule closed at q=0; no open quantity range\n" + _csv_text(
+            ["q_MWh", "p_k$_per_MWh", "t_k$"], []
+        )
+    else:
+        rows = [
+            [_fmt(float(pts[k])), _fmt(float(schedule.p[k])), _fmt(float(t[k]))]
+            for k in range(n)
+        ]
+        series = _csv_text(["q_MWh", "p_k$_per_MWh", "t_k$"], rows)
+    markers = _csv_text(
+        ["type_id", "q_MWh", "t_k$"],
+        [[rec.type_id, _fmt(rec.q), _fmt(rec.payment)] for rec in outcome.per_type],
+    )
+    return {"price_series.csv": series, "type_markers.csv": markers}
+
+
+def _scenario(name, scenario_dir, tmp_path):
+    if name in ("quoted", "closed"):
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(QUOTED if name == "quoted" else CLOSED)
+        return path
+    return scenario_dir / name
+
+
+def _read(out):
+    return {p.name: p.read_text() for p in out.iterdir()}
+
+
+@pytest.mark.parametrize(
+    "name, args",
+    [
+        ("six_types.yaml", []),
+        ("simple_worst.yaml", []),
+        ("six_types_corrupted.yaml", []),
+        ("tiny_oracle.yaml", []),
+        ("tiny_oracle.yaml", ["--alpha", "0.3"]),
+        ("six_types.yaml", ["--alpha", "0.7", "--admissible", "a,b,c"]),
+        ("simple_worst.yaml", ["--alpha", "1", "--admissible", "g1"]),
+        ("simple_worst.yaml", ["--alpha", "0", "--grid-cells", "77"]),
+        ("quoted", []),
+        ("quoted", ["--admissible", "hi's", "--alpha", "0.9"]),
+        ("closed", []),
+    ],
+)
+def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, args):
+    path = _scenario(name, scenario_dir, tmp_path)
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out), *args]) == 0
+    opts = dict(zip(args[::2], args[1::2]))
+    sc = _load(path, int(opts.get("--grid-cells", 0)) or None, opts.get("--admissible"))
+    if "--alpha" in opts:
+        sc.alpha = float(opts["--alpha"])
+    outcome = _solve_scenario(sc)
+    want = {
+        "schedule.csv": ref_schedule_csv(outcome.schedule),
+        "outcome.csv": ref_outcome_csv(outcome),
+    }
+    if sc.alpha is not None:
+        adm = sc.space.subset(outcome.admissible_ids)
+        rows = ref_settlement_table(outcome, outcome.schedule, adm, sc.model, sc.weather, sc.alpha)
+        want["settlement.csv"] = ref_settlement_csv(rows)
+    got = _read(out)
+    got.pop("run_manifest.json")
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "name", ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml", "quoted", "closed"]
+)
+def test_plotdata_equals_row_wise_reference(scenario_dir, tmp_path, name):
+    path = _scenario(name, scenario_dir, tmp_path)
+    out = tmp_path / "plot"
+    assert main(["plotdata", str(path), "--out", str(out)]) == 0
+    assert _read(out) == ref_plotdata(_solve_scenario(_load(path)))
+
+
+def test_quoted_ids_and_closed_schedule_are_exercised(tmp_path):
+    # the two in-test scenarios reach the cases they are here for
+    assert _csv_field('lo,"x') == '"lo,""x"'
+    assert _csv_field("hi's") == "hi's"
+    path = tmp_path / "closed.yaml"
+    path.write_text(CLOSED)
+    assert _solve_scenario(_load(path)).schedule.n_open == 0
+
+
+def test_fmt_column_equals_scalar_format():
+    special = [
+        0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+        sys.float_info.max, -sys.float_info.max, 0.1, 0.1, 1.0, 1.0, 0.0, -0.0,
+    ]
+    rng = np.random.default_rng(20260418)
+    bits = rng.integers(-(2**63), 2**63, size=100_000, dtype=np.int64)
+    values = np.concatenate([np.array(special), bits.view(np.float64)])
+    assert _fmt_column(values) == [f"{x:.12g}" for x in values.tolist()]
+    # two-dimensional input is read in C order
+    grid = values[:60].reshape(6, 10)
+    assert _fmt_column(grid) == [f"{x:.12g}" for x in grid.ravel().tolist()]
+    assert _fmt_column(np.empty(0)) == []

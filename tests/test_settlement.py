@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from procure.costmodel import find_worst_type
+from procure.costmodel import PluginCostModel, SellerType, TypeSpace, find_worst_type
 from procure.errors import ParameterDomainError, UnsupportedConfigurationError
 from procure.settlement import (
     expost_payment,
@@ -12,7 +12,8 @@ from procure.settlement import (
     risk_payment,
     settlement_table,
 )
-from procure.weather import expect
+from procure.mechanism import BuyerUtility, QuantityGrid, solve
+from procure.weather import expect, weibull_model
 
 
 def _worst(sc, outcome):
@@ -191,3 +192,79 @@ def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome)
         assert r.payment_risk == risk_payment(worst_outcome, x, r.w, 0.3, sc.model)
     with pytest.raises(ParameterDomainError):
         settlement_table(worst_outcome, schedule, sc.space, sc.model, sc.weather, alpha=1.5)
+
+
+def _plugin_case():
+    # a plugin model with a wind part, solved on a small grid
+    model = PluginCostModel(
+        realized=lambda x, q, w: (
+            x.param("c0") + 1.3 * max(q - x.param("gamma") * math.sqrt(w), 0.0)
+        ),
+        param_names=("c0", "gamma"),
+        raising_params=("c0",),
+        lowering_params=("gamma",),
+        generation=lambda x, w: x.param("gamma") * math.sqrt(w),
+    )
+    space = TypeSpace(
+        (
+            SellerType("p1", {"c0": 1.0, "gamma": 1.0}, 0.5),
+            SellerType("p2", {"c0": 1.0, "gamma": 2.0}, 0.5),
+        )
+    )
+    weather = weibull_model(3.0, 5.0, 30)
+    grid = QuantityGrid(q_max=8.0, n_cells=40)
+    outcome = solve(space, model, weather, BuyerUtility.affine(1.0, 0.05), grid)
+    return space, model, weather, outcome
+
+
+@pytest.mark.parametrize("case", ["simple", "wind_conventional", "plugin"])
+def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_scenario):
+    if case == "simple":
+        sc = worst_scenario
+        space, model, weather = sc.space, sc.model, sc.weather
+        outcome = solve(space, model, weather, sc.vprime, sc.grid)
+    elif case == "wind_conventional":
+        # b dominates a, so the pair has a worst type and an ex-post column
+        sc = six_scenario
+        space, model, weather = sc.space.subset(["a", "b"]), sc.model, sc.weather
+        outcome = solve(
+            sc.space, model, weather, sc.vprime, sc.grid, admissible=("a", "b")
+        )
+    else:
+        space, model, weather, outcome = _plugin_case()
+    schedule = outcome.schedule
+    worst = find_worst_type(space, model, weather, schedule.grid.points)
+    assert worst is not None
+    table = settlement_table(outcome, schedule, space, model, weather, alpha=0.35)
+    assert table.type_ids == tuple(x.id for x in space)
+    assert table.w.tolist() == list(weather.speeds)
+    for i, x in enumerate(space):
+        rec = outcome.by_id(x.id)
+        assert table.payment_base[i] == rec.payment
+        for j, w in enumerate(weather.speeds):
+            assert table.generation[i, j] == model.generation(x, w)
+            assert table.realized_cost[i, j] == model.realized_cost(x, rec.q, w)
+            assert table.payment_risk[i, j] == risk_payment(outcome, x, w, 0.35, model)
+            assert table.payment_expost[i, j] == expost_payment(
+                outcome, schedule, worst, rec.q, w, model
+            )
+    assert np.array_equal(table.profit, table.payment_risk - table.realized_cost)
+
+
+def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):
+    sc = worst_scenario
+    table = settlement_table(
+        worst_outcome, worst_outcome.schedule, sc.space, sc.model, sc.weather, alpha=0.5
+    )
+    n_states = len(sc.weather.states)
+    rows = list(table)
+    assert len(table) == len(rows) == 2 * n_states
+    assert table[-1] == rows[-1] and table[n_states] == rows[n_states]
+    assert table[3:9:2] == rows[3:9:2]
+    r = table[n_states + 4]
+    assert (r.type_id, r.w) == ("g2", sc.weather.speeds[4])
+    assert r.realized_cost == table.realized_cost[1, 4]
+    assert r.payment_expost == table.payment_expost[1, 4]
+    assert type(r.profit) is float
+    with pytest.raises(IndexError):
+        table[len(table)]

@@ -37,7 +37,9 @@ def _fmt_column(a) -> list[str]:
     """
     a = np.ascontiguousarray(a, dtype=float).reshape(-1)
     bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    text = np.array([_fmt(x) for x in bits.view(float).tolist()], dtype=object)
+    values = bits.view(float).tolist()
+    # one % operation for all values; "%.12g" % x is _fmt(x) for every float
+    text = np.array(("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1], dtype=object)
     return text[inverse].tolist()
 
 

@@ -19,12 +19,10 @@ from .weather import WeatherModel
 
 EQUAL_COST_TOL = 1e-12
 
-# Grid points per column block of the expected-cost kernel. In one thread,
-# BLAS's gemv sums each point over the states in the same order whatever
-# the number of points, except on a tail of fewer points than its unroll;
-# with a multiple of 64 that tail falls only in the last block, on the same
-# points as in one product over the whole grid, so blocking changes no bit.
-EC_BLOCK = 128
+# Bytes of one states x points block of the expected-cost kernel: a block
+# this size stays in a core's L2 cache while the integrand makes its passes
+# over it. Its width in points follows the number of states (ec_block_width).
+EC_BLOCK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -214,33 +212,57 @@ def _aligned_empty(n: int) -> np.ndarray:
     return raw[start : start + n]
 
 
+def ec_block_width(n_states: int) -> int:
+    """Grid points per block of the expected-cost kernel at n_states states:
+    as many as fit EC_BLOCK_BYTES, rounded down to a multiple of 64, and at
+    least 64. In one thread, BLAS's gemv sums each point over the states in
+    the same order whatever the number of points, except on a tail of fewer
+    points than its unroll; with a multiple of 64 that tail falls only in
+    the last block, on the same points as in one product over the whole
+    grid, so blocking changes no bit."""
+    return max(64, EC_BLOCK_BYTES // (8 * n_states) // 64 * 64)
+
+
 def _expected_cost_blocked(
     c0: float,
     weights: np.ndarray,
     qs: np.ndarray,
-    integrand: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    g: np.ndarray,
+    integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
     """c0 + weights @ integrand(qs): the weather-expected cost at each grid
     point, for state weights over the states x points integrand.
 
-    integrand(q, out) gets a (1, n) row of at most EC_BLOCK + 3 grid
-    points and an uninitialized states x n buffer it may write into, and
-    returns the states x n integrand. Only one block exists at a time.
+    integrand(q, g, tmp) gets three C-contiguous states x n arrays of at
+    most ec_block_width + 3 points: q holds the block's grid points in
+    every row, g holds generation g[s] across row s, and tmp is scratch.
+    It may overwrite q and tmp, but not g, and returns the states x n
+    integrand. Every elementwise pass thus runs over one contiguous block
+    rather than one short row at a time, and only one block exists at a
+    time.
     """
     qs = np.asarray(qs, dtype=float)
     if np.any(qs < 0.0):
         raise ParameterDomainError("negative quantity in grid")
-    n = len(qs)
+    n, n_states = len(qs), len(weights)
     ec = np.empty(n)
-    buf = _aligned_empty(len(weights) * min(EC_BLOCK + 3, n))
+    width = ec_block_width(n_states)
+    size = n_states * min(width + 3, n)
+    q_buf, g_buf, tmp_buf = _aligned_empty(size), _aligned_empty(size), _aligned_empty(size)
+    g_tile = g_buf[:0].reshape(n_states, 0)
     lo = 0
     while lo < n:
         # A leftover of 1-3 points joins the block before it: numpy takes a
         # one-point product through dot, and gemv sums a matrix only 2 or 3
         # points wide in another order.
-        hi = n if n - lo < EC_BLOCK + 4 else lo + EC_BLOCK
-        out = buf[: len(weights) * (hi - lo)].reshape(len(weights), hi - lo)
-        np.matmul(weights, integrand(qs[None, lo:hi], out), out=ec[lo:hi])
+        hi = n if n - lo < width + 4 else lo + width
+        k = hi - lo
+        q, tmp = (buf[: n_states * k].reshape(n_states, k) for buf in (q_buf, tmp_buf))
+        q[...] = qs[None, lo:hi]
+        if g_tile.shape[1] != k:  # the first block, and a wider last one
+            g_tile = g_buf[: n_states * k].reshape(n_states, k)
+            g_tile[...] = g[:, None]
+        np.matmul(weights, integrand(q, g_tile, tmp), out=ec[lo:hi])
         lo = hi
     ec += c0
     return ec
@@ -282,14 +304,16 @@ class SimpleCostModel(CostModel):
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        g = (x.param("gamma") * np.array(weather.speeds) ** 3)[:, None]
+        # numpy's power, not libm's (_cubes): the two can differ in the last
+        # bit, and the expected costs have always been computed with this one
+        g = x.param("gamma") * np.array(weather.speeds) ** 3
 
-        def shortfall(q: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.subtract(q, g, out=out)
-            return np.maximum(out, 0.0, out=out)
+        def shortfall(q: np.ndarray, g: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+            np.subtract(q, g, out=q)
+            return np.maximum(q, 0.0, out=q)
 
         weights = x.param("theta_c") * np.array(weather.probs)
-        return _expected_cost_blocked(x.param("c0"), weights, qs, shortfall)
+        return _expected_cost_blocked(x.param("c0"), weights, qs, g, shortfall)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel
@@ -356,18 +380,19 @@ class WindConventionalCostModel(CostModel):
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        g = self.generation_array(x, weather.speeds)[:, None]
+        g = self.generation_array(x, weather.speeds)
         theta_w, theta_c = x.param("theta_w"), x.param("theta_c")
 
-        def cost_above_c0(q: np.ndarray, out: np.ndarray) -> np.ndarray:
-            wind = np.minimum(q, g, out=out)
+        def cost_above_c0(q: np.ndarray, g: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+            wind = np.minimum(q, g, out=tmp)
             # q - min(q, g) is max(q - g, 0) bit for bit
-            short = np.subtract(q, wind)
+            short = np.subtract(q, wind, out=q)
             wind *= theta_w
             short *= theta_c
-            return np.add(wind, short, out=out)
+            return np.add(wind, short, out=q)
 
-        return _expected_cost_blocked(x.param("c0"), np.array(weather.probs), qs, cost_above_c0)
+        probs = np.array(weather.probs)
+        return _expected_cost_blocked(x.param("c0"), probs, qs, g, cost_above_c0)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel

@@ -8,6 +8,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .errors import ConfigurationError, ParameterDomainError
@@ -45,11 +46,12 @@ class WeatherModel:
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigurationError(f"probabilities sum to {total!r}, not 1")
 
-    @property
+    # cached on first use: states is immutable, and callers read these often
+    @cached_property
     def speeds(self) -> tuple[float, ...]:
         return tuple(w for w, _ in self.states)
 
-    @property
+    @cached_property
     def probs(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.states)
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 import procure
 from procure.costmodel import (
-    EC_BLOCK,
+    EC_BLOCK_BYTES,
     _aligned_empty,
     SellerType,
     SimpleCostModel,
@@ -20,6 +20,7 @@ from procure.costmodel import (
     WindConventionalCostModel,
     PluginCostModel,
     dominates,
+    ec_block_width,
     find_worst_type,
     make_model,
     power_curve,
@@ -128,14 +129,15 @@ def blocked_kernel_mismatches():
         (WindConventionalCostModel(), wc_type(), dense_wind_conventional),
     )
     bad = []
-    for n_states in (1, 200, 2000):
+    for n_states in (1, 6, 200, 2000):
         if n_states == 1:
             weather = WeatherModel(states=((8.0, 1.0),))
         else:
             weather = weibull_model(3.0, 5.0, n_states)
         # at 2000 states, 20,001 points would take 320 MB per dense temporary
         most = 20_001 if n_states < 2000 else 2001
-        for n in (1, 2, 3, *range(EC_BLOCK - 1, EC_BLOCK + 4), most):
+        width = ec_block_width(n_states)
+        for n in (1, 2, 3, *range(width - 1, width + 4), most):
             qs = np.random.default_rng(n).uniform(0.0, 3000.0, n)
             for model, x, dense in cases:
                 if not np.array_equal(
@@ -165,15 +167,30 @@ def test_blocked_expected_cost_is_bit_identical_to_dense_product():
     assert proc.stdout.strip() == "[]"
 
 
+def test_ec_block_width():
+    assert [ec_block_width(s) for s in (1, 6, 200, 2000)] == [32_768, 5440, 128, 64]
+    for n_states in (*range(1, 3000), 10**5, 10**7):
+        width = ec_block_width(n_states)
+        assert width % 64 == 0 and width >= 64
+        if width > 64:
+            assert 8 * n_states * width <= EC_BLOCK_BYTES
+
+
 @pytest.mark.parametrize(
-    "model, x",
-    [(SimpleCostModel(), simple_type()), (WindConventionalCostModel(), wc_type())],
-    ids=["simple", "wind_conventional"],
+    "model, x, n_states, n_points",
+    [
+        (SimpleCostModel(), simple_type(), 200, 20_001),
+        (WindConventionalCostModel(), wc_type(), 200, 20_001),
+        (SimpleCostModel(), simple_type(), 2000, 2001),
+        (WindConventionalCostModel(), wc_type(), 2000, 2001),
+    ],
+    ids=["simple", "wind_conventional", "simple-2000x2001", "wind_conventional-2000x2001"],
 )
-def test_expected_cost_grid_peak_memory(weather, model, x):
-    # One dense 200 x 20,001 integrand alone is 32 MB. numpy reports its
+def test_expected_cost_grid_peak_memory(model, x, n_states, n_points):
+    # One dense integrand alone is 32 MB at either size. numpy reports its
     # buffers to tracemalloc.
-    qs = np.linspace(0.0, 3000.0, 20_001)
+    weather = weibull_model(3.0, 5.0, n_states)
+    qs = np.linspace(0.0, 3000.0, n_points)
     tracemalloc.start()
     try:
         model.expected_cost_grid(x, qs, weather)

@@ -227,43 +227,78 @@ def _expected_cost_blocked(
     c0: float,
     weights: np.ndarray,
     qs: np.ndarray,
-    g: np.ndarray,
-    integrand: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+    columns: np.ndarray,
+    short: Callable[[np.ndarray, np.ndarray], object],
+    middle: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
+    covered: Callable[[np.ndarray, np.ndarray], object],
 ) -> np.ndarray:
     """c0 + weights @ integrand(qs): the weather-expected cost at each grid
     point, for state weights over the states x points integrand.
 
-    integrand(q, g, tmp) gets three C-contiguous states x n arrays of at
-    most ec_block_width + 3 points: q holds the block's grid points in
-    every row, g holds generation g[s] across row s, and tmp is scratch.
-    It may overwrite q and tmp, but not g, and returns the states x n
-    integrand. Every elementwise pass thus runs over one contiguous block
-    rather than one short row at a time, and only one block exists at a
-    time.
+    The grid goes in blocks of ec_block_width points, and each block's
+    integrand fills one C-contiguous states x n tile, so every elementwise
+    pass runs over contiguous memory and one block exists at a time.
+
+    columns holds per-state values, one row each, tiled across a block
+    once per call; columns[0] is generation g. g need not be sorted (wind
+    generation drops to 0 above cut-out), so the rows of a block split by
+    the running max of g from the first state and the running min of g
+    from the last. Rows [0, a), whose running max is at most the block's
+    smallest point, are short of wind at every point; rows [c, states),
+    whose running min is at least the block's largest point, are covered
+    at every point; rows [a, c) take the whole integrand. a and c for all
+    blocks come from two searchsorted calls before the loop.
+
+    The three pieces fill their rows of the tile in place. short(out, t)
+    and middle(out, t, tmp) find the block's points in every row of out,
+    with t the tiles of columns on those rows and tmp scratch of out's
+    shape; covered(out, q) gets the points as the 1 x n row q. short and
+    covered must give middle's bits on their rows, which IEEE identities
+    allow: max(x, 0) is x when x >= +0, q - q is +0, x + (+0) is x,
+    min(q, g) is the smaller operand, and + and * commute.
     """
     qs = np.asarray(qs, dtype=float)
-    if np.any(qs < 0.0):
-        raise ParameterDomainError("negative quantity in grid")
+    if not np.all(qs >= 0.0):
+        raise ParameterDomainError("negative or NaN quantity in grid")
     n, n_states = len(qs), len(weights)
     ec = np.empty(n)
     width = ec_block_width(n_states)
-    size = n_states * min(width + 3, n)
-    q_buf, g_buf, tmp_buf = _aligned_empty(size), _aligned_empty(size), _aligned_empty(size)
-    g_tile = g_buf[:0].reshape(n_states, 0)
-    lo = 0
-    while lo < n:
+    starts = np.arange(0, n, width)
+    if len(starts) > 1 and n - starts[-1] < 4:
         # A leftover of 1-3 points joins the block before it: numpy takes a
         # one-point product through dot, and gemv sums a matrix only 2 or 3
         # points wide in another order.
-        hi = n if n - lo < width + 4 else lo + width
-        k = hi - lo
-        q, tmp = (buf[: n_states * k].reshape(n_states, k) for buf in (q_buf, tmp_buf))
-        q[...] = qs[None, lo:hi]
-        if g_tile.shape[1] != k:  # the first block, and a wider last one
-            g_tile = g_buf[: n_states * k].reshape(n_states, k)
-            g_tile[...] = g[:, None]
-        np.matmul(weights, integrand(q, g_tile, tmp), out=ec[lo:hi])
-        lo = hi
+        starts = starts[:-1]
+    ends = np.append(starts[1:], n)
+    g = columns[0]
+    rise = np.maximum.accumulate(g)
+    floor = np.minimum.accumulate(g[::-1])[::-1]
+    short_end = np.searchsorted(rise, np.minimum.reduceat(qs, starts), side="right")
+    covered_start = np.maximum(
+        np.searchsorted(floor, np.maximum.reduceat(qs, starts), side="left"), short_end
+    )
+
+    m = len(columns)
+    size = n_states * min(width + 3, n)
+    q_buf, tmp_buf = _aligned_empty(size), _aligned_empty(size)
+    t_buf = _aligned_empty(m * size)
+    k = 0
+    for lo, hi, a, c in zip(starts.tolist(), ends.tolist(), short_end.tolist(),
+                            covered_start.tolist()):
+        if hi - lo != k:  # the first block, and a wider last one
+            k = hi - lo
+            out, tmp = (buf[: n_states * k].reshape(n_states, k) for buf in (q_buf, tmp_buf))
+            tiles = t_buf[: m * n_states * k].reshape(m, n_states, k)
+            tiles[...] = columns[:, :, None]
+        q = qs[None, lo:hi]
+        out[:c] = q
+        if a:
+            short(out[:a], tiles[:, :a])
+        if c > a:
+            middle(out[a:c], tiles[:, a:c], tmp[a:c])
+        if c < n_states:
+            covered(out[c:], q)
+        np.matmul(weights, out, out=ec[lo:hi])
     ec += c0
     return ec
 
@@ -308,12 +343,20 @@ class SimpleCostModel(CostModel):
         # bit, and the expected costs have always been computed with this one
         g = x.param("gamma") * np.array(weather.speeds) ** 3
 
-        def shortfall(q: np.ndarray, g: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-            np.subtract(q, g, out=q)
-            return np.maximum(q, 0.0, out=q)
+        def short_rows(q: np.ndarray, t: np.ndarray) -> None:
+            q -= t[0]  # max(q - g, 0) is q - g for g <= q
+
+        def shortfall(q: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
+            q -= t[0]
+            np.maximum(q, 0.0, out=q)
+
+        def covered_rows(out: np.ndarray, q: np.ndarray) -> None:
+            out.fill(0.0)  # max(q - g, 0) is +0 for g >= q
 
         weights = x.param("theta_c") * np.array(weather.probs)
-        return _expected_cost_blocked(x.param("c0"), weights, qs, g, shortfall)
+        return _expected_cost_blocked(
+            x.param("c0"), weights, qs, g[None, :], short_rows, shortfall, covered_rows
+        )
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel
@@ -383,16 +426,30 @@ class WindConventionalCostModel(CostModel):
         g = self.generation_array(x, weather.speeds)
         theta_w, theta_c = x.param("theta_w"), x.param("theta_c")
 
-        def cost_above_c0(q: np.ndarray, g: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-            wind = np.minimum(q, g, out=tmp)
+        def short_rows(q: np.ndarray, t: np.ndarray) -> None:
+            # min(q, g) is g: theta_c*(q - g) + theta_w*g
+            q -= t[0]
+            q *= theta_c
+            q += t[1]
+
+        def cost_above_c0(q: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
+            wind = np.minimum(q, t[0], out=tmp)
             # q - min(q, g) is max(q - g, 0) bit for bit
             short = np.subtract(q, wind, out=q)
             wind *= theta_w
             short *= theta_c
-            return np.add(wind, short, out=q)
+            np.add(wind, short, out=q)
+
+        def covered_rows(out: np.ndarray, q: np.ndarray) -> None:
+            # min(q, g) is q and the shortfall q - q is +0: theta_w*q
+            out[...] = q
+            out *= theta_w
 
         probs = np.array(weather.probs)
-        return _expected_cost_blocked(x.param("c0"), probs, qs, g, cost_above_c0)
+        columns = np.array([g, theta_w * g])
+        return _expected_cost_blocked(
+            x.param("c0"), probs, qs, columns, short_rows, cost_above_c0, covered_rows
+        )
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel

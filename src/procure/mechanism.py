@@ -200,9 +200,11 @@ class Instance:
         ec: Optional[np.ndarray] = None,
     ) -> "Instance":
         """ec, when given, holds the types' expected costs on grid.points
-        (as CostModel.check_assumptions returns them)."""
+        as CostModel.check_assumptions returns them; without it the build
+        runs check_assumptions itself and keeps the rows it checked, so an
+        instance never rests on a cost model that breaks them."""
         if ec is None:
-            ec = np.array([model.expected_cost_grid(x, grid.points, weather) for x in space])
+            ec = model.check_assumptions(space, weather, grid.points)
         dominance = dominance_matrix(ec)
         return cls(
             space=space,

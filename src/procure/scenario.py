@@ -18,6 +18,10 @@ from .weather import WeatherModel, empirical_model, weibull_model
 
 CORRUPTIONS = ("halve_prices",)
 
+# libyaml's parser where PyYAML was built with it (several times faster than
+# the pure-Python one); both build the same objects from a scenario.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
 
 @dataclass
 class Scenario:
@@ -131,7 +135,7 @@ def _load_grid(spec: Optional[dict], vprime: BuyerUtility) -> QuantityGrid:
 def load_scenario(path: str | Path) -> Scenario:
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text())
+        raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

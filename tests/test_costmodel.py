@@ -26,7 +26,7 @@ from procure.costmodel import (
     power_curve,
 )
 from procure.errors import ConfigurationError, ParameterDomainError
-from procure.weather import WeatherModel, weibull_model
+from procure.weather import WeatherModel, empirical_model, weibull_model
 
 
 def wc_type(tid="a", c0=4.0, theta_w=0.2, theta_c=1.2, v_ci=3.0, v_r=13.0,
@@ -121,29 +121,56 @@ def dense_wind_conventional(x, qs, weather):
     return x.param("c0") + probs @ (x.param("theta_w") * wind + x.param("theta_c") * short)
 
 
-def blocked_kernel_mismatches():
-    """(model kind, states, points) of each case where expected_cost_grid
-    differs in any bit from one states x points product over the grid."""
-    cases = (
-        (SimpleCostModel(), simple_type(), dense_simple),
-        (WindConventionalCostModel(), wc_type(), dense_wind_conventional),
+def kernel_weathers():
+    """(name, weather) of each weather the kernel tests run on: one state,
+    Weibull at 6, 200 and 2000 states, and an empirical weather of speeds
+    rounded to 0.5 m/s, calm ones included."""
+    speeds = np.round(2.0 * np.random.default_rng(3).weibull(2.0, 400) * 6.0) / 2.0
+    return (
+        ("1", WeatherModel(states=((8.0, 1.0),))),
+        *((str(s), weibull_model(3.0, 5.0, s)) for s in (6, 200, 2000)),
+        ("empirical", empirical_model(speeds.tolist())),
     )
+
+
+def kernel_cases():
+    """(model, type, dense reference) of each case: the simple model, and
+    the wind model with cut-out above every Weibull speed, with cut-out
+    inside the speed range (generation drops back to 0, so it is not
+    sorted), and with theta_w = 0."""
+    wind = WindConventionalCostModel()
+    return (
+        (SimpleCostModel(), simple_type(), dense_simple),
+        (wind, wc_type(), dense_wind_conventional),
+        (wind, wc_type(v_ci=2.0, v_r=6.0, v_co=9.0, gamma=4.0), dense_wind_conventional),
+        (wind, wc_type(theta_w=0.0), dense_wind_conventional),
+    )
+
+
+def blocked_kernel_mismatches():
+    """(model kind, weather, grid, points) of each case where
+    expected_cost_grid differs in any bit from one states x points product
+    over the grid. Grids are random points, which leave most rows of a
+    block to the whole integrand, and sorted points from 0 to past the
+    largest generation, which give long short and covered row ranges."""
     bad = []
-    for n_states in (1, 6, 200, 2000):
-        if n_states == 1:
-            weather = WeatherModel(states=((8.0, 1.0),))
-        else:
-            weather = weibull_model(3.0, 5.0, n_states)
+    for name, weather in kernel_weathers():
+        n_states = len(weather.states)
         # at 2000 states, 20,001 points would take 320 MB per dense temporary
         most = 20_001 if n_states < 2000 else 2001
         width = ec_block_width(n_states)
-        for n in (1, 2, 3, *range(width - 1, width + 4), most):
-            qs = np.random.default_rng(n).uniform(0.0, 3000.0, n)
-            for model, x, dense in cases:
-                if not np.array_equal(
-                    model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
-                ):
-                    bad.append((model.kind, n_states, n))
+        for model, x, dense in kernel_cases():
+            top = 1.25 * float(np.max(model.generation_array(x, weather.speeds)))
+            for n in (0, 1, 2, 3, *range(width - 1, width + 4), most):
+                grids = {
+                    "random": np.random.default_rng(n).uniform(0.0, 3000.0, n),
+                    "sorted": np.linspace(0.0, top, n),
+                }
+                for grid, qs in grids.items():
+                    if not np.array_equal(
+                        model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
+                    ):
+                        bad.append((model.kind, name, grid, n))
     return bad
 
 
@@ -395,6 +422,15 @@ def test_wind_conventional_rejects_bad_speeds(weather):
     x = wc_type(v_ci=13.0, v_r=3.0)
     with pytest.raises(ParameterDomainError):
         model.validate_type(x)
+
+
+@pytest.mark.parametrize("bad", [-1.0, float("nan")])
+def test_expected_cost_grid_rejects_negative_or_nan_points(weather, bad):
+    # a NaN point would put its block's rows in the wrong range
+    qs = np.array([0.0, 10.0, bad, 30.0])
+    for model, x in ((SimpleCostModel(), simple_type()), (WindConventionalCostModel(), wc_type())):
+        with pytest.raises(ParameterDomainError):
+            model.expected_cost_grid(x, qs, weather)
 
 
 def test_aligned_empty_starts_on_a_cache_line():

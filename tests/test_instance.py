@@ -12,16 +12,20 @@ from hypothesis import given, settings, strategies as st
 from procure import mechanism
 from procure.cli import cmd_solve, cmd_verify, main
 from procure.costmodel import (
+    PluginCostModel,
+    SellerType,
     SimpleCostModel,
+    TypeSpace,
     WindConventionalCostModel,
     dominance_matrix,
     dominates,
     find_worst_type,
     worst_index,
 )
-from procure.errors import CellReopenedError, ProcureError
+from procure.errors import CellReopenedError, ConfigurationError, ProcureError
 from procure.mechanism import (
     Instance,
+    QuantityGrid,
     _upward_closed_subsets,
     exclusion_search,
     instance_for,
@@ -190,6 +194,24 @@ def test_restrict_equals_fresh_build(six_scenario):
         assert np.array_equal(getattr(sub, name), getattr(fresh, name)), name
     assert sub.worst == fresh.worst
     assert [x.id for x in sub.space] == list(ids)
+
+
+def test_library_solve_checks_the_cost_model(worst_scenario):
+    # expected cost sqrt(q) + c0 is concave in q; only check_assumptions
+    # rejects it, and a library solve builds its instance without a load
+    sc = worst_scenario
+    concave = PluginCostModel(
+        realized=lambda x, q, w: x.param("c0") + q**0.5,
+        param_names=("c0",),
+        raising_params=("c0",),
+        lowering_params=(),
+    )
+    space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
+    grid = QuantityGrid(q_max=10.0, n_cells=10)
+    with pytest.raises(ConfigurationError, match="not convex"):
+        solve(space, concave, sc.weather, sc.vprime, grid)
+    with pytest.raises(ConfigurationError, match="not convex"):
+        Instance.build(space, concave, sc.weather, grid)
 
 
 def test_instance_for_reuses_only_a_matching_instance(six_scenario, worst_scenario):

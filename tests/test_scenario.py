@@ -1,0 +1,81 @@
+"""Scenario parsing: libyaml's loader builds the same objects as PyYAML's
+pure-Python one, and malformed YAML is a configuration error."""
+import importlib.util
+from pathlib import Path
+
+import pytest
+import yaml
+
+from procure.cli import main
+from procure.scenario import YAML_LOADER
+from test_cli import TINY_YAML
+from test_csv_output import CLOSED, QUOTED
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _workloads():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _scenario_texts():
+    texts = {p.name: p.read_text() for p in sorted((ROOT / "src/procure/scenarios").glob("*.yaml"))}
+    texts["tiny"] = TINY_YAML.format(extra="options: {alpha: 0.25, admissible: [lo, hi]}")
+    texts["quoted"] = QUOTED
+    texts["closed"] = CLOSED
+    workloads = _workloads()
+    for name, generate in workloads.GENERATORS.items():
+        for index in range(workloads.POOL):
+            texts[f"{name}/{index}"] = generate(index)
+    return texts
+
+
+def _canonical(obj):
+    """obj with every value tagged by its exact type and floats written as
+    float.hex, so that equal results mean equal bits."""
+    if isinstance(obj, dict):
+        return ("dict", [(_canonical(k), _canonical(v)) for k, v in obj.items()])
+    if isinstance(obj, list):
+        return ("list", [_canonical(v) for v in obj])
+    if isinstance(obj, float):
+        return ("float", obj.hex())
+    return (type(obj).__name__, obj)
+
+
+def test_libyaml_loader_builds_the_pure_python_objects():
+    texts = _scenario_texts()
+    assert len(texts) == 4 + 3 + 48
+    for name, text in texts.items():
+        fast = yaml.load(text, Loader=YAML_LOADER)
+        slow = yaml.load(text, Loader=yaml.SafeLoader)
+        assert _canonical(fast) == _canonical(slow), name
+
+
+def test_loader_is_libyaml_when_pyyaml_has_it():
+    assert YAML_LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "weather: {kind: weibull, shape: 3.0\n",
+        "weather:\n  kind: weibull\n shape: 3.0\n",
+        "types:\n\t- {id: a}\n",
+        "cost_model: *missing\n",
+        "description: 'unterminated\n",
+    ],
+    ids=["unclosed-flow", "bad-indent", "tab", "undefined-alias", "unterminated-quote"],
+)
+def test_malformed_yaml_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "bad.yaml"
+    path.write_text(text)
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "not valid YAML" in err
+    assert "Traceback" not in err

@@ -19,7 +19,6 @@ from .errors import (
     ConfigurationError,
     ParameterDomainError,
     ProcureError,
-    UnsupportedConfigurationError,
 )
 from .mechanism import (
     BuyerUtility,
@@ -31,12 +30,10 @@ from .mechanism import (
     build_price_schedule,
     anchor_payment,
     exclusion_search,
-    optimal_marginal_price,
     solve,
-    survival_probability,
 )
 from .settlement import expost_payment, risk_payment, settlement_table
-from .weather import WeatherModel, empirical_model, expect, weibull_model
+from .weather import WeatherModel, empirical_model, weibull_model
 
 __all__ = [
     "BuyerUtility",
@@ -53,7 +50,6 @@ __all__ = [
     "SellerType",
     "SimpleCostModel",
     "TypeSpace",
-    "UnsupportedConfigurationError",
     "WeatherModel",
     "WindConventionalCostModel",
     "anchor_payment",
@@ -62,14 +58,11 @@ __all__ = [
     "dominates",
     "empirical_model",
     "exclusion_search",
-    "expect",
     "expost_payment",
     "find_worst_type",
-    "optimal_marginal_price",
     "power_curve",
     "risk_payment",
     "settlement_table",
     "solve",
-    "survival_probability",
     "weibull_model",
 ]

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ProcureError
-from .mechanism import Instance, PriceSchedule, QuantityGrid, exclusion_search, solve
+from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, exclusion_search, solve
 from .scenario import Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
 from .verify import grid_tolerance, report_text, run_checks
@@ -94,7 +94,7 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     return PriceSchedule(grid=grid, p=p, t0=t0, closed_from=closed_from)
 
 
-def outcome_csv(outcome) -> str:
+def outcome_csv(outcome: ContractOutcome) -> str:
     recs = outcome.per_type
     values = np.array([[r.q, r.payment, r.expected_cost, r.utility] for r in recs])
     return _csv_text(
@@ -147,43 +147,31 @@ def _load(
     grid_cells: Optional[int] = None,
     admissible: Optional[str] = None,
 ) -> Scenario:
-    sc = load_scenario(scenario_path)
-    if grid_cells is not None:
-        sc.grid = QuantityGrid(q_max=sc.grid.q_max, n_cells=grid_cells)
-        sc.instance = Instance.build(sc.space, sc.model, sc.weather, sc.grid, sc.vprime)
+    sc = load_scenario(scenario_path, n_cells=grid_cells)
     if admissible:
         sc.admissible = tuple(admissible.split(","))
         sc.space.subset(sc.admissible)  # validate ids early
     return sc
 
 
-def _solve_scenario(sc: Scenario):
+def _solve_scenario(sc: Scenario) -> ContractOutcome:
     if sc.exclusion_search:
-        ids, outcome, _exhaustive = exclusion_search(
-            sc.space, sc.model, sc.weather, sc.vprime, sc.grid, instance=sc.instance
-        )
-        return outcome
-    return solve(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, admissible=sc.admissible,
-        instance=sc.instance,
-    )
+        return exclusion_search(sc.instance)[1]
+    return solve(sc.instance, admissible=sc.admissible)
 
 
-def _manifest(sc: Scenario, scenario_path: Path, outcome) -> str:
+def _manifest(scenario_path: Path, outcome: ContractOutcome) -> str:
     digest = hashlib.sha256(scenario_path.read_bytes()).hexdigest()
-    adm_space = sc.space if outcome is None else sc.space.subset(outcome.admissible_ids)
+    grid = outcome.instance.grid
     data = {
         "scenario_sha256": digest,
         "package_version": __version__,
-        "grid": {"q_max": sc.grid.q_max, "n_cells": sc.grid.n_cells, "dq": sc.grid.dq},
-        "tol_grid": grid_tolerance(
-            adm_space, sc.model, sc.weather, sc.grid,
-            instance=outcome.instance if outcome else None,
-        ),
-        "admissible": list(outcome.admissible_ids) if outcome else None,
-        "buyer_utility": outcome.buyer_utility if outcome else None,
-        "buyer_utility_survival": outcome.buyer_utility_survival if outcome else None,
-        "t0": outcome.schedule.t0 if outcome else None,
+        "grid": {"q_max": grid.q_max, "n_cells": grid.n_cells, "dq": grid.dq},
+        "tol_grid": grid_tolerance(outcome.instance),
+        "admissible": list(outcome.admissible_ids),
+        "buyer_utility": outcome.buyer_utility,
+        "buyer_utility_survival": outcome.buyer_utility_survival,
+        "t0": outcome.schedule.t0,
     }
     return json.dumps(data, indent=2, sort_keys=True) + "\n"
 
@@ -203,12 +191,9 @@ def cmd_solve(
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     if sc.alpha is not None:
-        adm = sc.space.subset(outcome.admissible_ids)
-        table = settlement_table(
-            outcome, outcome.schedule, adm, sc.model, sc.weather, sc.alpha
-        )
+        table = settlement_table(outcome, sc.alpha)
         _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
-    _write_atomic(out_dir / "run_manifest.json", _manifest(sc, scenario_path, outcome))
+    _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
     return 0
 
 
@@ -217,8 +202,7 @@ def cmd_verify(scenario_path: Path, grid_cells: Optional[int] = None) -> int:
     outcome = _solve_scenario(sc)
     if sc.corruption is not None:
         _corrupt_schedule(outcome.schedule, sc.corruption)
-    adm = sc.space.subset(outcome.admissible_ids)
-    results = run_checks(outcome, adm, sc.model, sc.weather, sc.vprime)
+    results = run_checks(outcome)
     print(report_text(results))
     return 0 if all(r.passed for r in results) else 1
 
@@ -255,13 +239,11 @@ def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
     sc = _load(scenario_path, grid_cells)
-    ids, outcome, exhaustive = exclusion_search(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, instance=sc.instance
-    )
+    ids, outcome, exhaustive = exclusion_search(sc.instance)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
-    _write_atomic(out_dir / "run_manifest.json", _manifest(sc, scenario_path, outcome))
+    _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
     mode = "exhaustive" if exhaustive else "heuristic (budget hit)"
     print(f"best admissible set ({mode}): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")

@@ -168,11 +168,6 @@ class CostModel:
         """Vectorized expected cost at an array of quantities."""
         return np.array([self.expected_cost(x, float(q), weather) for q in qs])
 
-    def expected_marginal_cost(
-        self, x: SellerType, q: float, weather: WeatherModel
-    ) -> float:
-        raise NotImplementedError
-
     def check_assumptions(
         self, space: TypeSpace, weather: WeatherModel, qs: np.ndarray
     ) -> np.ndarray:
@@ -479,7 +474,6 @@ class PluginCostModel(CostModel):
         raising_params: Sequence[str],
         lowering_params: Sequence[str],
         generation: Optional[Callable[[SellerType, float], float]] = None,
-        fd_step: float = 1e-3,
     ) -> None:
         declared = set(raising_params) | set(lowering_params)
         if declared - set(param_names):
@@ -489,7 +483,6 @@ class PluginCostModel(CostModel):
         self.param_names = tuple(param_names)
         self.raising_params = tuple(raising_params)
         self.lowering_params = tuple(lowering_params)
-        self.fd_step = float(fd_step)
 
     def generation(self, x: SellerType, w: float) -> float:
         if self._generation is None:
@@ -500,17 +493,6 @@ class PluginCostModel(CostModel):
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
         return self._realized(x, q, w)
-
-    def expected_marginal_cost(
-        self, x: SellerType, q: float, weather: WeatherModel
-    ) -> float:
-        # Central finite difference; one-sided at the q=0 boundary.
-        h = self.fd_step
-        lo = max(q - h, 0.0)
-        hi = q + h
-        return (self.expected_cost(x, hi, weather) - self.expected_cost(x, lo, weather)) / (
-            hi - lo
-        )
 
 
 BUILTIN_MODELS = {

@@ -13,10 +13,6 @@ class ConfigurationError(ProcureError, ValueError):
     """Inputs are structurally invalid (bad counts, missing fields, bad priors)."""
 
 
-class UnsupportedConfigurationError(ProcureError):
-    """The requested computation is well-formed but not supported for these inputs."""
-
-
 class CellReopenedError(ProcureError, RuntimeError):
     """A quantity cell priced open after an earlier cell closed.
 

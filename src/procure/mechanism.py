@@ -170,22 +170,21 @@ class Instance:
     ec[i, k] is type i's weather-expected cost at grid point k, computed
     with the cost model's own expected_cost_grid. cbar[i, j] is type i's
     average expected marginal cost on cell j and vbar[j] the buyer's
-    average marginal utility there (None when built without a buyer).
-    dominance[i, j] compares type i with type j as dominates() does, and
-    worst indexes the type every other type dominates or equals, or is
-    None. An admissible subset is a row selection (restrict), so nothing
-    is recomputed per subset.
+    average marginal utility there. dominance[i, j] compares type i with
+    type j as dominates() does, and worst indexes the type every other
+    type dominates or equals, or is None. An admissible subset is a row
+    selection (restrict), so nothing is recomputed per subset.
     """
 
     space: TypeSpace
     model: CostModel
     weather: WeatherModel
     grid: QuantityGrid
-    vprime: Optional[BuyerUtility]
+    vprime: BuyerUtility
     priors: np.ndarray
     ec: np.ndarray
     cbar: np.ndarray
-    vbar: Optional[np.ndarray]
+    vbar: np.ndarray
     dominance: np.ndarray
     worst: Optional[int]
 
@@ -196,15 +195,12 @@ class Instance:
         model: CostModel,
         weather: WeatherModel,
         grid: QuantityGrid,
-        vprime: Optional[BuyerUtility] = None,
-        ec: Optional[np.ndarray] = None,
+        vprime: BuyerUtility,
     ) -> "Instance":
-        """ec, when given, holds the types' expected costs on grid.points
-        as CostModel.check_assumptions returns them; without it the build
-        runs check_assumptions itself and keeps the rows it checked, so an
-        instance never rests on a cost model that breaks them."""
-        if ec is None:
-            ec = model.check_assumptions(space, weather, grid.points)
+        """The expected costs are the rows CostModel.check_assumptions
+        checks on grid.points, so an instance never rests on a cost model
+        that breaks them."""
+        ec = model.check_assumptions(space, weather, grid.points)
         dominance = dominance_matrix(ec)
         return cls(
             space=space,
@@ -215,7 +211,7 @@ class Instance:
             priors=np.array([x.prior_weight for x in space]),
             ec=ec,
             cbar=np.diff(ec, axis=1) / grid.dq,
-            vbar=None if vprime is None else cell_marginal_utility(vprime, grid),
+            vbar=cell_marginal_utility(vprime, grid),
             dominance=dominance,
             worst=worst_index(dominance),
         )
@@ -241,30 +237,6 @@ class Instance:
         return None if self.worst is None else self.space.types[self.worst]
 
 
-def instance_for(
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    grid: QuantityGrid,
-    vprime: Optional[BuyerUtility] = None,
-    instance: Optional[Instance] = None,
-) -> Instance:
-    """instance when it was built for these arguments, else a new build.
-
-    A buyer is only required to match when vprime is given.
-    """
-    if (
-        instance is not None
-        and instance.space.types == space.types
-        and instance.model is model
-        and instance.weather is weather
-        and instance.grid == grid
-        and (vprime is None or instance.vprime is vprime)
-    ):
-        return instance
-    return Instance.build(space, model, weather, grid, vprime)
-
-
 @dataclass(frozen=True)
 class TypeOutcome:
     type_id: str
@@ -287,7 +259,7 @@ class ContractOutcome:
     buyer_utility: float
     buyer_utility_survival: float
     admissible_ids: tuple[str, ...]
-    instance: Optional[Instance] = field(default=None, repr=False, compare=False)
+    instance: Instance = field(repr=False, compare=False)
 
     def by_id(self, type_id: str) -> TypeOutcome:
         for rec in self.per_type:
@@ -296,30 +268,8 @@ class ContractOutcome:
         raise ConfigurationError(f"no outcome for type {type_id!r}")
 
 
-def cell_marginal_costs(
-    space: TypeSpace, model: CostModel, weather: WeatherModel, grid: QuantityGrid
-) -> np.ndarray:
-    """cbar[i, j]: average expected marginal cost of type i on cell j."""
-    return Instance.build(space, model, weather, grid).cbar
-
-
 def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarray:
     return np.diff(vprime.value(grid.points)) / grid.dq
-
-
-def survival_probability(
-    p_hat: float,
-    q: float,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-) -> float:
-    """Prior mass of types whose expected marginal cost at q is <= p_hat."""
-    return math.fsum(
-        x.prior_weight
-        for x in space
-        if p_hat >= model.expected_marginal_cost(x, q, weather)
-    )
 
 
 def price_cells(
@@ -361,37 +311,11 @@ def price_cells(
     return p, closed_from
 
 
-def optimal_marginal_price(
-    q: float,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-) -> Optional[float]:
-    """Pointwise optimal marginal price at quantity q; None means closed."""
-    if len(space) == 0:
-        raise ConfigurationError("empty admissible set")
-    costs = np.array([[model.expected_marginal_cost(x, q, weather)] for x in space])
-    priors = np.array([x.prior_weight for x in space])
-    p, closed_from = price_cells(costs, priors, np.array([vprime.marginal(q)]))
-    return None if closed_from == 0 else float(p[0])
-
-
-def build_price_schedule(
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-    grid: QuantityGrid,
-    *,
-    instance: Optional[Instance] = None,
-) -> PriceSchedule:
+def build_price_schedule(inst: Instance) -> PriceSchedule:
     """Pointwise-optimal price for every cell; t0 is left at 0 (see
-    anchor_payment). instance, when built for these arguments, supplies
-    the cell costs."""
-    inst = instance_for(space, model, weather, grid, vprime, instance)
+    anchor_payment)."""
     p, closed_from = price_cells(inst.cbar, inst.priors, inst.vbar)
-    return PriceSchedule(grid=grid, p=p, t0=0.0, closed_from=closed_from)
+    return PriceSchedule(grid=inst.grid, p=p, t0=0.0, closed_from=closed_from)
 
 
 def _best_points(
@@ -453,14 +377,7 @@ def _responses(
     )
 
 
-def anchor_payment(
-    schedule: PriceSchedule,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    *,
-    instance: Optional[Instance] = None,
-) -> float:
+def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
     """Set and return t(0).
 
     With a worst type the anchor is its startup cost C(0, worst). Without
@@ -469,9 +386,8 @@ def anchor_payment(
     utility nonnegative and at least one exactly zero. t0 shifts every
     grid utility equally, so the quantities are found with t0 = 0.
     """
-    inst = instance_for(space, model, weather, schedule.grid, instance=instance)
     if inst.worst_type is not None:
-        t0 = model.realized_cost(inst.worst_type, 0.0, weather.speeds[0])
+        t0 = inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
     else:
         idx = _best_points(schedule, inst.ec, inst.cbar, 0.0)
         cum = np.concatenate(
@@ -494,9 +410,7 @@ def best_response(
     return _responses(schedule, (x,), ec, np.diff(ec, axis=1) / schedule.grid.dq)[0]
 
 
-def _buyer_utility_survival(
-    schedule: PriceSchedule, inst: Instance, vprime: BuyerUtility
-) -> float:
+def _buyer_utility_survival(schedule: PriceSchedule, inst: Instance) -> float:
     """Survival-integral form: -t0 * P[admissible] + sum over open cells of
     P[p(l) >= c(l, x)] (V'(l) - p(l)) dq at the cells' left endpoints.
 
@@ -513,42 +427,29 @@ def _buyer_utility_survival(
     if n == 0:
         return -anchor
     surv = inst.priors @ (schedule.p[None, :n] >= inst.cbar[:, :n])
-    vmarg = vprime.marginal(grid.points[:n])
+    vmarg = inst.vprime.marginal(grid.points[:n])
     total = float(np.sum(surv * (vmarg - schedule.p[:n]) * grid.dq))
     return total - anchor
 
 
-def solve(
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-    grid: QuantityGrid,
-    admissible: Optional[Sequence[str]] = None,
-    *,
-    instance: Optional[Instance] = None,
-) -> ContractOutcome:
-    """Full pipeline: schedule, anchor, best responses, utilities.
-
-    instance, when built for these arguments over the whole space, is
-    reused; the admissible subset selects its rows.
-    """
-    inst = instance_for(space, model, weather, grid, vprime, instance)
+def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> ContractOutcome:
+    """Full pipeline: schedule, anchor, best responses, utilities. The
+    admissible subset, when given, selects its rows of inst."""
     if admissible is not None:
         inst = inst.restrict(admissible)
     adm = inst.space
-    schedule = build_price_schedule(adm, model, weather, vprime, grid, instance=inst)
-    anchor_payment(schedule, adm, model, weather, instance=inst)
+    schedule = build_price_schedule(inst)
+    anchor_payment(schedule, inst)
     records = _responses(schedule, adm.types, inst.ec, inst.cbar)
     direct = math.fsum(
-        x.prior_weight * (float(vprime.value(rec.q)) - rec.payment)
+        x.prior_weight * (float(inst.vprime.value(rec.q)) - rec.payment)
         for x, rec in zip(adm, records)
     )
     return ContractOutcome(
         schedule=schedule,
         per_type=records,
         buyer_utility=direct,
-        buyer_utility_survival=_buyer_utility_survival(schedule, inst, vprime),
+        buyer_utility_survival=_buyer_utility_survival(schedule, inst),
         admissible_ids=tuple(x.id for x in adm),
         instance=inst,
     )
@@ -577,28 +478,21 @@ def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
 
 
 def exclusion_search(
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-    grid: QuantityGrid,
-    max_subsets: Optional[int] = None,
-    *,
-    instance: Optional[Instance] = None,
+    inst: Instance, max_subsets: Optional[int] = None
 ) -> tuple[tuple[str, ...], ContractOutcome, bool]:
     """Search admissible subsets for the best buyer utility.
 
     Returns (subset ids, outcome, exhaustive). The full set is always a
     candidate and wins ties. exhaustive is False when max_subsets truncated
     the enumeration (the result is then a heuristic). Every subset is
-    solved on rows of one instance, so expected costs are computed once.
+    solved on rows of inst, so no expected cost is computed again.
     """
-    if len(space) > MAX_EXCLUSION_TYPES and max_subsets is None:
+    n_types = len(inst.space)
+    if n_types > MAX_EXCLUSION_TYPES and max_subsets is None:
         raise ConfigurationError(
-            f"{len(space)} types exceed the enumeration limit "
+            f"{n_types} types exceed the enumeration limit "
             f"({MAX_EXCLUSION_TYPES}); pass max_subsets for a budgeted search"
         )
-    inst = instance_for(space, model, weather, grid, vprime, instance)
     candidates = _upward_closed_subsets(inst)
     exhaustive = True
     if max_subsets is not None and len(candidates) > max_subsets:
@@ -607,7 +501,7 @@ def exclusion_search(
     best_ids: Optional[tuple[str, ...]] = None
     best_outcome: Optional[ContractOutcome] = None
     for ids in candidates:
-        outcome = solve(space, model, weather, vprime, grid, admissible=ids, instance=inst)
+        outcome = solve(inst, admissible=ids)
         if best_outcome is None or outcome.buyer_utility > best_outcome.buyer_utility:
             best_ids, best_outcome = ids, outcome
     assert best_ids is not None and best_outcome is not None

@@ -4,8 +4,7 @@ and every validation error names the offending field."""
 from __future__ import annotations
 
 import importlib
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -31,12 +30,12 @@ class Scenario:
     space: TypeSpace
     vprime: BuyerUtility
     grid: QuantityGrid
+    # expected costs, cell costs and dominance of the whole type set on grid
+    instance: Instance
     alpha: Optional[float] = None
     admissible: Optional[tuple[str, ...]] = None
     exclusion_search: bool = False
     corruption: Optional[str] = None
-    # expected costs, cell costs and dominance of the whole type set on grid
-    instance: Optional[Instance] = None
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -45,29 +44,52 @@ def _require(mapping: dict, key: str, where: str):
     return mapping[key]
 
 
+def _mapping(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ConfigurationError(f"{where}: expected a mapping, got {value!r}")
+    return value
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where}: expected a list, got {value!r}")
+    return value
+
+
+def _as(kind: type, value, where: str):
+    """kind(value), or a ConfigurationError naming the field."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigurationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+
+
 def _only(mapping: dict, allowed: set[str], where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
         raise ConfigurationError(f"{where}: unknown fields {sorted(unknown)}")
 
 
-def _load_weather(spec: dict) -> WeatherModel:
-    kind = _require(spec, "kind", "weather")
+def _load_weather(spec) -> WeatherModel:
+    kind = _require(_mapping(spec, "weather"), "kind", "weather")
     if kind == "weibull":
         _only(spec, {"kind", "shape", "mean", "n_points"}, "weather")
         return weibull_model(
-            float(_require(spec, "shape", "weather")),
-            float(_require(spec, "mean", "weather")),
-            int(spec.get("n_points", 200)),
+            _as(float, _require(spec, "shape", "weather"), "weather.shape"),
+            _as(float, _require(spec, "mean", "weather"), "weather.mean"),
+            _as(int, spec.get("n_points", 200), "weather.n_points"),
         )
     if kind == "empirical":
         _only(spec, {"kind", "samples"}, "weather")
-        return empirical_model([float(s) for s in _require(spec, "samples", "weather")])
+        samples = _list(_require(spec, "samples", "weather"), "weather.samples")
+        return empirical_model([_as(float, s, "weather.samples") for s in samples])
     raise ConfigurationError(f"weather.kind: unknown kind {kind!r}")
 
 
-def _load_model(spec: dict) -> CostModel:
-    kind = _require(spec, "kind", "cost_model")
+def _load_model(spec) -> CostModel:
+    kind = _require(_mapping(spec, "cost_model"), "kind", "cost_model")
+    if not isinstance(kind, str):
+        raise ConfigurationError(f"cost_model.kind: expected a string, got {kind!r}")
     if kind == "plugin":
         _only(spec, {"kind", "import"}, "cost_model")
         target = _require(spec, "import", "cost_model")
@@ -83,9 +105,10 @@ def _load_model(spec: dict) -> CostModel:
     return make_model(kind)
 
 
-def _load_types(specs: list, model: CostModel) -> TypeSpace:
+def _load_types(specs, model: CostModel) -> TypeSpace:
     if not isinstance(specs, list) or not specs:
         raise ConfigurationError("types: must be a non-empty list")
+    specs = [_mapping(s, f"types[{i}]") for i, s in enumerate(specs)]
     priors_given = ["prior" in s for s in specs]
     if any(priors_given) and not all(priors_given):
         raise ConfigurationError("types: give prior for every type or for none (uniform)")
@@ -94,45 +117,55 @@ def _load_types(specs: list, model: CostModel) -> TypeSpace:
         where = f"types[{i}]"
         _only(s, {"id", "prior", "params"}, where)
         tid = str(_require(s, "id", where))
-        params = _require(s, "params", where)
+        params = _mapping(_require(s, "params", where), f"{where}.params")
         _only(params, set(model.param_names), f"{where}.params")
-        prior = float(s["prior"]) if "prior" in s else 1.0 / len(specs)
+        prior = _as(float, s["prior"], f"{where}.prior") if "prior" in s else 1.0 / len(specs)
         if prior < 0.0:
             raise ConfigurationError(f"{where}.prior: negative prior {prior}")
-        types.append(
-            SellerType(id=tid, params={k: float(v) for k, v in params.items()}, prior_weight=prior)
-        )
+        values = {k: _as(float, v, f"{where}.params.{k}") for k, v in params.items()}
+        types.append(SellerType(id=tid, params=values, prior_weight=prior))
     return TypeSpace(types=tuple(types))
 
 
-def _load_buyer(spec: dict) -> BuyerUtility:
-    mu = _require(spec, "marginal_utility", "buyer")
+def _load_buyer(spec) -> BuyerUtility:
+    where = "buyer.marginal_utility"
+    mu = _mapping(_require(_mapping(spec, "buyer"), "marginal_utility", "buyer"), where)
     _only(spec, {"marginal_utility"}, "buyer")
-    kind = _require(mu, "kind", "buyer.marginal_utility")
+    kind = _require(mu, "kind", where)
     if kind == "affine":
-        _only(mu, {"kind", "intercept", "slope"}, "buyer.marginal_utility")
+        _only(mu, {"kind", "intercept", "slope"}, where)
         return BuyerUtility.affine(
-            float(_require(mu, "intercept", "buyer.marginal_utility")),
-            float(_require(mu, "slope", "buyer.marginal_utility")),
+            _as(float, _require(mu, "intercept", where), f"{where}.intercept"),
+            _as(float, _require(mu, "slope", where), f"{where}.slope"),
         )
     if kind == "piecewise":
-        _only(mu, {"kind", "breakpoints"}, "buyer.marginal_utility")
-        bps = [(float(q), float(v)) for q, v in _require(mu, "breakpoints", "buyer.marginal_utility")]
+        _only(mu, {"kind", "breakpoints"}, where)
+        bps = []
+        for i, bp in enumerate(_list(_require(mu, "breakpoints", where), f"{where}.breakpoints")):
+            at = f"{where}.breakpoints[{i}]"
+            if not (isinstance(bp, list) and len(bp) == 2):
+                raise ConfigurationError(f"{at}: expected [q, v], got {bp!r}")
+            bps.append((_as(float, bp[0], at), _as(float, bp[1], at)))
         return BuyerUtility.piecewise(bps)
     raise ConfigurationError(f"buyer.marginal_utility.kind: unknown kind {kind!r}")
 
 
-def _load_grid(spec: Optional[dict], vprime: BuyerUtility) -> QuantityGrid:
-    if spec is None:
-        spec = {}
+def _load_grid(spec, vprime: BuyerUtility, n_cells: Optional[int]) -> QuantityGrid:
+    spec = _mapping({} if spec is None else spec, "grid")
     _only(spec, {"q_max", "n_cells"}, "grid")
-    n_cells = int(spec.get("n_cells", DEFAULT_N_CELLS))
+    grid_cells = _as(int, spec.get("n_cells", DEFAULT_N_CELLS), "grid.n_cells")
     if "q_max" in spec:
-        return QuantityGrid(q_max=float(spec["q_max"]), n_cells=n_cells)
-    return default_grid(vprime, n_cells=n_cells)
+        grid = QuantityGrid(q_max=_as(float, spec["q_max"], "grid.q_max"), n_cells=grid_cells)
+    else:
+        grid = default_grid(vprime, n_cells=grid_cells)
+    if n_cells is None:
+        return grid
+    return QuantityGrid(q_max=grid.q_max, n_cells=n_cells)
 
 
-def load_scenario(path: str | Path) -> Scenario:
+def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
+    """The scenario at path, with its instance built on its grid, or on a
+    grid of n_cells cells over the same range when n_cells is given."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
@@ -149,25 +182,28 @@ def load_scenario(path: str | Path) -> Scenario:
     model = _load_model(_require(raw, "cost_model", "scenario"))
     space = _load_types(_require(raw, "types", "scenario"), model)
     vprime = _load_buyer(_require(raw, "buyer", "scenario"))
-    grid = _load_grid(raw.get("grid"), vprime)
+    grid = _load_grid(raw.get("grid"), vprime, n_cells)
 
-    options = raw.get("options") or {}
+    options = _mapping(raw.get("options") or {}, "options")
     _only(
         options,
         {"alpha", "admissible", "exclusion_search", "corruption"},
         "options",
     )
-    alpha = float(options["alpha"]) if "alpha" in options else None
+    alpha = _as(float, options["alpha"], "options.alpha") if "alpha" in options else None
     if alpha is not None and not (0.0 <= alpha <= 1.0):
         raise ConfigurationError(f"options.alpha: {alpha} outside [0, 1]")
-    admissible = tuple(str(i) for i in options["admissible"]) if "admissible" in options else None
+    admissible = None
+    if "admissible" in options:
+        ids = _list(options["admissible"], "options.admissible")
+        admissible = tuple(str(i) for i in ids)
     corruption = options.get("corruption")
     if corruption is not None and corruption not in CORRUPTIONS:
         raise ConfigurationError(f"options.corruption: unknown corruption {corruption!r}")
 
-    # invariant checks happen at load so bad scenarios fail before any
-    # solve; the expected costs they check seed the instance
-    ec = model.check_assumptions(space, weather, grid.points)
+    # the build checks the cost model's invariants, so bad scenarios fail
+    # before any solve
+    instance = Instance.build(space, model, weather, grid, vprime)
     if admissible is not None:
         space.subset(admissible)
 
@@ -178,9 +214,9 @@ def load_scenario(path: str | Path) -> Scenario:
         space=space,
         vprime=vprime,
         grid=grid,
+        instance=instance,
         alpha=alpha,
         admissible=admissible,
         exclusion_search=bool(options.get("exclusion_search", False)),
         corruption=corruption,
-        instance=Instance.build(space, model, weather, grid, vprime, ec),
     )

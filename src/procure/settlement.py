@@ -15,10 +15,9 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, SellerType, TypeSpace, find_worst_type
-from .errors import ParameterDomainError, UnsupportedConfigurationError
-from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, instance_for
-from .weather import WeatherModel
+from .costmodel import CostModel, SellerType
+from .errors import ParameterDomainError
+from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid
 
 
 def expost_payment(
@@ -144,15 +143,9 @@ class SettlementTable(Sequence[SettlementRow]):
         )
 
 
-def settlement_table(
-    outcome: ContractOutcome,
-    schedule: PriceSchedule,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    alpha: float,
-) -> SettlementTable:
-    """Per (type, weather-state) settlement enumeration.
+def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
+    """Per (type, weather-state) settlement of the outcome's admissible
+    types under its schedule.
 
     The ex-post column is present only when a worst type exists (the
     construction needs one); profit is under the risk-shared payment.
@@ -161,10 +154,11 @@ def settlement_table(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
+    schedule, inst = outcome.schedule, outcome.instance
+    space, model, worst = inst.space, inst.model, inst.worst_type
     grid = schedule.grid
-    worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
     pts, t = grid.points, schedule.payments()
-    speeds = weather.speeds
+    speeds = inst.weather.speeds
     recs = [outcome.by_id(x.id) for x in space]
     base = np.array([rec.payment for rec in recs])
     cost = np.array(
@@ -190,15 +184,3 @@ def settlement_table(
         payment_risk=risk,
         profit=risk - cost,
     )
-
-
-def require_worst_type(
-    space: TypeSpace, model: CostModel, weather: WeatherModel, qs: np.ndarray
-) -> SellerType:
-    worst = find_worst_type(space, model, weather, qs)
-    if worst is None:
-        raise UnsupportedConfigurationError(
-            "ex-post settlement needs a worst type; this type space has none "
-            "(use the risk-shared payment instead)"
-        )
-    return worst

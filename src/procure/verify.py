@@ -15,14 +15,7 @@ import numpy as np
 
 from .costmodel import CostModel, TypeSpace, find_worst_type
 from .errors import ConfigurationError
-from .mechanism import (
-    BuyerUtility,
-    ContractOutcome,
-    Instance,
-    PriceSchedule,
-    QuantityGrid,
-    instance_for,
-)
+from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
 
 ORACLE_MAX_TYPES = 4
@@ -46,34 +39,20 @@ class CheckResult:
         )
 
 
-def grid_tolerance(
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    grid: QuantityGrid,
-    *,
-    instance: Optional[Instance] = None,
-) -> float:
-    cbar = instance_for(space, model, weather, grid, instance=instance).cbar
-    return grid.dq * float(np.max(cbar))
+def grid_tolerance(inst: Instance) -> float:
+    return inst.grid.dq * float(np.max(inst.cbar))
 
 
-def check_ic(
-    outcome: ContractOutcome,
-    schedule: PriceSchedule,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-) -> CheckResult:
+def check_ic(outcome: ContractOutcome) -> CheckResult:
     """No type gains more than tol_grid by taking another type's bundle."""
-    inst = instance_for(space, model, weather, schedule.grid, instance=outcome.instance)
-    tol = grid_tolerance(space, model, weather, schedule.grid, instance=inst)
+    schedule, inst = outcome.schedule, outcome.instance
+    tol = grid_tolerance(inst)
     t = schedule.payments()
     worst_gain = -math.inf
     witness = "none"
-    for i, x in enumerate(space):
+    for i, x in enumerate(inst.space):
         rec = outcome.by_id(x.id)
-        for y in space:
+        for y in inst.space:
             if y.id == x.id:
                 continue
             other = outcome.by_id(y.id)
@@ -89,15 +68,9 @@ def check_ic(
     return CheckResult("ic", worst_gain <= tol, worst_gain, tol, witness)
 
 
-def check_vp(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    grid: QuantityGrid,
-) -> CheckResult:
+def check_vp(outcome: ContractOutcome) -> CheckResult:
     """All utilities >= -tol and the minimum utility is 0 within tol."""
-    tol = grid_tolerance(space, model, weather, grid, instance=outcome.instance)
+    tol = grid_tolerance(outcome.instance)
     utils = {rec.type_id: rec.utility for rec in outcome.per_type}
     min_id = min(utils, key=utils.get)
     min_u = utils[min_id]
@@ -105,23 +78,17 @@ def check_vp(
     return CheckResult("vp", worst <= tol, worst, tol, f"min U at {min_id}")
 
 
-def check_monotone(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    grid: QuantityGrid,
-) -> CheckResult:
+def check_monotone(outcome: ContractOutcome) -> CheckResult:
     """Dominance-ordered pairs: the better type gets more utility and
     produces more."""
-    inst = instance_for(space, model, weather, grid, instance=outcome.instance)
-    tol = grid_tolerance(space, model, weather, grid, instance=inst)
+    inst = outcome.instance
+    tol = grid_tolerance(inst)
     worst = -math.inf
     witness = "no ordered pairs"
-    for i, j in itertools.permutations(range(len(space)), 2):
+    for i, j in itertools.permutations(range(len(inst.space)), 2):
         if inst.dominance[i, j] != "better":
             continue
-        a, b = space.types[i], space.types[j]
+        a, b = inst.space.types[i], inst.space.types[j]
         ra, rb = outcome.by_id(a.id), outcome.by_id(b.id)
         for kindname, viol in (
             ("U", rb.utility - ra.utility),
@@ -135,12 +102,9 @@ def check_monotone(
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
 
 
-def check_identity(
-    outcome: ContractOutcome,
-    schedule: PriceSchedule,
-    vprime: BuyerUtility,
-) -> CheckResult:
+def check_identity(outcome: ContractOutcome) -> CheckResult:
     """Direct buyer utility vs the survival-integral form, within C*dq."""
+    schedule = outcome.schedule
     err = abs(outcome.buyer_utility - outcome.buyer_utility_survival)
     scale = max(1.0, abs(outcome.buyer_utility))
     # The discretization error is first order in the cell width, so the
@@ -148,7 +112,7 @@ def check_identity(
     # 0.5% relative floor for fine grids.
     n = schedule.n_open
     if n > 0:
-        vmarg = vprime.marginal(schedule.grid.points[:n])
+        vmarg = outcome.instance.vprime.marginal(schedule.grid.points[:n])
         c_gate = float(np.max(np.abs(vmarg - schedule.p[:n])))
     else:
         c_gate = 0.0
@@ -159,20 +123,13 @@ def check_identity(
     )
 
 
-def check_pointwise(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-) -> CheckResult:
+def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     """Every open cell's price is a candidate and beats all candidates.
 
     Survival at a price counts the types whose cell cost is within 1e-15
     of it or below. All open cells are checked at once.
     """
-    schedule = outcome.schedule
-    inst = instance_for(space, model, weather, schedule.grid, vprime, outcome.instance)
+    schedule, inst = outcome.schedule, outcome.instance
     n = schedule.n_open
     p = schedule.p[:n]
     cbar, vbar = inst.cbar[:, :n], inst.vbar[:n]
@@ -207,17 +164,11 @@ def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
     return CheckResult("quasi_concavity", worst <= dq * (1 + 1e-9), worst, dq, witness)
 
 
-def check_worst_type_pricing(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-) -> Optional[CheckResult]:
+def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
     """p equals the worst type's marginal cost up to its chosen quantity
     (within one cell). None when there is no worst type."""
-    schedule = outcome.schedule
+    schedule, inst = outcome.schedule, outcome.instance
     grid = schedule.grid
-    inst = instance_for(space, model, weather, grid, instance=outcome.instance)
     if inst.worst_type is None:
         return None
     k = int(round(outcome.by_id(inst.worst_type.id).q / grid.dq))
@@ -317,14 +268,11 @@ def oracle_solve(
     return best
 
 
-def check_oracle(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-) -> CheckResult:
-    oracle = oracle_solve(space, model, weather, vprime, outcome.schedule.grid)
+def check_oracle(outcome: ContractOutcome) -> CheckResult:
+    inst = outcome.instance
+    oracle = oracle_solve(
+        inst.space, inst.model, inst.weather, inst.vprime, outcome.schedule.grid
+    )
     gap = abs(oracle - outcome.buyer_utility)
     scale = max(1.0, abs(oracle))
     return CheckResult(
@@ -333,30 +281,23 @@ def check_oracle(
     )
 
 
-def run_checks(
-    outcome: ContractOutcome,
-    space: TypeSpace,
-    model: CostModel,
-    weather: WeatherModel,
-    vprime: BuyerUtility,
-) -> list[CheckResult]:
+def run_checks(outcome: ContractOutcome) -> list[CheckResult]:
     """Full certification suite in a fixed order; oracle concordance is
     included when the instance is small enough to enumerate."""
-    schedule = outcome.schedule
-    grid = schedule.grid
     results = [
-        check_ic(outcome, schedule, space, model, weather),
-        check_vp(outcome, space, model, weather, grid),
-        check_monotone(outcome, space, model, weather, grid),
-        check_identity(outcome, schedule, vprime),
-        check_pointwise(outcome, space, model, weather, vprime),
+        check_ic(outcome),
+        check_vp(outcome),
+        check_monotone(outcome),
+        check_identity(outcome),
+        check_pointwise(outcome),
         check_quasi_concavity(outcome),
     ]
-    wt = check_worst_type_pricing(outcome, space, model, weather)
+    wt = check_worst_type_pricing(outcome)
     if wt is not None:
         results.append(wt)
-    if len(space) <= ORACLE_MAX_TYPES and grid.n_cells <= ORACLE_MAX_CELLS:
-        results.append(check_oracle(outcome, space, model, weather, vprime))
+    n_types, n_cells = len(outcome.instance.space), outcome.schedule.grid.n_cells
+    if n_types <= ORACLE_MAX_TYPES and n_cells <= ORACLE_MAX_CELLS:
+        results.append(check_oracle(outcome))
     return results
 
 

@@ -1,4 +1,4 @@
-"""Discrete wind-speed distributions and expectations over them.
+"""Discrete wind-speed distributions.
 
 All downstream expectations over the weather reduce to finite weighted sums
 over the states of a :class:`WeatherModel`.
@@ -9,7 +9,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ConfigurationError, ParameterDomainError
 
@@ -58,10 +58,6 @@ class WeatherModel:
     def mean(self) -> float:
         return math.fsum(p * w for w, p in self.states)
 
-    def cdf(self, w: float) -> float:
-        """P(W <= w) of the discrete model."""
-        return math.fsum(p for wi, p in self.states if wi <= w)
-
 
 def weibull_model(
     shape: float, mean_speed: float, n_points: int = DEFAULT_N_POINTS
@@ -107,8 +103,3 @@ def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
     n = len(samples)
     states = tuple((float(w), counts[w] / n) for w in sorted(counts))
     return WeatherModel(states=states, meta=f"empirical({n} samples)")
-
-
-def expect(model: WeatherModel, f: Callable[[float], float]) -> float:
-    """Weighted sum of f over the model's states."""
-    return math.fsum(p * f(w) for w, p in model.states)

@@ -1,4 +1,6 @@
-"""Shared fixtures: bundled scenario paths and a cached six-type solve."""
+"""Shared fixtures: bundled scenario paths and a cached six-type solve;
+test helpers over a weather model's states."""
+import math
 from pathlib import Path
 
 import pytest
@@ -7,6 +9,16 @@ from procure.mechanism import solve
 from procure.scenario import load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "procure" / "scenarios"
+
+
+def expect(weather, f):
+    """Weighted sum of f over the weather model's states."""
+    return math.fsum(p * f(w) for w, p in weather.states)
+
+
+def cdf(weather, w):
+    """P(W <= w) of the discrete weather model."""
+    return math.fsum(p for wi, p in weather.states if wi <= w)
 
 
 @pytest.fixture(scope="session")
@@ -21,8 +33,7 @@ def six_scenario():
 
 @pytest.fixture(scope="session")
 def six_outcome(six_scenario):
-    sc = six_scenario
-    return solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
+    return solve(six_scenario.instance)
 
 
 @pytest.fixture(scope="session")
@@ -32,5 +43,4 @@ def worst_scenario():
 
 @pytest.fixture(scope="session")
 def worst_outcome(worst_scenario):
-    sc = worst_scenario
-    return solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
+    return solve(worst_scenario.instance)

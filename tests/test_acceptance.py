@@ -13,13 +13,14 @@ import time
 import numpy as np
 import pytest
 
+from conftest import cdf
 from procure.cli import cmd_solve
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace, dominates, find_worst_type
 from procure.mechanism import (
     BuyerUtility,
+    Instance,
     QuantityGrid,
     best_response,
-    cell_marginal_costs,
     solve,
 )
 from procure.scenario import load_scenario
@@ -48,7 +49,9 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
     sc = six_scenario
     failures = []
     start = time.perf_counter()
-    outcome = solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
+    # the build is timed too: it is the expected-cost work of a solve
+    inst = Instance.build(sc.space, sc.model, sc.weather, sc.grid, sc.vprime)
+    outcome = solve(inst)
     elapsed = time.perf_counter() - start
     if elapsed > 10.0:
         failures.append(f"solve took {elapsed:.2f}s > 10s at 2000 cells")
@@ -58,7 +61,7 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
     n = sched.n_open
     if float(np.ptp(sched.p[:n])) <= 0.0:
         failures.append("price schedule is constant")
-    cbar = cell_marginal_costs(sc.space, sc.model, sc.weather, sc.grid)
+    cbar = inst.cbar
     lo_ok = np.all(sched.p[:n] >= np.min(cbar[:, :n], axis=0) - 1e-12)
     hi_ok = np.all(sched.p[:n] <= np.max(cbar[:, :n], axis=0) + 1e-12)
     if not (lo_ok and hi_ok):
@@ -79,7 +82,7 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
 
 def test_criterion_02_monotonicity_in_dominance(six_scenario, six_outcome, capsys):
     sc = six_scenario
-    tol = grid_tolerance(sc.space, sc.model, sc.weather, sc.grid)
+    tol = grid_tolerance(sc.instance)
     failures = []
     ordered = 0
     for a in sc.space:
@@ -105,9 +108,8 @@ def test_criterion_02_monotonicity_in_dominance(six_scenario, six_outcome, capsy
     assert not failures, failures
 
 
-def test_criterion_03_incentive_compatibility(six_scenario, six_outcome, capsys):
-    sc = six_scenario
-    res = check_ic(six_outcome, six_outcome.schedule, sc.space, sc.model, sc.weather)
+def test_criterion_03_incentive_compatibility(six_outcome, capsys):
+    res = check_ic(six_outcome)
     # negative control: deflating one reported utility must trip the check
     rec = six_outcome.by_id("a")
     tampered = dataclasses.replace(
@@ -119,7 +121,7 @@ def test_criterion_03_incentive_compatibility(six_scenario, six_outcome, capsys)
             for r in six_outcome.per_type
         ),
     )
-    control = check_ic(tampered, six_outcome.schedule, sc.space, sc.model, sc.weather)
+    control = check_ic(tampered)
     ok = res.passed and not control.passed
     _emit(
         capsys, 3, "incentive compatibility", ok,
@@ -133,8 +135,8 @@ def test_criterion_04_voluntary_participation(
     six_scenario, six_outcome, worst_scenario, worst_outcome, capsys
 ):
     sc = six_scenario
-    tol = grid_tolerance(sc.space, sc.model, sc.weather, sc.grid)
-    res = check_vp(six_outcome, sc.space, sc.model, sc.weather, sc.grid)
+    tol = grid_tolerance(sc.instance)
+    res = check_vp(six_outcome)
     failures = []
     if not all(rec.utility >= -tol for rec in six_outcome.per_type):
         failures.append("negative utility in six-type solve")
@@ -239,7 +241,7 @@ def test_criterion_07_oracle_concordance(capsys):
     n_seeds = 30
     for seed in range(n_seeds):
         space, weather, vprime, grid = _chain_instance(seed)
-        outcome = solve(space, model, weather, vprime, grid)
+        outcome = solve(Instance.build(space, model, weather, grid, vprime))
         oracle = oracle_solve(space, model, weather, vprime, grid)
         gap = abs(oracle - outcome.buyer_utility)
         if gap > 1e-9 * max(1.0, abs(oracle)):
@@ -260,7 +262,7 @@ def test_criterion_08_closed_form_marginal_cost(capsys):
     for i in idx:
         q = 0.5 * (kinks[i] + kinks[i + 1])
         got = model.expected_marginal_cost(x, q, weather)
-        want = theta * weather.cdf((q / gamma) ** (1.0 / 3.0))
+        want = theta * cdf(weather, (q / gamma) ** (1.0 / 3.0))
         if abs(got - want) > 1e-6 * max(1.0, abs(want)):
             failures.append(f"q={q:.3f}: analytic {want!r} vs model {got!r}")
         h = 0.25 * (kinks[i + 1] - kinks[i])
@@ -278,7 +280,7 @@ def test_criterion_09_identity_convergence(six_scenario, capsys):
     errs = {}
     for n_cells in (1000, 2000, 4000):
         grid = QuantityGrid(q_max=sc.grid.q_max, n_cells=n_cells)
-        out = solve(sc.space, sc.model, sc.weather, sc.vprime, grid)
+        out = solve(Instance.build(sc.space, sc.model, sc.weather, grid, sc.vprime))
         errs[n_cells] = abs(out.buyer_utility - out.buyer_utility_survival) / max(
             1.0, abs(out.buyer_utility)
         )

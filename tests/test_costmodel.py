@@ -25,7 +25,9 @@ from procure.costmodel import (
     make_model,
     power_curve,
 )
+from conftest import cdf
 from procure.errors import ConfigurationError, ParameterDomainError
+from procure.mechanism import BuyerUtility, Instance, QuantityGrid
 from procure.weather import WeatherModel, empirical_model, weibull_model
 
 
@@ -246,7 +248,7 @@ def test_marginal_cost_simple_matches_cdf_formula(weather):
     model = SimpleCostModel()
     x = simple_type(theta_c=1.2, gamma=2.0)
     for q in np.linspace(1.0, 600.0, 20):
-        want = 1.2 * weather.cdf((q / 2.0) ** (1.0 / 3.0))
+        want = 1.2 * cdf(weather, (q / 2.0) ** (1.0 / 3.0))
         got = model.expected_marginal_cost(x, float(q), weather)
         assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
@@ -407,14 +409,18 @@ def test_check_assumptions_rejects_concave_plugin(weather):
 
 
 def test_plugin_marginal_cost_finite_difference(weather):
+    # a plugin's marginal cost is the instance's per-cell finite difference
+    # of its expected cost
     model = PluginCostModel(
         realized=lambda x, q, w: x.param("c0") + 0.5 * q,
         param_names=("c0",),
         raising_params=("c0",),
         lowering_params=(),
     )
-    x = SellerType("p", {"c0": 1.0}, 1.0)
-    assert model.expected_marginal_cost(x, 5.0, weather) == pytest.approx(0.5, abs=1e-9)
+    space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
+    grid = QuantityGrid(q_max=10.0, n_cells=5)
+    inst = Instance.build(space, model, weather, grid, BuyerUtility.affine(1.0, 0.1))
+    assert inst.cbar == pytest.approx(np.full((1, 5), 0.5), abs=1e-9)
 
 
 def test_wind_conventional_rejects_bad_speeds(weather):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from procure.cli import _csv_field, _fmt_column, _load, _solve_scenario, main
-from procure.mechanism import instance_for
 from procure.settlement import SettlementRow, _payment_at
 
 SIMPLE_YAML = """\
@@ -46,12 +45,13 @@ def _csv_text(header, rows):
     return buf.getvalue()
 
 
-def ref_settlement_table(outcome, schedule, space, model, weather, alpha):
+def ref_settlement_table(outcome, alpha):
     """One (type, state) row at a time, with the scalar cost calls."""
+    schedule, inst = outcome.schedule, outcome.instance
+    space, model, worst = inst.space, inst.model, inst.worst_type
     grid = schedule.grid
-    worst = instance_for(space, model, weather, grid, instance=outcome.instance).worst_type
     pts, t = grid.points, schedule.payments()
-    speeds = weather.speeds
+    speeds = inst.weather.speeds
     if worst is not None:
         q_worst = outcome.by_id(worst.id).q
         t_worst = _payment_at(grid, pts, t, q_worst)
@@ -188,9 +188,7 @@ def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, ar
         "outcome.csv": ref_outcome_csv(outcome),
     }
     if sc.alpha is not None:
-        adm = sc.space.subset(outcome.admissible_ids)
-        rows = ref_settlement_table(outcome, outcome.schedule, adm, sc.model, sc.weather, sc.alpha)
-        want["settlement.csv"] = ref_settlement_csv(rows)
+        want["settlement.csv"] = ref_settlement_csv(ref_settlement_table(outcome, sc.alpha))
     got = _read(out)
     got.pop("run_manifest.json")
     assert got == want

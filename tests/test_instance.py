@@ -28,7 +28,6 @@ from procure.mechanism import (
     QuantityGrid,
     _upward_closed_subsets,
     exclusion_search,
-    instance_for,
     price_cells,
     solve,
 )
@@ -145,10 +144,11 @@ def test_solve_command_computes_each_curve_once(scenario_dir, tmp_path, ec_calls
 
 
 def test_solve_command_once_per_grid_with_override(scenario_dir, tmp_path, ec_calls):
+    # the load builds its instance on the override grid only
     rc = cmd_solve(scenario_dir / "six_types.yaml", tmp_path / "out", grid_cells=500)
     assert rc == 0
-    assert _once_per_type(ec_calls, 2001) and _once_per_type(ec_calls, 501), ec_calls
-    assert len(ec_calls) == 12
+    assert _once_per_type(ec_calls, 501), ec_calls
+    assert len(ec_calls) == 6
 
 
 def test_verify_command_computes_each_curve_once(scenario_dir, ec_calls, capsys):
@@ -161,13 +161,9 @@ def test_exclusion_search_computes_each_curve_once(scenario_dir, ec_calls):
     sc = load_scenario(scenario_dir / "six_types.yaml")
     # three dominance-ordered pairs leave 26 upward-closed subsets
     assert len(_upward_closed_subsets(sc.instance)) == 26
-    ec_calls.clear()
-    exclusion_search(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
     assert _once_per_type(ec_calls, 2001), ec_calls
     ec_calls.clear()
-    exclusion_search(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, instance=sc.instance
-    )
+    exclusion_search(sc.instance)
     assert not ec_calls
 
 
@@ -198,7 +194,7 @@ def test_restrict_equals_fresh_build(six_scenario):
 
 def test_library_solve_checks_the_cost_model(worst_scenario):
     # expected cost sqrt(q) + c0 is concave in q; only check_assumptions
-    # rejects it, and a library solve builds its instance without a load
+    # rejects it, and a library caller builds its instance without a load
     sc = worst_scenario
     concave = PluginCostModel(
         realized=lambda x, q, w: x.param("c0") + q**0.5,
@@ -209,19 +205,7 @@ def test_library_solve_checks_the_cost_model(worst_scenario):
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     grid = QuantityGrid(q_max=10.0, n_cells=10)
     with pytest.raises(ConfigurationError, match="not convex"):
-        solve(space, concave, sc.weather, sc.vprime, grid)
-    with pytest.raises(ConfigurationError, match="not convex"):
-        Instance.build(space, concave, sc.weather, grid)
-
-
-def test_instance_for_reuses_only_a_matching_instance(six_scenario, worst_scenario):
-    sc = six_scenario
-    inst = sc.instance
-    assert instance_for(sc.space, sc.model, sc.weather, sc.grid, sc.vprime, inst) is inst
-    other = worst_scenario
-    rebuilt = instance_for(other.space, other.model, other.weather, other.grid, None, inst)
-    assert rebuilt is not inst
-    assert [x.id for x in rebuilt.space] == ["g1", "g2"]
+        Instance.build(space, concave, sc.weather, grid, sc.vprime)
 
 
 def test_worst_index_needs_every_other_type_covered():
@@ -236,12 +220,9 @@ def test_identity_holds_on_proper_admissible_set(six_scenario):
     # every admissible type is paid t0, so the survival form charges it
     # with the admissible prior mass, not with 1
     sc = six_scenario
-    out = solve(
-        sc.space, sc.model, sc.weather, sc.vprime, sc.grid, admissible=["a", "b"],
-        instance=sc.instance,
-    )
+    out = solve(sc.instance, admissible=["a", "b"])
     assert out.schedule.t0 > 0.0
-    res = check_identity(out, out.schedule, sc.vprime)
+    res = check_identity(out)
     assert res.passed, res.line()
 
 
@@ -265,6 +246,6 @@ def test_pointwise_names_the_cell_priced_at_a_worse_candidate(six_scenario, six_
     p[j] = cheapest[j]
     bad_sched = dataclasses.replace(outcome.schedule, p=p)
     bad = dataclasses.replace(outcome, schedule=bad_sched)
-    res = check_pointwise(bad, sc.space, sc.model, sc.weather, sc.vprime)
+    res = check_pointwise(bad)
     assert not res.passed
     assert res.witness == f"cell {j}"

@@ -12,16 +12,15 @@ from procure.costmodel import (
 from procure.errors import ConfigurationError, ParameterDomainError
 from procure.mechanism import (
     BuyerUtility,
+    Instance,
     QuantityGrid,
     anchor_payment,
     best_response,
     build_price_schedule,
-    cell_marginal_costs,
     default_grid,
     exclusion_search,
-    optimal_marginal_price,
+    price_cells,
     solve,
-    survival_probability,
 )
 from procure.weather import WeatherModel, weibull_model
 
@@ -36,12 +35,11 @@ def linear_model():
     )
 
 
-def rate_space(*rates, c0=0.0, priors=None):
+def rate_space(*rates, c0=0.0):
     n = len(rates)
-    priors = priors or [1.0 / n] * n
     return TypeSpace(
         tuple(
-            SellerType(f"r{i}", {"c0": c0, "rate": r}, priors[i])
+            SellerType(f"r{i}", {"c0": c0, "rate": r}, 1.0 / n)
             for i, r in enumerate(rates)
         )
     )
@@ -99,40 +97,30 @@ def test_default_grid_uses_marginal_utility_root():
         default_grid(flat)
 
 
-def test_survival_probability(point_weather):
-    model = linear_model()
-    space = rate_space(0.3, 0.5)
-    assert survival_probability(0.4, 10.0, space, model, point_weather) == pytest.approx(0.5)
-    assert survival_probability(0.6, 10.0, space, model, point_weather) == pytest.approx(1.0)
-    assert survival_probability(0.1, 10.0, space, model, point_weather) == 0.0
+def one_cell_price(costs, priors, v_marg):
+    """Optimal price of one cell with the given per-type marginal costs;
+    None when the cell is closed."""
+    p, closed_from = price_cells(
+        np.array([[c] for c in costs]), np.array(priors), np.array([v_marg])
+    )
+    return None if closed_from == 0 else float(p[0])
 
 
-def test_optimal_price_single_type(point_weather):
-    model = linear_model()
-    space = rate_space(0.3)
-    v = BuyerUtility.affine(1.0, 0.0)
+def test_optimal_price_single_type():
     # single candidate with positive margin: full extraction at the margin
-    assert optimal_marginal_price(5.0, space, model, point_weather, v) == pytest.approx(0.3)
+    assert one_cell_price([0.3], [1.0], 1.0) == pytest.approx(0.3)
 
 
-def test_optimal_price_two_types(point_weather):
-    model = linear_model()
-    space = rate_space(0.3, 0.5)
+def test_optimal_price_two_types():
     # V' = 1.0: full participation wins, 1.0*(1-0.5) beats 0.5*(1-0.3)
-    v_hi = BuyerUtility.affine(1.0, 0.0)
-    assert optimal_marginal_price(5.0, space, model, point_weather, v_hi) == pytest.approx(0.5)
+    assert one_cell_price([0.3, 0.5], [0.5, 0.5], 1.0) == pytest.approx(0.5)
     # V' = 0.8 with a 0.7 prior on the cheap type flips it:
     # 0.7*(0.8-0.3) = 0.35 beats 1.0*(0.8-0.5) = 0.30
-    skewed = rate_space(0.3, 0.5, priors=[0.7, 0.3])
-    v_lo = BuyerUtility.affine(0.8, 0.0)
-    assert optimal_marginal_price(5.0, skewed, model, point_weather, v_lo) == pytest.approx(0.3)
+    assert one_cell_price([0.3, 0.5], [0.7, 0.3], 0.8) == pytest.approx(0.3)
 
 
-def test_optimal_price_closed(point_weather):
-    model = linear_model()
-    space = rate_space(0.3, 0.5)
-    v = BuyerUtility.affine(0.1, 0.0)
-    assert optimal_marginal_price(5.0, space, model, point_weather, v) is None
+def test_optimal_price_closed():
+    assert one_cell_price([0.3, 0.5], [0.5, 0.5], 0.1) is None
 
 
 def test_single_type_schedule_tracks_cost_then_closes(weather):
@@ -140,8 +128,9 @@ def test_single_type_schedule_tracks_cost_then_closes(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=200)
-    schedule = build_price_schedule(space, model, weather, v, grid)
-    cbar = cell_marginal_costs(space, model, weather, grid)[0]
+    inst = Instance.build(space, model, weather, grid, v)
+    schedule = build_price_schedule(inst)
+    cbar = inst.cbar[0]
     assert schedule.closed_from is not None
     for j in range(schedule.n_open):
         assert schedule.p[j] == cbar[j]
@@ -155,7 +144,7 @@ def test_closed_everywhere(point_weather):
     space = rate_space(0.9)
     v = BuyerUtility.affine(0.5, 1e-2)
     grid = QuantityGrid(q_max=50.0, n_cells=10)
-    schedule = build_price_schedule(space, model, point_weather, v, grid)
+    schedule = build_price_schedule(Instance.build(space, model, point_weather, grid, v))
     assert schedule.closed_from == 0
     assert schedule.n_open == 0
 
@@ -167,8 +156,9 @@ def test_anchor_worst_type(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=500)
-    schedule = build_price_schedule(space, model, weather, v, grid)
-    t0 = anchor_payment(schedule, space, model, weather)
+    inst = Instance.build(space, model, weather, grid, v)
+    schedule = build_price_schedule(inst)
+    t0 = anchor_payment(schedule, inst)
     assert t0 == 4.0
 
 
@@ -177,7 +167,7 @@ def test_anchor_single_type_extracts_everything(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=200)
-    out = solve(space, model, weather, v, grid)
+    out = solve(Instance.build(space, model, weather, grid, v))
     assert out.by_id("only").utility == pytest.approx(0.0, abs=1e-12)
 
 
@@ -190,11 +180,10 @@ def test_best_response_unprofitable_schedule(point_weather):
     model = linear_model()
     space = rate_space(0.5, c0=1.0)
     grid = QuantityGrid(q_max=10.0, n_cells=5)
-    schedule = build_price_schedule(
-        space, model, point_weather, BuyerUtility.affine(0.3, 0.0), grid
-    )
+    inst = Instance.build(space, model, point_weather, grid, BuyerUtility.affine(0.3, 0.0))
+    schedule = build_price_schedule(inst)
     # everything closed; seller stays at zero and collects the anchor
-    anchor_payment(schedule, space, model, point_weather)
+    anchor_payment(schedule, inst)
     rec = best_response(space.by_id("r0"), schedule, model, point_weather)
     assert rec.q == 0.0
     assert rec.payment == schedule.t0
@@ -207,8 +196,9 @@ def test_best_response_tie_breaks_to_largest(point_weather):
     space = rate_space(0.5)
     v = BuyerUtility.affine(0.5, 0.0)
     grid = QuantityGrid(q_max=10.0, n_cells=5)
-    schedule = build_price_schedule(space, model, point_weather, v, grid)
-    anchor_payment(schedule, space, model, point_weather)
+    inst = Instance.build(space, model, point_weather, grid, v)
+    schedule = build_price_schedule(inst)
+    anchor_payment(schedule, inst)
     rec = best_response(space.by_id("r0"), schedule, model, point_weather)
     assert rec.q == 10.0
     assert rec.quasi_concave
@@ -219,7 +209,7 @@ def test_solve_single_type_first_best(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=400)
-    out = solve(space, model, weather, v, grid)
+    out = solve(Instance.build(space, model, weather, grid, v))
     pts = grid.points
     ec = model.expected_cost_grid(space.by_id("only"), pts, weather)
     first_best = float(np.max(v.value(pts) - ec))
@@ -234,7 +224,7 @@ def test_solve_identical_types_symmetric(weather):
     )
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=200)
-    out = solve(space, model, weather, v, grid)
+    out = solve(Instance.build(space, model, weather, grid, v))
     r1, r2 = out.by_id("t1"), out.by_id("t2")
     assert r1.q == r2.q
     assert r1.payment == r2.payment
@@ -252,7 +242,7 @@ def test_admissible_subset_restricts_schedule(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
-    out = solve(space, model, weather, v, grid, admissible=["g2"])
+    out = solve(Instance.build(space, model, weather, grid, v), admissible=["g2"])
     assert out.admissible_ids == ("g2",)
     # with only one admissible type the surplus at the margin is extracted
     assert out.by_id("g2").utility == pytest.approx(0.0, abs=1e-12)
@@ -268,10 +258,11 @@ def test_exclusion_search_drops_expensive_type(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
-    ids, outcome, exhaustive = exclusion_search(space, model, weather, v, grid)
+    inst = Instance.build(space, model, weather, grid, v)
+    ids, outcome, exhaustive = exclusion_search(inst)
     assert exhaustive
     assert ids == ("ok",)
-    full = solve(space, model, weather, v, grid)
+    full = solve(inst)
     assert outcome.buyer_utility > full.buyer_utility
 
 
@@ -285,7 +276,7 @@ def test_exclusion_search_keeps_full_set_without_startup_costs(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
-    ids, _outcome, _ = exclusion_search(space, model, weather, v, grid)
+    ids, _outcome, _ = exclusion_search(Instance.build(space, model, weather, grid, v))
     assert set(ids) == {"g1", "g2"}
 
 
@@ -294,7 +285,7 @@ def test_exclusion_search_single_type(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=100)
-    ids, _, exhaustive = exclusion_search(space, model, weather, v, grid)
+    ids, _, exhaustive = exclusion_search(Instance.build(space, model, weather, grid, v))
     assert ids == ("only",)
     assert exhaustive
 

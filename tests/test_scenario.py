@@ -7,7 +7,8 @@ import pytest
 import yaml
 
 from procure.cli import main
-from procure.scenario import YAML_LOADER
+from procure.errors import ConfigurationError
+from procure.scenario import YAML_LOADER, load_scenario
 from test_cli import TINY_YAML
 from test_csv_output import CLOSED, QUOTED
 
@@ -78,4 +79,37 @@ def test_malformed_yaml_exits_2(tmp_path, capsys, text):
     assert rc == 2
     err = capsys.readouterr().err
     assert "not valid YAML" in err
+    assert "Traceback" not in err
+
+
+TINY = TINY_YAML.format(extra="")
+HI_TYPE = "  - {id: hi, params: {c0: 3, theta_c: 1.4, gamma: 1}}"
+BUYER = "  marginal_utility: {kind: affine, intercept: 0.9, slope: 4.0e-3}"
+
+
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        (HI_TYPE, "  - 7", "types[1]"),
+        (HI_TYPE, "  - {id: hi, params: [c0]}", "types[1].params"),
+        ("gamma: 1}", "gamma: abc}", "types[1].params.gamma"),
+        (BUYER, "  marginal_utility: {kind: piecewise, breakpoints: [[0, 1], 2]}",
+         "buyer.marginal_utility.breakpoints[1]"),
+        ("cost_model: {kind: simple}", "cost_model: {kind: [simple]}", "cost_model.kind"),
+        ("grid: {q_max: 120, n_cells: 6}", "grid: {q_max: 120, n_cells: 6}\noptions: {admissible: lo}",
+         "options.admissible"),
+    ],
+    ids=["type-entry", "params-list", "param-text", "breakpoint", "model-kind", "admissible-text"],
+)
+def test_wrongly_typed_field_exits_2(tmp_path, capsys, old, new, field):
+    assert TINY.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY.replace(old, new))
+    with pytest.raises(ConfigurationError) as excinfo:
+        load_scenario(path)
+    assert str(excinfo.value).startswith(f"{field}: ")
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"error: {field}: " in err
     assert "Traceback" not in err

@@ -4,16 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import expect
 from procure.costmodel import PluginCostModel, SellerType, TypeSpace, find_worst_type
-from procure.errors import ParameterDomainError, UnsupportedConfigurationError
-from procure.settlement import (
-    expost_payment,
-    require_worst_type,
-    risk_payment,
-    settlement_table,
-)
-from procure.mechanism import BuyerUtility, QuantityGrid, solve
-from procure.weather import expect, weibull_model
+from procure.errors import ParameterDomainError
+from procure.settlement import expost_payment, risk_payment, settlement_table
+from procure.mechanism import BuyerUtility, Instance, QuantityGrid, solve
+from procure.weather import weibull_model
 
 
 def _worst(sc, outcome):
@@ -70,12 +66,11 @@ def test_expost_profit_at_own_bundle_can_be_negative(worst_scenario, worst_outco
 
 
 def test_expost_requires_worst_type(six_scenario, six_outcome):
+    # the six types have no worst type, so the table has no ex-post column
     sc = six_scenario
-    with pytest.raises(UnsupportedConfigurationError):
-        require_worst_type(sc.space, sc.model, sc.weather, sc.grid.points)
-    rows = settlement_table(
-        six_outcome, six_outcome.schedule, sc.space, sc.model, sc.weather, alpha=0.5
-    )
+    assert find_worst_type(sc.space, sc.model, sc.weather, sc.grid.points) is None
+    rows = settlement_table(six_outcome, alpha=0.5)
+    assert rows.payment_expost is None
     assert all(r.payment_expost is None for r in rows)
 
 
@@ -142,9 +137,7 @@ def test_variance_scales_with_alpha(worst_scenario, worst_outcome, alpha):
 
 def test_settlement_table_budget_identity(worst_scenario, worst_outcome):
     sc = worst_scenario
-    rows = settlement_table(
-        worst_outcome, worst_outcome.schedule, sc.space, sc.model, sc.weather, alpha=0.5
-    )
+    rows = settlement_table(worst_outcome, alpha=0.5)
     prob = dict(sc.weather.states)
     for col in ("payment_base", "payment_expost", "payment_risk"):
         total = math.fsum(
@@ -159,9 +152,7 @@ def test_settlement_table_budget_identity(worst_scenario, worst_outcome):
 
 def test_settlement_table_enumerates_all_states(worst_scenario, worst_outcome):
     sc = worst_scenario
-    rows = settlement_table(
-        worst_outcome, worst_outcome.schedule, sc.space, sc.model, sc.weather, alpha=0.25
-    )
+    rows = settlement_table(worst_outcome, alpha=0.25)
     assert len(rows) == len(sc.space) * len(sc.weather.states)
     g2 = [r for r in rows if r.type_id == "g2"]
     assert [r.w for r in g2] == list(sc.weather.speeds)
@@ -184,14 +175,14 @@ def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome)
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
     schedule = worst_outcome.schedule
-    rows = settlement_table(worst_outcome, schedule, sc.space, sc.model, sc.weather, alpha=0.3)
+    rows = settlement_table(worst_outcome, alpha=0.3)
     for r in rows:
         q = worst_outcome.by_id(r.type_id).q
         x = sc.space.by_id(r.type_id)
         assert r.payment_expost == expost_payment(worst_outcome, schedule, worst, q, r.w, sc.model)
         assert r.payment_risk == risk_payment(worst_outcome, x, r.w, 0.3, sc.model)
     with pytest.raises(ParameterDomainError):
-        settlement_table(worst_outcome, schedule, sc.space, sc.model, sc.weather, alpha=1.5)
+        settlement_table(worst_outcome, alpha=1.5)
 
 
 def _plugin_case():
@@ -213,7 +204,7 @@ def _plugin_case():
     )
     weather = weibull_model(3.0, 5.0, 30)
     grid = QuantityGrid(q_max=8.0, n_cells=40)
-    outcome = solve(space, model, weather, BuyerUtility.affine(1.0, 0.05), grid)
+    outcome = solve(Instance.build(space, model, weather, grid, BuyerUtility.affine(1.0, 0.05)))
     return space, model, weather, outcome
 
 
@@ -222,20 +213,18 @@ def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_sce
     if case == "simple":
         sc = worst_scenario
         space, model, weather = sc.space, sc.model, sc.weather
-        outcome = solve(space, model, weather, sc.vprime, sc.grid)
+        outcome = solve(sc.instance)
     elif case == "wind_conventional":
         # b dominates a, so the pair has a worst type and an ex-post column
         sc = six_scenario
         space, model, weather = sc.space.subset(["a", "b"]), sc.model, sc.weather
-        outcome = solve(
-            sc.space, model, weather, sc.vprime, sc.grid, admissible=("a", "b")
-        )
+        outcome = solve(sc.instance, admissible=("a", "b"))
     else:
         space, model, weather, outcome = _plugin_case()
     schedule = outcome.schedule
     worst = find_worst_type(space, model, weather, schedule.grid.points)
     assert worst is not None
-    table = settlement_table(outcome, schedule, space, model, weather, alpha=0.35)
+    table = settlement_table(outcome, alpha=0.35)
     assert table.type_ids == tuple(x.id for x in space)
     assert table.w.tolist() == list(weather.speeds)
     for i, x in enumerate(space):
@@ -253,9 +242,7 @@ def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_sce
 
 def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):
     sc = worst_scenario
-    table = settlement_table(
-        worst_outcome, worst_outcome.schedule, sc.space, sc.model, sc.weather, alpha=0.5
-    )
+    table = settlement_table(worst_outcome, alpha=0.5)
     n_states = len(sc.weather.states)
     rows = list(table)
     assert len(table) == len(rows) == 2 * n_states

@@ -34,12 +34,11 @@ def _replace_type(outcome, type_id, **changes):
 @pytest.fixture(scope="module")
 def tiny(scenario_dir):
     sc = load_scenario(scenario_dir / "tiny_oracle.yaml")
-    return sc, solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
+    return sc, solve(sc.instance)
 
 
-def test_run_checks_all_pass_six(six_scenario, six_outcome):
-    sc = six_scenario
-    results = run_checks(six_outcome, sc.space, sc.model, sc.weather, sc.vprime)
+def test_run_checks_all_pass_six(six_outcome):
+    results = run_checks(six_outcome)
     assert all(r.passed for r in results), report_text(results)
     names = [r.name for r in results]
     # no worst type in the published space, and too large for the oracle
@@ -47,82 +46,78 @@ def test_run_checks_all_pass_six(six_scenario, six_outcome):
     assert "oracle" not in names
 
 
-def test_run_checks_all_pass_worst(worst_scenario, worst_outcome):
-    sc = worst_scenario
-    results = run_checks(worst_outcome, sc.space, sc.model, sc.weather, sc.vprime)
+def test_run_checks_all_pass_worst(worst_outcome):
+    results = run_checks(worst_outcome)
     assert all(r.passed for r in results), report_text(results)
     assert "worst_type_pricing" in [r.name for r in results]
 
 
 def test_run_checks_includes_oracle_when_small(tiny):
-    sc, outcome = tiny
-    results = run_checks(outcome, sc.space, sc.model, sc.weather, sc.vprime)
+    _, outcome = tiny
+    results = run_checks(outcome)
     assert all(r.passed for r in results), report_text(results)
     assert "oracle" in [r.name for r in results]
 
 
 def test_grid_tolerance_positive(six_scenario):
     sc = six_scenario
-    assert grid_tolerance(sc.space, sc.model, sc.weather, sc.grid) > 0.0
+    assert grid_tolerance(sc.instance) > 0.0
 
 
 def test_ic_fails_on_deflated_utility(six_scenario, six_outcome):
     sc = six_scenario
-    tol = grid_tolerance(sc.space, sc.model, sc.weather, sc.grid)
+    tol = grid_tolerance(sc.instance)
     rec = six_outcome.by_id("a")
     bad = _replace_type(six_outcome, "a", utility=rec.utility - 10 * tol)
-    res = check_ic(bad, bad.schedule, sc.space, sc.model, sc.weather)
+    res = check_ic(bad)
     assert not res.passed
     assert res.witness.startswith("a->")
 
 
-def test_vp_fails_on_negative_utility(six_scenario, six_outcome):
-    sc = six_scenario
+def test_vp_fails_on_negative_utility(six_outcome):
     bad = _replace_type(six_outcome, "a", utility=-100.0)
-    res = check_vp(bad, sc.space, sc.model, sc.weather, sc.grid)
+    res = check_vp(bad)
     assert not res.passed
 
 
 def test_vp_fails_when_min_utility_positive(six_scenario, six_outcome):
     # leaving slack to the binding type is also a violation: min U must be 0
     sc = six_scenario
-    tol = grid_tolerance(sc.space, sc.model, sc.weather, sc.grid)
+    tol = grid_tolerance(sc.instance)
     per_type = tuple(
         dataclasses.replace(rec, utility=rec.utility + 10 * tol)
         for rec in six_outcome.per_type
     )
     bad = dataclasses.replace(six_outcome, per_type=per_type)
-    res = check_vp(bad, sc.space, sc.model, sc.weather, sc.grid)
+    res = check_vp(bad)
     assert not res.passed
 
 
-def test_monotone_fails_on_swapped_bundles(worst_scenario, worst_outcome):
+def test_monotone_fails_on_swapped_bundles(worst_outcome):
     # g2 has the larger capacity factor and must weakly out-produce g1
-    sc = worst_scenario
     r1 = worst_outcome.by_id("g1")
     r2 = worst_outcome.by_id("g2")
     assert r2.q > r1.q
     bad = _replace_type(worst_outcome, "g2", q=r1.q, utility=r1.utility)
     bad = _replace_type(bad, "g1", q=r2.q, utility=r2.utility)
-    res = check_monotone(bad, sc.space, sc.model, sc.weather, sc.grid)
+    res = check_monotone(bad)
     assert not res.passed
 
 
-def test_identity_fails_on_tampered_survival_value(six_outcome, six_scenario):
+def test_identity_fails_on_tampered_survival_value(six_outcome):
     bad = dataclasses.replace(
         six_outcome, buyer_utility_survival=six_outcome.buyer_utility_survival + 1.0
     )
-    res = check_identity(bad, bad.schedule, six_scenario.vprime)
+    res = check_identity(bad)
     assert not res.passed
 
 
-def test_pointwise_fails_on_non_candidate_price(six_scenario, six_outcome):
-    sc = six_scenario
+def test_pointwise_fails_on_non_candidate_price(six_outcome):
     p = six_outcome.schedule.p.copy()
     p[0] *= 0.5
     bad_sched = dataclasses.replace(six_outcome.schedule, p=p)
     bad = dataclasses.replace(six_outcome, schedule=bad_sched)
-    res = check_pointwise(bad, sc.space, sc.model, sc.weather, sc.vprime)
+    res = check_pointwise(bad)
     assert not res.passed
     assert res.worst == np.inf
 
@@ -136,19 +131,17 @@ def test_quasi_concavity_fails_on_shifted_threshold(six_outcome):
     assert res.witness == "c"
 
 
-def test_worst_type_pricing_none_without_worst(six_scenario, six_outcome):
-    sc = six_scenario
-    res = check_worst_type_pricing(six_outcome, sc.space, sc.model, sc.weather)
+def test_worst_type_pricing_none_without_worst(six_outcome):
+    res = check_worst_type_pricing(six_outcome)
     assert res is None
 
 
-def test_worst_type_pricing_fails_on_tampered_price(worst_scenario, worst_outcome):
-    sc = worst_scenario
+def test_worst_type_pricing_fails_on_tampered_price(worst_outcome):
     p = worst_outcome.schedule.p.copy()
     p[0] += 0.05
     bad_sched = dataclasses.replace(worst_outcome.schedule, p=p)
     bad = dataclasses.replace(worst_outcome, schedule=bad_sched)
-    res = check_worst_type_pricing(bad, sc.space, sc.model, sc.weather)
+    res = check_worst_type_pricing(bad)
     assert res is not None and not res.passed
 
 
@@ -156,7 +149,7 @@ def test_oracle_matches_solver_on_tiny(tiny):
     sc, outcome = tiny
     value = oracle_solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid)
     assert value == pytest.approx(outcome.buyer_utility, abs=1e-9)
-    res = check_oracle(outcome, sc.space, sc.model, sc.weather, sc.vprime)
+    res = check_oracle(outcome)
     assert res.passed
 
 
@@ -169,17 +162,16 @@ def test_oracle_rejects_large_instances(six_scenario):
 
 
 def test_report_text_format(tiny):
-    sc, outcome = tiny
-    results = run_checks(outcome, sc.space, sc.model, sc.weather, sc.vprime)
+    _, outcome = tiny
+    results = run_checks(outcome)
     text = report_text(results)
     for r in results:
         assert f"check={r.name} status=pass" in text
     assert "FAIL" not in text
 
 
-def test_report_text_marks_failures(six_scenario, six_outcome):
-    sc = six_scenario
+def test_report_text_marks_failures(six_outcome):
     bad = _replace_type(six_outcome, "a", utility=-100.0)
-    res = check_vp(bad, sc.space, sc.model, sc.weather, sc.grid)
+    res = check_vp(bad)
     text = report_text([res])
     assert "status=FAIL" in text

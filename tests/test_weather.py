@@ -3,13 +3,9 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import cdf, expect
 from procure.errors import ConfigurationError, ParameterDomainError
-from procure.weather import (
-    WeatherModel,
-    empirical_model,
-    expect,
-    weibull_model,
-)
+from procure.weather import WeatherModel, empirical_model, weibull_model
 
 
 def test_weibull_mean_recovery():
@@ -24,7 +20,7 @@ def test_weibull_mean_recovery():
 def test_weibull_shape_one_is_exponential():
     model = weibull_model(1.0, 1.0, 2000)
     # exponential with mean 1 has median ln 2
-    assert abs(model.cdf(math.log(2.0)) - 0.5) <= 0.01
+    assert abs(cdf(model, math.log(2.0)) - 0.5) <= 0.01
 
 
 def test_weibull_rejects_bad_parameters():

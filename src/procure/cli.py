@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .errors import ProcureError
+from .errors import ConfigurationError, ProcureError
 from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, exclusion_search, solve
 from .scenario import Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
@@ -154,9 +154,22 @@ def _load(
     return sc
 
 
+def _search(sc: Scenario) -> tuple[tuple[str, ...], ContractOutcome, bool]:
+    """exclusion_search on the scenario's instance. The search picks the
+    admissible set itself, so one given by the scenario or by --admissible
+    is an error rather than silently ignored."""
+    if sc.admissible is not None:
+        raise ConfigurationError(
+            "exclusion search conflicts with the admissible set "
+            f"{','.join(sc.admissible)} (options.admissible or --admissible): "
+            "the search chooses the admissible set itself; drop one of the two"
+        )
+    return exclusion_search(sc.instance)
+
+
 def _solve_scenario(sc: Scenario) -> ContractOutcome:
     if sc.exclusion_search:
-        return exclusion_search(sc.instance)[1]
+        return _search(sc)[1]
     return solve(sc.instance, admissible=sc.admissible)
 
 
@@ -239,7 +252,7 @@ def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
     sc = _load(scenario_path, grid_cells)
-    ids, outcome, exhaustive = exclusion_search(sc.instance)
+    ids, outcome, exhaustive = _search(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))

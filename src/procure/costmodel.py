@@ -24,6 +24,10 @@ EQUAL_COST_TOL = 1e-12
 # over it. Its width in points follows the number of states (ec_block_width).
 EC_BLOCK_BYTES = 1 << 18
 
+# Rows of a block that the expected-cost kernel keeps together when it
+# leaves out zero rows: gemv sums the rows of a tile in groups of 4 or 8.
+ROW_GROUP = 16
+
 
 @dataclass(frozen=True)
 class SellerType:
@@ -225,7 +229,7 @@ def _expected_cost_blocked(
     columns: np.ndarray,
     short: Callable[[np.ndarray, np.ndarray], object],
     middle: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
-    covered: Callable[[np.ndarray, np.ndarray], object],
+    covered: Optional[Callable[[np.ndarray, np.ndarray], object]],
 ) -> np.ndarray:
     """c0 + weights @ integrand(qs): the weather-expected cost at each grid
     point, for state weights over the states x points integrand.
@@ -251,6 +255,16 @@ def _expected_cost_blocked(
     covered must give middle's bits on their rows, which IEEE identities
     allow: max(x, 0) is x when x >= +0, q - q is +0, x + (+0) is x,
     min(q, g) is the smaller operand, and + and * commute.
+
+    covered=None says that the covered rows are exactly +0, as the simple
+    model's shortfall max(q - g, 0) is there. Those rows are then not
+    built: rows [c, r) are filled with +0, with r = c rounded up to a
+    multiple of ROW_GROUP (at most the number of states), and gemv runs
+    over the first r rows only. Adding p * (+0) changes no sum, but gemv
+    sums the rows in groups, and cutting a group short at c would change
+    the order in which the non-zero rows are added; a whole number of
+    groups of 16 leaves each row in its group. A one-point block, which
+    numpy takes through dot, keeps all its rows.
     """
     qs = np.asarray(qs, dtype=float)
     if not np.all(qs >= 0.0):
@@ -291,9 +305,14 @@ def _expected_cost_blocked(
             short(out[:a], tiles[:, :a])
         if c > a:
             middle(out[a:c], tiles[:, a:c], tmp[a:c])
-        if c < n_states:
+        r = n_states
+        if covered is None:
+            if k > 1:  # numpy takes one point through dot, which groups rows otherwise
+                r = min(n_states, -(-c // ROW_GROUP) * ROW_GROUP)
+            out[c:r] = 0.0
+        elif c < n_states:
             covered(out[c:], q)
-        np.matmul(weights, out, out=ec[lo:hi])
+        np.matmul(weights[:r], out[:r], out=ec[lo:hi])
     ec += c0
     return ec
 
@@ -345,12 +364,10 @@ class SimpleCostModel(CostModel):
             q -= t[0]
             np.maximum(q, 0.0, out=q)
 
-        def covered_rows(out: np.ndarray, q: np.ndarray) -> None:
-            out.fill(0.0)  # max(q - g, 0) is +0 for g >= q
-
+        # max(q - g, 0) is +0 where g >= q: the covered rows are left out
         weights = x.param("theta_c") * np.array(weather.probs)
         return _expected_cost_blocked(
-            x.param("c0"), weights, qs, g[None, :], short_rows, shortfall, covered_rows
+            x.param("c0"), weights, qs, g[None, :], short_rows, shortfall, None
         )
 
     def expected_marginal_cost(

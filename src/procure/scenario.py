@@ -64,6 +64,19 @@ def _as(kind: type, value, where: str):
         raise ConfigurationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
 
 
+def _count(value, where: str) -> int:
+    """value as a whole number, or a ConfigurationError naming the field:
+    int() alone would truncate 6.9 to 6 and read true as 1."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ConfigurationError(f"{where}: expected a whole number, got {value!r}")
+
+
 def _only(mapping: dict, allowed: set[str], where: str) -> None:
     unknown = set(mapping) - allowed
     if unknown:
@@ -77,7 +90,7 @@ def _load_weather(spec) -> WeatherModel:
         return weibull_model(
             _as(float, _require(spec, "shape", "weather"), "weather.shape"),
             _as(float, _require(spec, "mean", "weather"), "weather.mean"),
-            _as(int, spec.get("n_points", 200), "weather.n_points"),
+            _count(spec.get("n_points", 200), "weather.n_points"),
         )
     if kind == "empirical":
         _only(spec, {"kind", "samples"}, "weather")
@@ -153,7 +166,7 @@ def _load_buyer(spec) -> BuyerUtility:
 def _load_grid(spec, vprime: BuyerUtility, n_cells: Optional[int]) -> QuantityGrid:
     spec = _mapping({} if spec is None else spec, "grid")
     _only(spec, {"q_max", "n_cells"}, "grid")
-    grid_cells = _as(int, spec.get("n_cells", DEFAULT_N_CELLS), "grid.n_cells")
+    grid_cells = _count(spec.get("n_cells", DEFAULT_N_CELLS), "grid.n_cells")
     if "q_max" in spec:
         grid = QuantityGrid(q_max=_as(float, spec["q_max"], "grid.q_max"), n_cells=grid_cells)
     else:

@@ -146,6 +146,31 @@ def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "options, argv",
+    [
+        ("{exclusion_search: true, admissible: [hi]}", ["solve"]),
+        ("{exclusion_search: true}", ["solve", "--admissible", "hi"]),
+        ("{admissible: [hi]}", ["exclusion-search"]),
+    ],
+    ids=["solve-options", "solve-flag", "exclusion-search-command"],
+)
+def test_exclusion_search_with_admissible_set_exits_2(
+    scenario_dir, tmp_path, capsys, options, argv
+):
+    # the search picks the admissible set itself; it used to search every
+    # type and report them all as admissible, exit 0
+    path = tmp_path / "tiny.yaml"
+    path.write_text((scenario_dir / "tiny_oracle.yaml").read_text() + f"options: {options}\n")
+    out = tmp_path / "out"
+    rc = main([argv[0], str(path), "--out", str(out), *argv[1:]])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: exclusion search conflicts with the admissible set hi")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "mutation, fragment",
     [
         ("prior: -0.5", "negative prior"),

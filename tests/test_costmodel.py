@@ -13,6 +13,7 @@ from hypothesis import given, settings, strategies as st
 import procure
 from procure.costmodel import (
     EC_BLOCK_BYTES,
+    ROW_GROUP,
     _aligned_empty,
     SellerType,
     SimpleCostModel,
@@ -149,12 +150,28 @@ def kernel_cases():
     )
 
 
+def kernel_grids(width, most, low, top):
+    """(name, points) of each grid the kernel tests run on, for blocks of
+    width points, grids of up to most points and generation from low to
+    top. Random points leave most rows of a block to the whole integrand;
+    sorted points from 0 to top give long short and covered row ranges;
+    covered-first puts two whole blocks at or below every generation, so
+    every row of those blocks is covered; and one-point grids, which numpy
+    takes through dot instead of gemv, sit at each of 101 points from 0 to
+    top."""
+    for n in (0, 1, 2, 3, *range(width - 1, width + 4), most):
+        yield f"random-{n}", np.random.default_rng(n).uniform(0.0, 3000.0, n)
+        yield f"sorted-{n}", np.linspace(0.0, top, n)
+    yield "covered-first", np.concatenate(
+        [np.linspace(0.0, low, 2 * width), np.linspace(low, top, width + 5)]
+    )
+    for i, q in enumerate(np.linspace(0.0, top, 101)):
+        yield f"point-{i}", np.array([q])
+
+
 def blocked_kernel_mismatches():
-    """(model kind, weather, grid, points) of each case where
-    expected_cost_grid differs in any bit from one states x points product
-    over the grid. Grids are random points, which leave most rows of a
-    block to the whole integrand, and sorted points from 0 to past the
-    largest generation, which give long short and covered row ranges."""
+    """(model kind, weather, grid) of each case where expected_cost_grid
+    differs in any bit from one states x points product over the grid."""
     bad = []
     for name, weather in kernel_weathers():
         n_states = len(weather.states)
@@ -162,24 +179,43 @@ def blocked_kernel_mismatches():
         most = 20_001 if n_states < 2000 else 2001
         width = ec_block_width(n_states)
         for model, x, dense in kernel_cases():
-            top = 1.25 * float(np.max(model.generation_array(x, weather.speeds)))
-            for n in (0, 1, 2, 3, *range(width - 1, width + 4), most):
-                grids = {
-                    "random": np.random.default_rng(n).uniform(0.0, 3000.0, n),
-                    "sorted": np.linspace(0.0, top, n),
-                }
-                for grid, qs in grids.items():
-                    if not np.array_equal(
-                        model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
-                    ):
-                        bad.append((model.kind, name, grid, n))
+            g = model.generation_array(x, weather.speeds)
+            low, top = float(np.min(g)), 1.25 * float(np.max(g))
+            for grid, qs in kernel_grids(width, most, low, top):
+                if not np.array_equal(
+                    model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
+                ):
+                    bad.append((model.kind, name, grid))
     return bad
 
 
-def test_blocked_expected_cost_is_bit_identical_to_dense_product():
-    # Run in a child process with one BLAS thread: with several, gemv
-    # splits the points between threads and the dense product's bits
-    # change at the split.
+def zero_tail_mismatches():
+    """(states, points, c) of each case where the product over the first
+    r = ROW_GROUP * ceil(c / ROW_GROUP) rows (at most all of them) of a
+    states x points matrix whose rows from c on are +0 differs in any bit
+    from the product over all rows, for random non-negative weights and
+    entries. The widths are those of the blocks gemv gets from the kernel:
+    2 to 7 points, 64, and the block width with and without 3 leftover
+    points; a one-point block goes through dot and keeps all its rows."""
+    bad = []
+    for n_states in (1, 7, 15, 16, 17, 33, 200, 2000):
+        rng = np.random.default_rng(n_states)
+        weights = rng.uniform(0.0, 1.0, n_states) / n_states
+        width = ec_block_width(n_states)
+        for k in sorted({2, 3, 4, 5, 6, 7, 64, width, width + 3}):
+            b = rng.exponential(1.0, (n_states, k))
+            for c in range(n_states, -1, -1):
+                b[c:] = 0.0
+                r = min(n_states, -(-c // ROW_GROUP) * ROW_GROUP)
+                if not np.array_equal(weights[:r] @ b[:r], weights @ b):
+                    bad.append((n_states, k, c))
+    return bad
+
+
+def one_blas_thread(function):
+    """What function (a name in this module) returns, printed by a child
+    process with one BLAS thread: with several, gemv splits the points
+    between threads and the dense product's bits change at the split."""
     path = [str(Path(procure.__file__).parents[1]), str(Path(__file__).parent)]
     env = dict(
         os.environ,
@@ -188,12 +224,22 @@ def test_blocked_expected_cost_is_bit_identical_to_dense_product():
         MKL_NUM_THREADS="1",
         PYTHONPATH=os.pathsep.join(path),
     )
-    code = "import test_costmodel; print(test_costmodel.blocked_kernel_mismatches())"
+    code = f"import test_costmodel; print(test_costmodel.{function}())"
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_blocked_expected_cost_is_bit_identical_to_dense_product():
+    assert one_blas_thread("blocked_kernel_mismatches") == "[]"
+
+
+def test_products_over_rounded_up_nonzero_rows_are_bit_identical():
+    # the simple model's kernel leaves out the +0 rows past a multiple of
+    # ROW_GROUP; this pins the BLAS property it rests on
+    assert one_blas_thread("zero_tail_mismatches") == "[]"
 
 
 def test_ec_block_width():

@@ -85,6 +85,7 @@ def test_malformed_yaml_exits_2(tmp_path, capsys, text):
 TINY = TINY_YAML.format(extra="")
 HI_TYPE = "  - {id: hi, params: {c0: 3, theta_c: 1.4, gamma: 1}}"
 BUYER = "  marginal_utility: {kind: affine, intercept: 0.9, slope: 4.0e-3}"
+GRID = "grid: {q_max: 120, n_cells: 6}"
 
 
 @pytest.mark.parametrize(
@@ -98,8 +99,16 @@ BUYER = "  marginal_utility: {kind: affine, intercept: 0.9, slope: 4.0e-3}"
         ("cost_model: {kind: simple}", "cost_model: {kind: [simple]}", "cost_model.kind"),
         ("grid: {q_max: 120, n_cells: 6}", "grid: {q_max: 120, n_cells: 6}\noptions: {admissible: lo}",
          "options.admissible"),
+        (GRID, "grid: {q_max: 120, n_cells: 6.9}", "grid.n_cells"),
+        (GRID, 'grid: {q_max: 120, n_cells: "6.9"}', "grid.n_cells"),
+        (GRID, "grid: {q_max: 120, n_cells: true}", "grid.n_cells"),
+        ("n_points: 50}", "n_points: 50.5}", "weather.n_points"),
+        ("n_points: 50}", 'n_points: "50.5"}', "weather.n_points"),
+        ("n_points: 50}", "n_points: true}", "weather.n_points"),
     ],
-    ids=["type-entry", "params-list", "param-text", "breakpoint", "model-kind", "admissible-text"],
+    ids=["type-entry", "params-list", "param-text", "breakpoint", "model-kind", "admissible-text",
+         "cells-fraction", "cells-fraction-text", "cells-bool",
+         "states-fraction", "states-fraction-text", "states-bool"],
 )
 def test_wrongly_typed_field_exits_2(tmp_path, capsys, old, new, field):
     assert TINY.count(old) == 1

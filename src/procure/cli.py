@@ -64,15 +64,21 @@ def _csv_text(header: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
 
 
 def schedule_csv(schedule: PriceSchedule) -> str:
-    p = schedule.p
-    is_open = ~np.isnan(p)
-    prices = np.full(len(p) + 1, "closed", dtype=object)
-    prices[:-1][is_open] = _fmt_column(p[is_open])  # k$/MWh equals $/kWh numerically
-    prices = prices.tolist()
-    return _csv_text(
+    """One row per grid point, priced by the cell it starts; closed cells
+    and the last point read "closed". Rows 0 to n_open are formatted as
+    columns. The closed tail after them shares one template, its payment
+    formatted once: no price adds to t there. (t at n_open can differ
+    from the tail in the sign of a zero, so it stays with the columns.)"""
+    n = schedule.n_open
+    pts, t = schedule.grid.points, schedule.payments()
+    # k$/MWh equals $/kWh numerically
+    prices = _fmt_column(schedule.p[:n]) + ["closed"]
+    head = _csv_text(
         ["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"],
-        [_fmt_column(schedule.grid.points), prices, prices, _fmt_column(schedule.payments())],
+        [_fmt_column(pts[: n + 1]), prices, prices, _fmt_column(t[: n + 1])],
     )
+    tail = pts[n + 1 :].tolist()
+    return head + ("%.12g,closed,closed," + _fmt(t[-1]) + "\n") * len(tail) % tuple(tail)
 
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
@@ -137,9 +143,12 @@ def settlement_csv(table: SettlementTable) -> str:
 
 
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> None:
+    n = schedule.n_open
     if kind == "halve_prices":
-        n = schedule.n_open
         schedule.p[n // 2 : n] *= 0.5
+    elif kind == "early_close" and n > 0:
+        schedule.p[n - 1] = np.nan
+        schedule.closed_from = n - 1
 
 
 def _load(

@@ -175,7 +175,8 @@ class CostModel:
     def check_assumptions(
         self, space: TypeSpace, weather: WeatherModel, qs: np.ndarray
     ) -> np.ndarray:
-        """Hard checks of convexity and weather-free startup cost on a grid.
+        """Hard checks of finite, convex expected costs and a weather-free
+        startup cost on a grid.
 
         Returns the expected-cost rows it checked, one per type on qs, so
         that callers need not compute them again.
@@ -192,6 +193,11 @@ class CostModel:
                         f"type {x.id!r}: startup cost {v} at w={w} differs from c0={c0}"
                     )
             ec = self.expected_cost_grid(x, qs, weather)
+            bad = np.flatnonzero(~np.isfinite(ec))
+            if bad.size:
+                raise ConfigurationError(
+                    f"type {x.id!r}: expected cost {ec[bad[0]]} at q={qs[bad[0]]} is not finite"
+                )
             d = np.diff(ec)
             if np.any(d < -1e-9 * max(1.0, float(np.max(np.abs(ec))))):
                 raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")

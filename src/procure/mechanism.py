@@ -275,40 +275,43 @@ def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarra
 def price_cells(
     cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray
 ) -> tuple[np.ndarray, Optional[int]]:
-    """Pointwise-optimal price of every cell, in one pass over all cells.
+    """Pointwise-optimal price of every cell.
 
     In cell j the price maximizes survival(p) * (vbar[j] - p) over the
     candidates cbar[:, j]; survival is a step function jumping exactly at
     the candidates, so the maximum is attained at one. Survival at a
     candidate counts every type whose cost equals it, and ties break to
-    the smallest candidate. A cell is closed (NaN) when no margin is
-    profitable. Returns (p, closed_from); raises CellReopenedError when an
-    open cell follows a closed one.
+    the smallest candidate. A cell is closed (NaN) when V' lies below
+    every candidate there: priors are nonnegative and costs finite, so no
+    margin is then profitable. Closure is decided for all cells at once,
+    and only the open prefix is priced; every step works column by
+    column, so a price does not depend on the cells around it. Returns
+    (p, closed_from); raises CellReopenedError when an open cell follows
+    a closed one.
     """
-    order = np.argsort(cbar, axis=0, kind="stable")
-    cs = np.take_along_axis(cbar, order, axis=0)
-    cum = np.cumsum(priors[order], axis=0)
-    # index of the last sorted entry equal to each entry
-    n_types, n_cells = cs.shape
-    run_end = np.ones(cs.shape, dtype=bool)
-    run_end[:-1] = cs[1:] != cs[:-1]
-    last = np.where(run_end, np.arange(n_types)[:, None], n_types)
-    last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
-    obj = np.take_along_axis(cum, last, axis=0) * (vbar - cs)
-    best = np.argmax(obj, axis=0)  # first maximum: the smallest candidate
-    cells = np.arange(n_cells)
-    closed = (obj[best, cells] <= 0.0) & (vbar < cs[0])
-    p = np.where(closed, np.nan, cs[best, cells])
+    n_types, n_cells = cbar.shape
+    closed = vbar < cbar.min(axis=0)
     shut = np.flatnonzero(closed)
-    if shut.size == 0:
-        return p, None
-    closed_from = int(shut[0])
+    closed_from = int(shut[0]) if shut.size else n_cells
     if shut.size != n_cells - closed_from:
         # V' is nonincreasing and costs nondecreasing, so closure is
         # permanent unless the inputs break those assumptions.
         reopened = closed_from + int(np.argmin(closed[closed_from:]))
         raise CellReopenedError(f"cell {reopened} reopened after closure at {closed_from}")
-    return p, closed_from
+    open_cbar = cbar[:, :closed_from]
+    order = np.argsort(open_cbar, axis=0, kind="stable")
+    cs = np.take_along_axis(open_cbar, order, axis=0)
+    cum = np.cumsum(priors[order], axis=0)
+    # index of the last sorted entry equal to each entry
+    run_end = np.ones(cs.shape, dtype=bool)
+    run_end[:-1] = cs[1:] != cs[:-1]
+    last = np.where(run_end, np.arange(n_types)[:, None], n_types)
+    last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
+    obj = np.take_along_axis(cum, last, axis=0) * (vbar[:closed_from] - cs)
+    best = np.argmax(obj, axis=0)  # first maximum: the smallest candidate
+    p = np.full(n_cells, np.nan)
+    p[:closed_from] = cs[best, np.arange(closed_from)]
+    return p, (None if shut.size == 0 else closed_from)
 
 
 def build_price_schedule(inst: Instance) -> PriceSchedule:

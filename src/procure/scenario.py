@@ -15,7 +15,7 @@ from .errors import ConfigurationError
 from .mechanism import BuyerUtility, Instance, QuantityGrid, default_grid, DEFAULT_N_CELLS
 from .weather import WeatherModel, empirical_model, weibull_model
 
-CORRUPTIONS = ("halve_prices",)
+CORRUPTIONS = ("halve_prices", "early_close")
 
 # libyaml's parser where PyYAML was built with it (several times faster than
 # the pure-Python one); both build the same objects from a scenario.
@@ -57,11 +57,14 @@ def _list(value, where: str) -> list:
 
 
 def _as(kind: type, value, where: str):
-    """kind(value), or a ConfigurationError naming the field."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ConfigurationError(f"{where}: expected {kind.__name__}, got {value!r}") from None
+    """kind(value), or a ConfigurationError naming the field: a YAML
+    boolean is not a number, though float(True) is 1.0."""
+    if not isinstance(value, bool):
+        try:
+            return kind(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigurationError(f"{where}: expected {kind.__name__}, got {value!r}")
 
 
 def _count(value, where: str) -> int:
@@ -206,6 +209,12 @@ def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
     alpha = _as(float, options["alpha"], "options.alpha") if "alpha" in options else None
     if alpha is not None and not (0.0 <= alpha <= 1.0):
         raise ConfigurationError(f"options.alpha: {alpha} outside [0, 1]")
+    # bool() would read any non-empty string, "false" too, as true
+    exclusion = options.get("exclusion_search", False)
+    if not isinstance(exclusion, bool):
+        raise ConfigurationError(
+            f"options.exclusion_search: expected true or false, got {exclusion!r}"
+        )
     admissible = None
     if "admissible" in options:
         ids = _list(options["admissible"], "options.admissible")
@@ -230,6 +239,6 @@ def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
         instance=instance,
         alpha=alpha,
         admissible=admissible,
-        exclusion_search=bool(options.get("exclusion_search", False)),
+        exclusion_search=exclusion,
         corruption=corruption,
     )

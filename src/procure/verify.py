@@ -124,29 +124,41 @@ def check_identity(outcome: ContractOutcome) -> CheckResult:
 
 
 def check_pointwise(outcome: ContractOutcome) -> CheckResult:
-    """Every open cell's price is a candidate and beats all candidates.
+    """Every open cell's price is a candidate and earns at least every
+    candidate and closing; every closed cell earns closing's 0 at least.
 
-    Survival at a price counts the types whose cell cost is within 1e-15
-    of it or below. All open cells are checked at once.
+    A cell's candidates are the types' cell costs; a price earns
+    survival * (vbar - price), survival counting the types whose cell cost
+    is within 1e-15 of the price or below. Closing earns what pricing at
+    vbar earns, exactly 0. Closing a cell is beaten only where a type with
+    a positive prior costs less than vbar, so only such closed cells are
+    priced. Memory stays O(types x cells).
     """
     schedule, inst = outcome.schedule, outcome.instance
     n = schedule.n_open
     p = schedule.p[:n]
-    cbar, vbar = inst.cbar[:, :n], inst.vbar[:n]
-    near = np.abs(cbar - p) <= 1e-12 * np.maximum(1.0, np.abs(p))
+    near = np.abs(inst.cbar[:, :n] - p) <= 1e-12 * np.maximum(1.0, np.abs(p))
     missing = np.flatnonzero(~near.any(axis=0))
     if missing.size:
         return CheckResult(
             "pointwise", False, math.inf, 0.0, f"cell {missing[0]}: p not a candidate"
         )
-    # row c of prices holds candidate c, the last row the schedule's price
-    prices = np.vstack([cbar, p])
-    below = cbar[None, :, :] <= prices[:, None, :] + 1e-15
-    surv = (inst.priors[None, :, None] * below).sum(axis=1)
+    cheapest = np.min(
+        inst.cbar[:, n:], axis=0, initial=np.inf, where=inst.priors[:, None] > 0.0
+    )
+    cells = np.concatenate([np.arange(n), n + np.flatnonzero(cheapest < inst.vbar[n:])])
+    cbar, vbar = inst.cbar[:, cells], inst.vbar[cells]
+    # rows: each candidate, closing, then the schedule's choice
+    prices = np.vstack([cbar, vbar, np.concatenate([p, vbar[n:]])])
+    limit = prices + 1e-15
+    # survival at every price, adding the types' priors in type order
+    surv = inst.priors[0] * (cbar[0] <= limit)
+    for prior, costs in zip(inst.priors[1:], cbar[1:]):
+        surv += prior * (costs <= limit)
     obj = surv * (vbar - prices)
     gap = np.max(obj[:-1] - obj[-1], axis=0, initial=0.0)
     worst = float(np.max(gap, initial=0.0))
-    witness = f"cell {int(np.argmax(gap))}" if worst > 0.0 else "none"
+    witness = f"cell {cells[int(np.argmax(gap))]}" if worst > 0.0 else "none"
     tol = 1e-9 * max(1.0, float(np.max(np.abs(inst.vbar))))
     return CheckResult("pointwise", worst <= tol, worst, tol, witness)
 

@@ -27,8 +27,10 @@ from procure.costmodel import (
     power_curve,
 )
 from conftest import cdf
+from procure.cli import main
 from procure.errors import ConfigurationError, ParameterDomainError
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid
+from procure.scenario import load_scenario
 from procure.weather import WeatherModel, empirical_model, weibull_model
 
 
@@ -452,6 +454,44 @@ def test_check_assumptions_rejects_concave_plugin(weather):
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     with pytest.raises(ConfigurationError):
         concave.check_assumptions(space, weather, np.linspace(0.0, 10.0, 11))
+
+
+NAN_PLUGIN = """\
+import math
+from procure.costmodel import PluginCostModel
+
+
+def factory():
+    return PluginCostModel(
+        realized=lambda x, q, w: math.nan if q > 50 and w > 6 else x.param("c0") + q,
+        param_names=("c0",),
+        raising_params=("c0",),
+        lowering_params=(),
+    )
+"""
+
+
+def test_non_finite_expected_cost_exits_2(tmp_path, monkeypatch, capsys):
+    # the realized cost is NaN above 50 MWh in strong wind, so the expected
+    # cost is NaN from the first grid point above 50 on
+    (tmp_path / "nan_cost_plugin.py").write_text(NAN_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    path = tmp_path / "nan.yaml"
+    path.write_text(
+        "weather: {kind: weibull, shape: 3.0, mean: 5.0, n_points: 50}\n"
+        "cost_model: {kind: plugin, import: 'nan_cost_plugin:factory'}\n"
+        "types:\n  - {id: ok, params: {c0: 1}}\n  - {id: p1, params: {c0: 2}}\n"
+        "buyer: {marginal_utility: {kind: affine, intercept: 3.0, slope: 0.01}}\n"
+        "grid: {q_max: 100, n_cells: 10}\n"
+    )
+    with pytest.raises(ConfigurationError, match="^type 'ok': expected cost nan at q=60.0 is not finite$"):
+        load_scenario(path)
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "error: type 'ok': expected cost nan" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_plugin_marginal_cost_finite_difference(weather):

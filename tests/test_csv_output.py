@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from procure.cli import _csv_field, _fmt_column, _load, _solve_scenario, main
+from procure.cli import _csv_field, _fmt_column, _load, _solve_scenario, main, schedule_csv
+from procure.mechanism import PriceSchedule, QuantityGrid
 from procure.settlement import SettlementRow, _payment_at
 
 SIMPLE_YAML = """\
@@ -202,6 +203,34 @@ def test_plotdata_equals_row_wise_reference(scenario_dir, tmp_path, name):
     out = tmp_path / "plot"
     assert main(["plotdata", str(path), "--out", str(out)]) == 0
     assert _read(out) == ref_plotdata(_solve_scenario(_load(path)))
+
+
+@pytest.mark.parametrize(
+    "n_cells, closed_from",
+    [(40, None), (40, 0), (40, 17), (40, 39), (1, None), (1, 0)],
+    ids=["open", "closed-at-0", "mid-grid", "last-cell", "one-cell-open", "one-cell-closed"],
+)
+def test_schedule_csv_equals_row_wise_reference(n_cells, closed_from):
+    rng = np.random.default_rng(n_cells * 100 + (closed_from or 0))
+    grid = QuantityGrid(q_max=123.4, n_cells=n_cells)
+    p = rng.uniform(0.0, 2.0, n_cells)
+    if closed_from is not None:
+        p[closed_from:] = np.nan
+    schedule = PriceSchedule(grid=grid, p=p, t0=3.7, closed_from=closed_from)
+    assert schedule_csv(schedule) == ref_schedule_csv(schedule)
+
+
+def test_schedule_csv_keeps_the_sign_of_a_zero_payment():
+    # t = t0 + cumulative payments is -0.0 at the first closed point and
+    # +0.0 after it (-0.0 + 0.0 is +0.0): the closed rows are not all alike
+    grid = QuantityGrid(q_max=4.0, n_cells=4)
+    schedule = PriceSchedule(grid=grid, p=np.array([-0.0, np.nan, np.nan, np.nan]), t0=-0.0,
+                             closed_from=1)
+    assert schedule.payments()[1:].tolist() == [-0.0, 0.0, 0.0, 0.0]
+    text = schedule_csv(schedule)
+    assert text == ref_schedule_csv(schedule)
+    assert text.splitlines()[2:] == ["1,closed,closed,-0", "2,closed,closed,0",
+                                     "3,closed,closed,0", "4,closed,closed,0"]
 
 
 def test_quoted_ids_and_closed_schedule_are_exercised(tmp_path):

@@ -68,9 +68,15 @@ def pricing_inputs(draw):
                       min_size=n_types, max_size=n_types))
     )
     priors = np.array(draw(st.lists(PRIORS, min_size=n_types, max_size=n_types)))
+    if draw(st.booleans()):
+        # no type carries weight: every margin is 0
+        priors[:] = 0.0
     vbar = np.sort(
         np.array(draw(st.lists(COSTS, min_size=n_cells, max_size=n_cells)))
     )[::-1].copy()
+    # V' exactly at the smallest cost: open at a margin of 0
+    at_cost = draw(st.lists(st.booleans(), min_size=n_cells, max_size=n_cells))
+    vbar[at_cost] = cbar.min(axis=0)[at_cost]
     # a closed tail: marginal utility below every cost
     tail = draw(st.integers(0, n_cells))
     if tail:
@@ -85,12 +91,16 @@ def test_price_cells_matches_per_cell_reference(inputs):
     ref = [_best_cell_price(cbar[:, j], priors, float(vbar[j])) for j in range(len(vbar))]
     closed = [j for j, price in enumerate(ref) if price is None]
     if closed and closed != list(range(closed[0], len(vbar))):
-        with pytest.raises(CellReopenedError):
+        reopened = next(j for j in range(closed[0], len(vbar)) if ref[j] is not None)
+        with pytest.raises(
+            CellReopenedError, match=f"^cell {reopened} reopened after closure at {closed[0]}$"
+        ):
             price_cells(cbar, priors, vbar)
         return
     p, closed_from = price_cells(cbar, priors, vbar)
     want = np.array([np.nan if price is None else price for price in ref])
-    assert np.array_equal(p, want, equal_nan=True)
+    # the same bits, closed cells' NaN included
+    assert np.array_equal(p.view(np.int64), want.view(np.int64))
     assert closed_from == (closed[0] if closed else None)
 
 

@@ -83,6 +83,7 @@ def test_malformed_yaml_exits_2(tmp_path, capsys, text):
 
 
 TINY = TINY_YAML.format(extra="")
+LO_TYPE = "  - {id: lo, params: {c0: 2, theta_c: 1.0, gamma: 2}}"
 HI_TYPE = "  - {id: hi, params: {c0: 3, theta_c: 1.4, gamma: 1}}"
 BUYER = "  marginal_utility: {kind: affine, intercept: 0.9, slope: 4.0e-3}"
 GRID = "grid: {q_max: 120, n_cells: 6}"
@@ -105,10 +106,23 @@ GRID = "grid: {q_max: 120, n_cells: 6}"
         ("n_points: 50}", "n_points: 50.5}", "weather.n_points"),
         ("n_points: 50}", 'n_points: "50.5"}', "weather.n_points"),
         ("n_points: 50}", "n_points: true}", "weather.n_points"),
+        (GRID, GRID + '\noptions: {exclusion_search: "false"}', "options.exclusion_search"),
+        (GRID, GRID + "\noptions: {exclusion_search: 0}", "options.exclusion_search"),
+        (GRID, GRID + "\noptions: {alpha: true}", "options.alpha"),
+        (LO_TYPE + "\n" + HI_TYPE,
+         LO_TYPE.replace("params", "prior: 0.5, params") + "\n"
+         + HI_TYPE.replace("params", "prior: true, params"), "types[1].prior"),
+        ("gamma: 1}", "gamma: true}", "types[1].params.gamma"),
+        ("shape: 3.0", "shape: true", "weather.shape"),
+        ("mean: 5.0", "mean: false", "weather.mean"),
+        ("q_max: 120", "q_max: true", "grid.q_max"),
+        ("intercept: 0.9", "intercept: true", "buyer.marginal_utility.intercept"),
     ],
     ids=["type-entry", "params-list", "param-text", "breakpoint", "model-kind", "admissible-text",
          "cells-fraction", "cells-fraction-text", "cells-bool",
-         "states-fraction", "states-fraction-text", "states-bool"],
+         "states-fraction", "states-fraction-text", "states-bool",
+         "search-text", "search-number", "alpha-bool", "prior-bool", "param-bool", "shape-bool",
+         "mean-bool", "q-max-bool", "intercept-bool"],
 )
 def test_wrongly_typed_field_exits_2(tmp_path, capsys, old, new, field):
     assert TINY.count(old) == 1

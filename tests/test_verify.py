@@ -5,8 +5,9 @@ import dataclasses
 import numpy as np
 import pytest
 
-from procure.mechanism import solve
-from procure.scenario import load_scenario
+from procure.cli import main
+from procure.mechanism import QuantityGrid, solve
+from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
     check_ic,
     check_identity,
@@ -120,6 +121,69 @@ def test_pointwise_fails_on_non_candidate_price(six_outcome):
     res = check_pointwise(bad)
     assert not res.passed
     assert res.worst == np.inf
+
+
+def _with_prices(outcome, p, closed_from):
+    schedule = dataclasses.replace(outcome.schedule, p=p, closed_from=closed_from)
+    return dataclasses.replace(outcome, schedule=schedule)
+
+
+@pytest.mark.parametrize("name", ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml"])
+def test_pointwise_fails_on_early_close(scenario_dir, tmp_path, capsys, name):
+    # closing the last open cell leaves every open cell as it was, so only
+    # the check of the closed cells sees it
+    assert "early_close" in CORRUPTIONS
+    sc = load_scenario(scenario_dir / name)
+    n = solve(sc.instance).schedule.n_open
+    text = (scenario_dir / name).read_text().replace("options: {alpha: 0.5}\n", "")
+    path = tmp_path / name
+    path.write_text(text + "options: {corruption: early_close}\n")
+    assert main(["verify", str(path)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    pointwise = next(line for line in lines if line.startswith("check=pointwise "))
+    assert " status=FAIL " in pointwise
+    assert pointwise.endswith(f"witness=cell {n - 1}")
+    assert sum(" status=FAIL " in line for line in lines) == 1
+
+
+@pytest.mark.parametrize(
+    "cell_costs, priors, vbar, passed",
+    [
+        ([1.0, 2.0], [0.5, 0.5], 1.0, True),  # V' at the cheapest cost: both earn 0
+        ([1.0, 2.0], [0.5, 0.5], 1.5, False),  # pricing at 1 earns 0.25
+        ([0.5, 2.0], [0.0, 1.0], 1.5, True),  # only a type without weight costs less
+    ],
+)
+def test_pointwise_closing_against_candidates(six_outcome, cell_costs, priors, vbar, passed):
+    # cell 0 open at the cost both types share, cell 1 closed
+    inst = dataclasses.replace(
+        six_outcome.instance,
+        cbar=np.array([[1.0, cell_costs[0]], [1.0, cell_costs[1]]]),
+        priors=np.array(priors),
+        vbar=np.array([3.0, vbar]),
+    )
+    schedule = dataclasses.replace(
+        six_outcome.schedule,
+        grid=QuantityGrid(q_max=2.0, n_cells=2),
+        p=np.array([1.0, np.nan]),
+        closed_from=1,
+    )
+    res = check_pointwise(dataclasses.replace(six_outcome, schedule=schedule, instance=inst))
+    assert res.passed == passed
+    assert res.witness == ("none" if passed else "cell 1")
+
+
+def test_pointwise_counts_closing_as_a_candidate(six_outcome):
+    # the first closed cell opened at its cheapest cost: that is the best
+    # candidate, but every candidate loses there and closing earns 0
+    inst = six_outcome.instance
+    n = six_outcome.schedule.n_open
+    p = six_outcome.schedule.p.copy()
+    p[n] = np.min(inst.cbar[:, n])
+    assert p[n] > inst.vbar[n]
+    res = check_pointwise(_with_prices(six_outcome, p, n + 1))
+    assert not res.passed
+    assert res.witness == f"cell {n}"
 
 
 def test_quasi_concavity_fails_on_shifted_threshold(six_outcome):

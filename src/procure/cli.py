@@ -101,11 +101,10 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
 
 
 def outcome_csv(outcome: ContractOutcome) -> str:
-    recs = outcome.per_type
-    values = np.array([[r.q, r.payment, r.expected_cost, r.utility] for r in recs])
+    columns = (outcome.q, outcome.payment, outcome.expected_cost, outcome.utility)
     return _csv_text(
         ["type_id", "q", "payment", "expected_cost", "utility"],
-        [[_csv_field(r.type_id) for r in recs], *map(_fmt_column, values.T)],
+        [list(map(_csv_field, outcome.admissible_ids)), *map(_fmt_column, columns)],
     )
 
 
@@ -163,7 +162,7 @@ def _load(
     return sc
 
 
-def _search(sc: Scenario) -> tuple[tuple[str, ...], ContractOutcome, bool]:
+def _search(sc: Scenario) -> tuple[tuple[str, ...], ContractOutcome]:
     """exclusion_search on the scenario's instance. The search picks the
     admissible set itself, so one given by the scenario or by --admissible
     is an error rather than silently ignored."""
@@ -244,13 +243,12 @@ def cmd_plotdata(
         columns = (schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n])
         series = _csv_text(header, [_fmt_column(c) for c in columns])
     _write_atomic(out_dir / "price_series.csv", series)
-    recs = outcome.per_type
     markers = _csv_text(
         ["type_id", "q_MWh", "t_k$"],
         [
-            [_csv_field(r.type_id) for r in recs],
-            _fmt_column([r.q for r in recs]),
-            _fmt_column([r.payment for r in recs]),
+            list(map(_csv_field, outcome.admissible_ids)),
+            _fmt_column(outcome.q),
+            _fmt_column(outcome.payment),
         ],
     )
     _write_atomic(out_dir / "type_markers.csv", markers)
@@ -261,13 +259,12 @@ def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
     sc = _load(scenario_path, grid_cells)
-    ids, outcome, exhaustive = _search(sc)
+    ids, outcome = _search(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
-    mode = "exhaustive" if exhaustive else "heuristic (budget hit)"
-    print(f"best admissible set ({mode}): {','.join(ids)}")
+    print(f"best admissible set (exhaustive): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
     return 0
 

@@ -78,11 +78,15 @@ class TypeSpace:
     def __len__(self) -> int:
         return len(self.types)
 
-    def by_id(self, type_id: str) -> SellerType:
-        for t in self.types:
+    def index(self, type_id: str) -> int:
+        """Position of type_id in types: its row in every per-type array."""
+        for i, t in enumerate(self.types):
             if t.id == type_id:
-                return t
+                return i
         raise ConfigurationError(f"unknown type id {type_id!r}")
+
+    def by_id(self, type_id: str) -> SellerType:
+        return self.types[self.index(type_id)]
 
     def subset(self, ids: Sequence[str]) -> "TypeSpace":
         """Admissible subset, keeping the original (unnormalized) priors.

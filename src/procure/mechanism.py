@@ -237,35 +237,30 @@ class Instance:
         return None if self.worst is None else self.space.types[self.worst]
 
 
-@dataclass(frozen=True)
-class TypeOutcome:
-    type_id: str
-    q: float
-    payment: float
-    expected_cost: float
-    utility: float
-    threshold_q: float
-    quasi_concave: bool
-
-
-@dataclass
+@dataclass(eq=False)
 class ContractOutcome:
-    """Solved contract: per-type best responses plus aggregate buyer utility
-    computed both directly and via the survival-integral identity, and the
-    instance (admissible rows only) it was solved on."""
+    """Solved contract as columns over the rows of instance (its admissible
+    types, in order): k is every type's best-response grid index, and
+    payment, expected_cost and utility are the curves read there. The
+    buyer's utility is computed both directly and via the
+    survival-integral identity."""
 
     schedule: PriceSchedule
-    per_type: tuple[TypeOutcome, ...]
+    k: np.ndarray
+    payment: np.ndarray
+    expected_cost: np.ndarray
+    utility: np.ndarray
     buyer_utility: float
     buyer_utility_survival: float
-    admissible_ids: tuple[str, ...]
-    instance: Instance = field(repr=False, compare=False)
+    instance: Instance = field(repr=False)
 
-    def by_id(self, type_id: str) -> TypeOutcome:
-        for rec in self.per_type:
-            if rec.type_id == type_id:
-                return rec
-        raise ConfigurationError(f"no outcome for type {type_id!r}")
+    @property
+    def q(self) -> np.ndarray:
+        return self.schedule.grid.points[self.k]
+
+    @property
+    def admissible_ids(self) -> tuple[str, ...]:
+        return tuple(x.id for x in self.instance.space)
 
 
 def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarray:
@@ -344,42 +339,6 @@ def _best_points(
     return last - np.argmax(util[:, ::-1], axis=1)
 
 
-def _responses(
-    schedule: PriceSchedule,
-    types: Sequence[SellerType],
-    ec: np.ndarray,
-    cbar: np.ndarray,
-) -> tuple[TypeOutcome, ...]:
-    """Every type's global argmax of t(l) - EC(l, x) over deliverable grid
-    points, under the schedule's own anchor.
-
-    Also computes the per-cell threshold quantity (produce while the cell
-    price covers the cell's average marginal cost) and flags whether the
-    two agree within one cell (the quasi-concavity audit).
-    """
-    pts = schedule.grid.points
-    last = schedule.n_open
-    t = schedule.payments()
-    best = _best_points(schedule, ec, cbar, schedule.t0)
-    scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
-    ok = schedule.p[None, :last] >= cbar[:, :last] - 1e-12 * scale[:, None]
-    thr = np.zeros(len(ec), dtype=int)
-    if last > 0:
-        thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
-    return tuple(
-        TypeOutcome(
-            type_id=x.id,
-            q=float(pts[k]),
-            payment=float(t[k]),
-            expected_cost=float(ec[i, k]),
-            utility=float(t[k] - ec[i, k]),
-            threshold_q=float(pts[thr[i]]),
-            quasi_concave=abs(int(k) - int(thr[i])) <= 1,
-        )
-        for i, (x, k) in enumerate(zip(types, best))
-    )
-
-
 def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
     """Set and return t(0).
 
@@ -406,11 +365,12 @@ def best_response(
     schedule: PriceSchedule,
     model: CostModel,
     weather: WeatherModel,
-) -> TypeOutcome:
-    """Global argmax of t(l) - EC(l, x) over deliverable grid points, with
-    the threshold quantity and quasi-concavity flag (see _responses)."""
+) -> float:
+    """Type x's best-response quantity: the global argmax of
+    t(l) - EC(l, x) over deliverable grid points, ties to the largest."""
     ec = model.expected_cost_grid(x, schedule.grid.points, weather)[None, :]
-    return _responses(schedule, (x,), ec, np.diff(ec, axis=1) / schedule.grid.dq)[0]
+    k = _best_points(schedule, ec, np.diff(ec, axis=1) / schedule.grid.dq, schedule.t0)
+    return float(schedule.grid.points[k[0]])
 
 
 def _buyer_utility_survival(schedule: PriceSchedule, inst: Instance) -> float:
@@ -440,20 +400,20 @@ def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> Contrac
     admissible subset, when given, selects its rows of inst."""
     if admissible is not None:
         inst = inst.restrict(admissible)
-    adm = inst.space
     schedule = build_price_schedule(inst)
     anchor_payment(schedule, inst)
-    records = _responses(schedule, adm.types, inst.ec, inst.cbar)
-    direct = math.fsum(
-        x.prior_weight * (float(inst.vprime.value(rec.q)) - rec.payment)
-        for x, rec in zip(adm, records)
-    )
+    k = _best_points(schedule, inst.ec, inst.cbar, schedule.t0)
+    payment = schedule.payments()[k]
+    expected_cost = inst.ec[np.arange(len(k)), k]
+    value = inst.vprime.value(inst.grid.points[k])
     return ContractOutcome(
         schedule=schedule,
-        per_type=records,
-        buyer_utility=direct,
+        k=k,
+        payment=payment,
+        expected_cost=expected_cost,
+        utility=payment - expected_cost,
+        buyer_utility=math.fsum(inst.priors * (value - payment)),
         buyer_utility_survival=_buyer_utility_survival(schedule, inst),
-        admissible_ids=tuple(x.id for x in adm),
         instance=inst,
     )
 
@@ -480,32 +440,23 @@ def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     return out
 
 
-def exclusion_search(
-    inst: Instance, max_subsets: Optional[int] = None
-) -> tuple[tuple[str, ...], ContractOutcome, bool]:
-    """Search admissible subsets for the best buyer utility.
+def exclusion_search(inst: Instance) -> tuple[tuple[str, ...], ContractOutcome]:
+    """Search every admissible subset for the best buyer utility.
 
-    Returns (subset ids, outcome, exhaustive). The full set is always a
-    candidate and wins ties. exhaustive is False when max_subsets truncated
-    the enumeration (the result is then a heuristic). Every subset is
-    solved on rows of inst, so no expected cost is computed again.
+    Returns (subset ids, outcome). The full set is always a candidate and
+    wins ties. Every subset is solved on rows of inst, so no expected cost
+    is computed again.
     """
     n_types = len(inst.space)
-    if n_types > MAX_EXCLUSION_TYPES and max_subsets is None:
+    if n_types > MAX_EXCLUSION_TYPES:
         raise ConfigurationError(
-            f"{n_types} types exceed the enumeration limit "
-            f"({MAX_EXCLUSION_TYPES}); pass max_subsets for a budgeted search"
+            f"{n_types} types exceed the enumeration limit ({MAX_EXCLUSION_TYPES})"
         )
-    candidates = _upward_closed_subsets(inst)
-    exhaustive = True
-    if max_subsets is not None and len(candidates) > max_subsets:
-        candidates = candidates[:max_subsets]
-        exhaustive = False
     best_ids: Optional[tuple[str, ...]] = None
     best_outcome: Optional[ContractOutcome] = None
-    for ids in candidates:
+    for ids in _upward_closed_subsets(inst):
         outcome = solve(inst, admissible=ids)
         if best_outcome is None or outcome.buyer_utility > best_outcome.buyer_utility:
             best_ids, best_outcome = ids, outcome
     assert best_ids is not None and best_outcome is not None
-    return best_ids, best_outcome, exhaustive
+    return best_ids, best_outcome

@@ -8,8 +8,7 @@ payment, and hence its optimal quantity, unchanged.
 """
 from __future__ import annotations
 
-import operator
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -34,7 +33,7 @@ def expost_payment(
     base schedule; the worst type's realized profit is identically zero.
     """
     grid, pts, t = schedule.grid, schedule.grid.points, schedule.payments()
-    q_worst = outcome.by_id(worst.id).q
+    q_worst = float(outcome.q[outcome.instance.space.index(worst.id)])
     return (
         _payment_at(grid, pts, t, q)
         - _payment_at(grid, pts, t, q_worst)
@@ -56,8 +55,9 @@ def risk_payment(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
-    rec = outcome.by_id(x.id)
-    return rec.payment + alpha * (model.realized_cost(x, rec.q, w) - rec.expected_cost)
+    i = outcome.instance.space.index(x.id)
+    cost = model.realized_cost(x, float(outcome.q[i]), w)
+    return float(outcome.payment[i]) + alpha * (cost - float(outcome.expected_cost[i]))
 
 
 def _payment_at(grid: QuantityGrid, pts: np.ndarray, t: np.ndarray, q: float) -> float:
@@ -81,12 +81,12 @@ class SettlementRow:
 
 
 @dataclass(frozen=True, eq=False)
-class SettlementTable(Sequence[SettlementRow]):
+class SettlementTable:
     """Per (type, weather-state) settlement, stored as columns.
 
     type_ids and payment_base run over the types, w over the weather
-    states, and the other columns are types x states arrays. As a sequence
-    it is the rows type by type, each type through every state in order.
+    states, and the other columns are types x states arrays. Iterating
+    yields the rows type by type, each type through every state in order.
     payment_expost is None when there is no worst type.
     """
 
@@ -120,28 +120,6 @@ class SettlementTable(Sequence[SettlementRow]):
             for w_j, gen, cost, payment_expost, risk, profit in zip(w, *per_state):
                 yield SettlementRow(type_id, w_j, gen, cost, base, payment_expost, risk, profit)
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[r] for r in range(*index.indices(len(self)))]
-        r = operator.index(index)
-        if r < 0:
-            r += len(self)
-        if not 0 <= r < len(self):
-            raise IndexError(f"settlement row {index} out of range")
-        i, j = divmod(r, len(self.w))
-        return SettlementRow(
-            type_id=self.type_ids[i],
-            w=float(self.w[j]),
-            generation=float(self.generation[i, j]),
-            realized_cost=float(self.realized_cost[i, j]),
-            payment_base=float(self.payment_base[i]),
-            payment_expost=None
-            if self.payment_expost is None
-            else float(self.payment_expost[i, j]),
-            payment_risk=float(self.payment_risk[i, j]),
-            profit=float(self.profit[i, j]),
-        )
-
 
 def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
     """Per (type, weather-state) settlement of the outcome's admissible
@@ -154,26 +132,19 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
-    schedule, inst = outcome.schedule, outcome.instance
+    inst = outcome.instance
     space, model, worst = inst.space, inst.model, inst.worst_type
-    grid = schedule.grid
-    pts, t = grid.points, schedule.payments()
     speeds = inst.weather.speeds
-    recs = [outcome.by_id(x.id) for x in space]
-    base = np.array([rec.payment for rec in recs])
-    cost = np.array(
-        [model.realized_cost_array(x, rec.q, speeds) for x, rec in zip(space, recs)]
-    )
-    expected = np.array([rec.expected_cost for rec in recs])
+    q = outcome.q.tolist()
+    base = outcome.payment
+    cost = np.array([model.realized_cost_array(x, q_x, speeds) for x, q_x in zip(space, q)])
     # risk_payment: t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
-    risk = base[:, None] + alpha * (cost - expected[:, None])
+    risk = base[:, None] + alpha * (cost - outcome.expected_cost[:, None])
     expost = None
     if worst is not None:
         # expost_payment: t(q) - t(q_worst) + C(q_worst, w, worst)
-        q_worst = outcome.by_id(worst.id).q
-        t_worst = _payment_at(grid, pts, t, q_worst)
-        shift = np.array([_payment_at(grid, pts, t, rec.q) - t_worst for rec in recs])
-        expost = shift[:, None] + model.realized_cost_array(worst, q_worst, speeds)
+        shift = base - base[inst.worst]
+        expost = shift[:, None] + model.realized_cost_array(worst, q[inst.worst], speeds)
     return SettlementTable(
         type_ids=tuple(x.id for x in space),
         w=np.array(speeds, dtype=float),

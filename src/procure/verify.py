@@ -45,37 +45,28 @@ def grid_tolerance(inst: Instance) -> float:
 
 def check_ic(outcome: ContractOutcome) -> CheckResult:
     """No type gains more than tol_grid by taking another type's bundle."""
-    schedule, inst = outcome.schedule, outcome.instance
+    inst, k = outcome.instance, outcome.k
     tol = grid_tolerance(inst)
-    t = schedule.payments()
-    worst_gain = -math.inf
-    witness = "none"
-    for i, x in enumerate(inst.space):
-        rec = outcome.by_id(x.id)
-        for y in inst.space:
-            if y.id == x.id:
-                continue
-            other = outcome.by_id(y.id)
-            k = int(round(other.q / schedule.grid.dq))
-            deviation = float(t[k]) - float(inst.ec[i, k])
-            gain = deviation - rec.utility
-            if gain > worst_gain:
-                worst_gain = gain
-                witness = f"{x.id}->{y.id}"
-    if worst_gain == -math.inf:
-        worst_gain = 0.0
-        witness = "single type"
-    return CheckResult("ic", worst_gain <= tol, worst_gain, tol, witness)
+    if len(k) == 1:
+        return CheckResult("ic", 0.0 <= tol, 0.0, tol, "single type")
+    t = outcome.schedule.payments()
+    # gain[i, j]: type i's utility at type j's bundle over its own
+    gain = (t[k] - inst.ec[:, k]) - outcome.utility[:, None]
+    np.fill_diagonal(gain, -np.inf)
+    i, j = np.unravel_index(np.argmax(gain), gain.shape)
+    worst = float(gain[i, j])
+    ids = outcome.admissible_ids
+    return CheckResult("ic", worst <= tol, worst, tol, f"{ids[i]}->{ids[j]}")
 
 
 def check_vp(outcome: ContractOutcome) -> CheckResult:
     """All utilities >= -tol and the minimum utility is 0 within tol."""
     tol = grid_tolerance(outcome.instance)
-    utils = {rec.type_id: rec.utility for rec in outcome.per_type}
-    min_id = min(utils, key=utils.get)
-    min_u = utils[min_id]
-    worst = abs(min_u)
-    return CheckResult("vp", worst <= tol, worst, tol, f"min U at {min_id}")
+    i = int(np.argmin(outcome.utility))
+    worst = abs(float(outcome.utility[i]))
+    return CheckResult(
+        "vp", worst <= tol, worst, tol, f"min U at {outcome.admissible_ids[i]}"
+    )
 
 
 def check_monotone(outcome: ContractOutcome) -> CheckResult:
@@ -83,20 +74,17 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
     produces more."""
     inst = outcome.instance
     tol = grid_tolerance(inst)
+    ids, utility, q = outcome.admissible_ids, outcome.utility, outcome.q
     worst = -math.inf
     witness = "no ordered pairs"
-    for i, j in itertools.permutations(range(len(inst.space)), 2):
-        if inst.dominance[i, j] != "better":
-            continue
-        a, b = inst.space.types[i], inst.space.types[j]
-        ra, rb = outcome.by_id(a.id), outcome.by_id(b.id)
+    for i, j in np.argwhere(inst.dominance == "better"):
         for kindname, viol in (
-            ("U", rb.utility - ra.utility),
-            ("q", rb.q - ra.q),
+            ("U", utility[j] - utility[i]),
+            ("q", q[j] - q[i]),
         ):
             if viol > worst:
-                worst = viol
-                witness = f"{kindname}({a.id} better than {b.id})"
+                worst = float(viol)
+                witness = f"{kindname}({ids[i]} better than {ids[j]})"
     if worst == -math.inf:
         worst = 0.0
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
@@ -164,15 +152,20 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
 
 
 def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
-    """Global argmax vs threshold-rule quantity, within one grid cell."""
-    dq = outcome.schedule.grid.dq
-    worst = 0.0
-    witness = "none"
-    for rec in outcome.per_type:
-        gap = abs(rec.q - rec.threshold_q)
-        if gap > worst:
-            worst = gap
-            witness = rec.type_id
+    """Each type's quantity against the threshold rule on the schedule
+    under test, within one grid cell: produce through the last open cell
+    whose price covers the type's average marginal cost there."""
+    schedule, cbar = outcome.schedule, outcome.instance.cbar
+    pts, dq, last = schedule.grid.points, schedule.grid.dq, schedule.n_open
+    scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
+    ok = schedule.p[None, :last] >= cbar[:, :last] - 1e-12 * scale[:, None]
+    thr = np.zeros(len(cbar), dtype=int)
+    if last > 0:
+        thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
+    gap = np.abs(outcome.q - pts[thr])
+    i = int(np.argmax(gap))
+    worst = float(gap[i])
+    witness = outcome.admissible_ids[i] if worst > 0.0 else "none"
     return CheckResult("quasi_concavity", worst <= dq * (1 + 1e-9), worst, dq, witness)
 
 
@@ -180,10 +173,9 @@ def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
     """p equals the worst type's marginal cost up to its chosen quantity
     (within one cell). None when there is no worst type."""
     schedule, inst = outcome.schedule, outcome.instance
-    grid = schedule.grid
     if inst.worst_type is None:
         return None
-    k = int(round(outcome.by_id(inst.worst_type.id).q / grid.dq))
+    k = int(outcome.k[inst.worst])
     stop = max(0, min(k - 1, schedule.n_open))  # allow one-cell slack
     dev = float(
         np.max(np.abs(schedule.p[:stop] - inst.cbar[inst.worst, :stop]), initial=0.0)

@@ -33,6 +33,9 @@ class WeatherModel:
     def __post_init__(self) -> None:
         if not self.states:
             raise ConfigurationError("weather model needs at least one state")
+        for w, p in self.states:
+            if not (math.isfinite(w) and math.isfinite(p)):
+                raise ParameterDomainError(f"non-finite weather state w={w}, p={p}")
         prev = -math.inf
         for w, p in self.states:
             if w < 0.0:

@@ -55,7 +55,7 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
     elapsed = time.perf_counter() - start
     if elapsed > 10.0:
         failures.append(f"solve took {elapsed:.2f}s > 10s at 2000 cells")
-    if not all(rec.q > 0.0 for rec in outcome.per_type):
+    if not np.all(outcome.q > 0.0):
         failures.append("some type produces nothing")
     sched = outcome.schedule
     n = sched.n_open
@@ -83,19 +83,19 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
 def test_criterion_02_monotonicity_in_dominance(six_scenario, six_outcome, capsys):
     sc = six_scenario
     tol = grid_tolerance(sc.instance)
+    utility, q = six_outcome.utility, six_outcome.q
     failures = []
     ordered = 0
-    for a in sc.space:
-        for b in sc.space:
+    for i, a in enumerate(sc.space):
+        for j, b in enumerate(sc.space):
             if a.id == b.id:
                 continue
             if dominates(a, b, sc.model, sc.weather, sc.grid.points) != "better":
                 continue
             ordered += 1
-            ra, rb = six_outcome.by_id(a.id), six_outcome.by_id(b.id)
-            if ra.utility < rb.utility - tol:
+            if utility[i] < utility[j] - tol:
                 failures.append(f"U({a.id}) < U({b.id})")
-            if ra.q < rb.q - tol:
+            if q[i] < q[j] - tol:
                 failures.append(f"q({a.id}) < q({b.id})")
     if ordered == 0:
         failures.append("no dominance-ordered pairs found")
@@ -111,16 +111,9 @@ def test_criterion_02_monotonicity_in_dominance(six_scenario, six_outcome, capsy
 def test_criterion_03_incentive_compatibility(six_outcome, capsys):
     res = check_ic(six_outcome)
     # negative control: deflating one reported utility must trip the check
-    rec = six_outcome.by_id("a")
-    tampered = dataclasses.replace(
-        six_outcome,
-        per_type=tuple(
-            dataclasses.replace(r, utility=rec.utility - 10 * res.tol)
-            if r.type_id == "a"
-            else r
-            for r in six_outcome.per_type
-        ),
-    )
+    utility = six_outcome.utility.copy()
+    utility[six_outcome.instance.space.index("a")] -= 10 * res.tol
+    tampered = dataclasses.replace(six_outcome, utility=utility)
     control = check_ic(tampered)
     ok = res.passed and not control.passed
     _emit(
@@ -138,7 +131,7 @@ def test_criterion_04_voluntary_participation(
     tol = grid_tolerance(sc.instance)
     res = check_vp(six_outcome)
     failures = []
-    if not all(rec.utility >= -tol for rec in six_outcome.per_type):
+    if not np.all(six_outcome.utility >= -tol):
         failures.append("negative utility in six-type solve")
     if not res.passed:
         failures.append(f"min utility not 0 within tol: {res.line()}")
@@ -146,7 +139,7 @@ def test_criterion_04_voluntary_participation(
         worst_scenario.space, worst_scenario.model, worst_scenario.weather,
         worst_scenario.grid.points,
     )
-    if worst_outcome.by_id(worst.id).utility != 0.0:
+    if worst_outcome.utility[worst_scenario.space.index(worst.id)] != 0.0:
         failures.append("worst type utility not exactly zero")
     _emit(capsys, 4, "voluntary participation", not failures)
     assert not failures, failures
@@ -158,7 +151,7 @@ def test_criterion_05_expost_participation(worst_scenario, worst_outcome, capsys
     # the worst type's quantity
     sc = worst_scenario
     worst = find_worst_type(sc.space, sc.model, sc.weather, sc.grid.points)
-    q_safe = worst_outcome.by_id(worst.id).q
+    q_safe = float(worst_outcome.q[sc.space.index(worst.id)])
     failures = []
     min_profit = np.inf
     for x in sc.space:
@@ -179,9 +172,9 @@ def test_criterion_06_risk_sharing(worst_scenario, worst_outcome, capsys):
     probs = np.array(sc.weather.probs)
     speeds = sc.weather.speeds
     failures = []
-    for x in sc.space:
-        rec = worst_outcome.by_id(x.id)
-        costs = np.array([sc.model.realized_cost(x, rec.q, w) for w in speeds])
+    for i, x in enumerate(sc.space):
+        q, payment = float(worst_outcome.q[i]), float(worst_outcome.payment[i])
+        costs = np.array([sc.model.realized_cost(x, q, w) for w in speeds])
         base_var = float(probs @ (costs - probs @ costs) ** 2)
         for alpha in (0.0, 0.25, 0.5, 1.0):
             pays = np.array(
@@ -191,8 +184,8 @@ def test_criterion_06_risk_sharing(worst_scenario, worst_outcome, capsys):
                 ]
             )
             mean_pay = float(probs @ pays)
-            if abs(mean_pay - rec.payment) > 1e-9:
-                failures.append(f"{x.id} alpha={alpha}: E[payment] off by {mean_pay - rec.payment:.3g}")
+            if abs(mean_pay - payment) > 1e-9:
+                failures.append(f"{x.id} alpha={alpha}: E[payment] off by {mean_pay - payment:.3g}")
             profits = pays - costs
             var = float(probs @ (profits - probs @ profits) ** 2)
             want = (1.0 - alpha) ** 2 * base_var
@@ -200,8 +193,7 @@ def test_criterion_06_risk_sharing(worst_scenario, worst_outcome, capsys):
                 failures.append(f"{x.id} alpha={alpha}: var {var:.6g} != {want:.6g}")
         # expected payment is unchanged for every alpha, so the interim
         # problem and hence the chosen quantity are unchanged
-        again = best_response(x, worst_outcome.schedule, sc.model, sc.weather)
-        if again.q != rec.q:
+        if best_response(x, worst_outcome.schedule, sc.model, sc.weather) != q:
             failures.append(f"{x.id}: argmax moved")
     _emit(capsys, 6, "risk-sharing settlement", not failures)
     assert not failures, failures

@@ -65,10 +65,34 @@ def test_verify_exit_codes(scenario_dir):
 
 
 def test_verify_fails_on_corrupted_scenario(scenario_dir, capsys):
+    # halved prices leave the candidates (pointwise) and move the threshold
+    # quantities off the solver's (quasi_concavity, read from the schedule)
     rc = main(["verify", str(scenario_dir / "six_types_corrupted.yaml")])
     assert rc == 1
-    text = capsys.readouterr().out
-    assert "FAIL" in text
+    lines = capsys.readouterr().out.splitlines()
+    failed = {line.split()[0] for line in lines if " status=FAIL " in line}
+    assert failed == {"check=pointwise", "check=quasi_concavity"}
+
+
+@pytest.mark.parametrize(
+    "weather",
+    [
+        "{kind: empirical, samples: [3.0, .nan, 5.0]}",
+        "{kind: empirical, samples: [.inf]}",
+    ],
+)
+def test_non_finite_weather_exits_2(scenario_dir, tmp_path, capsys, weather):
+    # a NaN speed used to make every expected cost flat at c0: verify
+    # passed every check and solve priced every open cell at 0
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    head, _, rest = text.partition("weather:")
+    path = tmp_path / "bad_weather.yaml"
+    path.write_text(head + f"weather: {weather}\n" + rest.partition("\n")[2])
+    for argv in (["verify", str(path)], ["solve", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite weather state w=")
+        assert "Traceback" not in err
 
 
 def test_plotdata_outputs(scenario_dir, tmp_path):

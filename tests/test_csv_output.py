@@ -53,28 +53,30 @@ def ref_settlement_table(outcome, alpha):
     grid = schedule.grid
     pts, t = grid.points, schedule.payments()
     speeds = inst.weather.speeds
+    q, payment, expected = (
+        c.tolist() for c in (outcome.q, outcome.payment, outcome.expected_cost)
+    )
     if worst is not None:
-        q_worst = outcome.by_id(worst.id).q
+        q_worst = q[inst.worst]
         t_worst = _payment_at(grid, pts, t, q_worst)
         worst_cost = [model.realized_cost(worst, q_worst, w) for w in speeds]
     rows = []
-    for x in space:
-        rec = outcome.by_id(x.id)
+    for i, x in enumerate(space):
         if worst is not None:
-            shift = _payment_at(grid, pts, t, rec.q) - t_worst
+            shift = _payment_at(grid, pts, t, q[i]) - t_worst
             expost = [shift + c for c in worst_cost]
         else:
             expost = [None] * len(speeds)
         for w, payment_expost in zip(speeds, expost):
-            cost = model.realized_cost(x, rec.q, w)
-            risk = rec.payment + alpha * (cost - rec.expected_cost)
+            cost = model.realized_cost(x, q[i], w)
+            risk = payment[i] + alpha * (cost - expected[i])
             rows.append(
                 SettlementRow(
                     type_id=x.id,
                     w=w,
                     generation=model.generation(x, w),
                     realized_cost=cost,
-                    payment_base=rec.payment,
+                    payment_base=payment[i],
                     payment_expost=payment_expost,
                     payment_risk=risk,
                     profit=risk - cost,
@@ -97,9 +99,10 @@ def ref_schedule_csv(schedule):
 
 
 def ref_outcome_csv(outcome):
+    columns = (outcome.q, outcome.payment, outcome.expected_cost, outcome.utility)
     rows = [
-        [rec.type_id, _fmt(rec.q), _fmt(rec.payment), _fmt(rec.expected_cost), _fmt(rec.utility)]
-        for rec in outcome.per_type
+        [type_id, *(_fmt(float(c[i])) for c in columns)]
+        for i, type_id in enumerate(outcome.admissible_ids)
     ]
     return _csv_text(["type_id", "q", "payment", "expected_cost", "utility"], rows)
 
@@ -142,7 +145,10 @@ def ref_plotdata(outcome):
         series = _csv_text(["q_MWh", "p_k$_per_MWh", "t_k$"], rows)
     markers = _csv_text(
         ["type_id", "q_MWh", "t_k$"],
-        [[rec.type_id, _fmt(rec.q), _fmt(rec.payment)] for rec in outcome.per_type],
+        [
+            [type_id, _fmt(float(outcome.q[i])), _fmt(float(outcome.payment[i]))]
+            for i, type_id in enumerate(outcome.admissible_ids)
+        ],
     )
     return {"price_series.csv": series, "type_markers.csv": markers}
 

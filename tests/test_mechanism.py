@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from procure.cli import main
 from procure.costmodel import (
     PluginCostModel,
     SellerType,
@@ -22,6 +23,7 @@ from procure.mechanism import (
     price_cells,
     solve,
 )
+from procure.verify import check_quasi_concavity
 from procure.weather import WeatherModel, weibull_model
 
 
@@ -168,11 +170,11 @@ def test_anchor_single_type_extracts_everything(weather):
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=200)
     out = solve(Instance.build(space, model, weather, grid, v))
-    assert out.by_id("only").utility == pytest.approx(0.0, abs=1e-12)
+    assert out.utility[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_anchor_no_worst_type_min_utility_zero(six_outcome):
-    assert min(rec.utility for rec in six_outcome.per_type) == pytest.approx(0.0, abs=1e-12)
+    assert min(six_outcome.utility) == pytest.approx(0.0, abs=1e-12)
     assert six_outcome.schedule.t0 == 4.0
 
 
@@ -184,9 +186,10 @@ def test_best_response_unprofitable_schedule(point_weather):
     schedule = build_price_schedule(inst)
     # everything closed; seller stays at zero and collects the anchor
     anchor_payment(schedule, inst)
-    rec = best_response(space.by_id("r0"), schedule, model, point_weather)
-    assert rec.q == 0.0
-    assert rec.payment == schedule.t0
+    assert best_response(space.by_id("r0"), schedule, model, point_weather) == 0.0
+    out = solve(inst)
+    assert out.q[0] == 0.0
+    assert out.payment[0] == out.schedule.t0
 
 
 def test_best_response_tie_breaks_to_largest(point_weather):
@@ -199,9 +202,10 @@ def test_best_response_tie_breaks_to_largest(point_weather):
     inst = Instance.build(space, model, point_weather, grid, v)
     schedule = build_price_schedule(inst)
     anchor_payment(schedule, inst)
-    rec = best_response(space.by_id("r0"), schedule, model, point_weather)
-    assert rec.q == 10.0
-    assert rec.quasi_concave
+    assert best_response(space.by_id("r0"), schedule, model, point_weather) == 10.0
+    out = solve(inst)
+    assert out.q[0] == 10.0
+    assert check_quasi_concavity(out).passed
 
 
 def test_solve_single_type_first_best(weather):
@@ -225,14 +229,14 @@ def test_solve_identical_types_symmetric(weather):
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=200)
     out = solve(Instance.build(space, model, weather, grid, v))
-    r1, r2 = out.by_id("t1"), out.by_id("t2")
-    assert r1.q == r2.q
-    assert r1.payment == r2.payment
-    assert r1.utility == r2.utility
+    assert out.q[0] == out.q[1]
+    assert out.payment[0] == out.payment[1]
+    assert out.utility[0] == out.utility[1]
 
 
 def test_better_type_produces_more(six_scenario, six_outcome):
-    assert six_outcome.by_id("b").q >= six_outcome.by_id("a").q
+    index = six_outcome.instance.space.index
+    assert six_outcome.q[index("b")] >= six_outcome.q[index("a")]
 
 
 def test_admissible_subset_restricts_schedule(weather):
@@ -245,7 +249,7 @@ def test_admissible_subset_restricts_schedule(weather):
     out = solve(Instance.build(space, model, weather, grid, v), admissible=["g2"])
     assert out.admissible_ids == ("g2",)
     # with only one admissible type the surplus at the margin is extracted
-    assert out.by_id("g2").utility == pytest.approx(0.0, abs=1e-12)
+    assert out.utility[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_exclusion_search_drops_expensive_type(weather):
@@ -259,9 +263,9 @@ def test_exclusion_search_drops_expensive_type(weather):
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
     inst = Instance.build(space, model, weather, grid, v)
-    ids, outcome, exhaustive = exclusion_search(inst)
-    assert exhaustive
+    ids, outcome = exclusion_search(inst)
     assert ids == ("ok",)
+    assert outcome.admissible_ids == ids
     full = solve(inst)
     assert outcome.buyer_utility > full.buyer_utility
 
@@ -276,7 +280,7 @@ def test_exclusion_search_keeps_full_set_without_startup_costs(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
-    ids, _outcome, _ = exclusion_search(Instance.build(space, model, weather, grid, v))
+    ids, _outcome = exclusion_search(Instance.build(space, model, weather, grid, v))
     assert set(ids) == {"g1", "g2"}
 
 
@@ -285,9 +289,33 @@ def test_exclusion_search_single_type(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=100)
-    ids, _, exhaustive = exclusion_search(Instance.build(space, model, weather, grid, v))
+    ids, _ = exclusion_search(Instance.build(space, model, weather, grid, v))
     assert ids == ("only",)
-    assert exhaustive
+
+
+def test_exclusion_search_refuses_more_than_twelve_types(weather, scenario_dir, tmp_path, capsys):
+    model = SimpleCostModel()
+    space = TypeSpace(tuple(simple_type(f"t{i}", gamma=1.0 + i, prior=1 / 13) for i in range(13)))
+    v = BuyerUtility.affine(1.0, 1.5e-3)
+    grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=20)
+    with pytest.raises(ConfigurationError, match="13 types exceed the enumeration limit"):
+        exclusion_search(Instance.build(space, model, weather, grid, v))
+    types = "".join(
+        f"  - {{id: t{i}, params: {{c0: 4, theta_c: 1.2, gamma: {1 + i}}}}}\n" for i in range(13)
+    )
+    path = tmp_path / "thirteen.yaml"
+    path.write_text(
+        "weather: {kind: weibull, shape: 3.0, mean: 5.0, n_points: 20}\n"
+        "cost_model: {kind: simple}\n"
+        f"types:\n{types}"
+        "buyer:\n  marginal_utility: {kind: affine, intercept: 1.0, slope: 1.5e-3}\n"
+        "grid: {q_max: 600, n_cells: 20}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["exclusion-search", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: 13 types exceed the enumeration limit (12)\n"
+    assert not out.exists()
 
 
 def test_anchor_shift_does_not_move_argmax(worst_scenario, worst_outcome):
@@ -295,9 +323,8 @@ def test_anchor_shift_does_not_move_argmax(worst_scenario, worst_outcome):
     # quantities: t0 is an additive constant in the seller's objective
     sc = worst_scenario
     schedule = worst_outcome.schedule
-    for x in sc.space:
-        rec = best_response(x, schedule, sc.model, sc.weather)
-        assert rec.q == worst_outcome.by_id(x.id).q
+    for x, q in zip(sc.space, worst_outcome.q):
+        assert best_response(x, schedule, sc.model, sc.weather) == q
 
 
 def test_schedule_payment_monotone_while_open(six_outcome):

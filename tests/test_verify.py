@@ -1,14 +1,20 @@
 """Certification checks: each check passes on a clean solve and trips on a
-targeted tampering of the outcome."""
+targeted tampering of the outcome. The per-pair loops that check_ic,
+check_vp and check_monotone replaced are kept here as references."""
 import dataclasses
+import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from procure.cli import main
-from procure.mechanism import QuantityGrid, solve
+from procure.cli import _corrupt_schedule, main
+from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
+from procure.mechanism import BuyerUtility, Instance, QuantityGrid, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
+    CheckResult,
     check_ic,
     check_identity,
     check_monotone,
@@ -22,14 +28,99 @@ from procure.verify import (
     report_text,
     run_checks,
 )
+from procure.weather import weibull_model
 
 
 def _replace_type(outcome, type_id, **changes):
-    per_type = tuple(
-        dataclasses.replace(rec, **changes) if rec.type_id == type_id else rec
-        for rec in outcome.per_type
-    )
-    return dataclasses.replace(outcome, per_type=per_type)
+    """outcome with the named columns changed in type_id's row."""
+    i = outcome.instance.space.index(type_id)
+    columns = {}
+    for name, value in changes.items():
+        columns[name] = getattr(outcome, name).copy()
+        columns[name][i] = value
+    return dataclasses.replace(outcome, **columns)
+
+
+def _row(outcome, type_id):
+    return outcome.instance.space.index(type_id)
+
+
+def ref_check_ic(outcome):
+    """check_ic as a loop over ordered pairs of types."""
+    schedule, inst = outcome.schedule, outcome.instance
+    tol = grid_tolerance(inst)
+    t = schedule.payments()
+    q, utility = outcome.q.tolist(), outcome.utility.tolist()
+    worst_gain = -math.inf
+    witness = "none"
+    for i, x in enumerate(inst.space):
+        for j, y in enumerate(inst.space):
+            if y.id == x.id:
+                continue
+            k = int(round(q[j] / schedule.grid.dq))
+            deviation = float(t[k]) - float(inst.ec[i, k])
+            gain = deviation - utility[i]
+            if gain > worst_gain:
+                worst_gain = gain
+                witness = f"{x.id}->{y.id}"
+    if worst_gain == -math.inf:
+        worst_gain = 0.0
+        witness = "single type"
+    return CheckResult("ic", worst_gain <= tol, worst_gain, tol, witness)
+
+
+def ref_check_vp(outcome):
+    """check_vp over a dict of utilities by type id."""
+    tol = grid_tolerance(outcome.instance)
+    utils = dict(zip(outcome.admissible_ids, outcome.utility.tolist()))
+    min_id = min(utils, key=utils.get)
+    worst = abs(utils[min_id])
+    return CheckResult("vp", worst <= tol, worst, tol, f"min U at {min_id}")
+
+
+def ref_check_monotone(outcome):
+    """check_monotone as a loop over ordered pairs of types."""
+    inst = outcome.instance
+    tol = grid_tolerance(inst)
+    q, utility = outcome.q.tolist(), outcome.utility.tolist()
+    worst = -math.inf
+    witness = "no ordered pairs"
+    for i, j in itertools.permutations(range(len(inst.space)), 2):
+        if inst.dominance[i, j] != "better":
+            continue
+        a, b = inst.space.types[i], inst.space.types[j]
+        for kindname, viol in (
+            ("U", utility[j] - utility[i]),
+            ("q", q[j] - q[i]),
+        ):
+            if viol > worst:
+                worst = viol
+                witness = f"{kindname}({a.id} better than {b.id})"
+    if worst == -math.inf:
+        worst = 0.0
+    return CheckResult("monotone", worst <= tol, worst, tol, witness)
+
+
+def _deflated(outcome, i):
+    """Type i's utility lowered below what another bundle gives it."""
+    tol = grid_tolerance(outcome.instance)
+    utility = outcome.utility.copy()
+    utility[i] -= 10 * tol
+    return dataclasses.replace(outcome, utility=utility)
+
+
+def _swapped(outcome, i, j):
+    """Types i and j trade bundles and utilities."""
+    k, utility = outcome.k.copy(), outcome.utility.copy()
+    k[[i, j]] = k[[j, i]]
+    utility[[i, j]] = utility[[j, i]]
+    return dataclasses.replace(outcome, k=k, utility=utility)
+
+
+def _assert_checks_equal_references(outcome):
+    assert check_ic(outcome) == ref_check_ic(outcome)
+    assert check_vp(outcome) == ref_check_vp(outcome)
+    assert check_monotone(outcome) == ref_check_monotone(outcome)
 
 
 @pytest.fixture(scope="module")
@@ -65,12 +156,68 @@ def test_grid_tolerance_positive(six_scenario):
     assert grid_tolerance(sc.instance) > 0.0
 
 
-def test_ic_fails_on_deflated_utility(six_scenario, six_outcome):
-    sc = six_scenario
-    tol = grid_tolerance(sc.instance)
-    rec = six_outcome.by_id("a")
-    bad = _replace_type(six_outcome, "a", utility=rec.utility - 10 * tol)
-    res = check_ic(bad)
+@pytest.mark.parametrize(
+    "name", ["six_types.yaml", "simple_worst.yaml", "six_types_corrupted.yaml", "tiny_oracle.yaml"]
+)
+def test_checks_equal_row_wise_references_on_bundled(scenario_dir, name):
+    sc = load_scenario(scenario_dir / name)
+    outcome = solve(sc.instance, admissible=sc.admissible)
+    if sc.corruption is not None:
+        _corrupt_schedule(outcome.schedule, sc.corruption)
+    _assert_checks_equal_references(outcome)
+    n = len(outcome.k)
+    for i in range(n):
+        _assert_checks_equal_references(_deflated(outcome, i))
+    for i, j in itertools.combinations(range(n), 2):
+        _assert_checks_equal_references(_swapped(outcome, i, j))
+
+
+WEATHER = weibull_model(3.0, 5.0, 40)
+
+
+@st.composite
+def small_instances(draw):
+    """A tiny simple-model instance: the types' parameters sorted into a
+    dominance chain, or drawn freely so that their costs can cross."""
+    n_types = draw(st.integers(1, 4))
+    params = [
+        sorted(draw(st.lists(st.floats(lo, hi), min_size=n_types, max_size=n_types)))
+        for lo, hi in ((0.5, 5.0), (0.3, 1.5), (0.5, 3.0))
+    ]
+    if draw(st.booleans()):  # crossing costs
+        params = [draw(st.permutations(column)) for column in params]
+    else:  # a chain: t0 is the best type
+        params[2] = params[2][::-1]
+    weights = draw(st.lists(st.integers(1, 4), min_size=n_types, max_size=n_types))
+    space = TypeSpace(
+        tuple(
+            SellerType(
+                f"t{i}",
+                {"c0": params[0][i], "theta_c": params[1][i], "gamma": params[2][i]},
+                weights[i] / sum(weights),
+            )
+            for i in range(n_types)
+        )
+    )
+    vprime = BuyerUtility.affine(draw(st.floats(0.5, 2.0)), draw(st.floats(1e-3, 2e-2)))
+    grid = QuantityGrid(q_max=draw(st.floats(20.0, 200.0)), n_cells=draw(st.integers(2, 8)))
+    return Instance.build(space, SimpleCostModel(), WEATHER, grid, vprime)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances(), st.data())
+def test_checks_equal_row_wise_references_on_drawn_instances(inst, data):
+    outcome = solve(inst)
+    _assert_checks_equal_references(outcome)
+    n = len(outcome.k)
+    _assert_checks_equal_references(_deflated(outcome, data.draw(st.integers(0, n - 1))))
+    if n > 1:
+        i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        _assert_checks_equal_references(_swapped(outcome, i, j))
+
+
+def test_ic_fails_on_deflated_utility(six_outcome):
+    res = check_ic(_deflated(six_outcome, _row(six_outcome, "a")))
     assert not res.passed
     assert res.witness.startswith("a->")
 
@@ -85,23 +232,16 @@ def test_vp_fails_when_min_utility_positive(six_scenario, six_outcome):
     # leaving slack to the binding type is also a violation: min U must be 0
     sc = six_scenario
     tol = grid_tolerance(sc.instance)
-    per_type = tuple(
-        dataclasses.replace(rec, utility=rec.utility + 10 * tol)
-        for rec in six_outcome.per_type
-    )
-    bad = dataclasses.replace(six_outcome, per_type=per_type)
+    bad = dataclasses.replace(six_outcome, utility=six_outcome.utility + 10 * tol)
     res = check_vp(bad)
     assert not res.passed
 
 
 def test_monotone_fails_on_swapped_bundles(worst_outcome):
     # g2 has the larger capacity factor and must weakly out-produce g1
-    r1 = worst_outcome.by_id("g1")
-    r2 = worst_outcome.by_id("g2")
-    assert r2.q > r1.q
-    bad = _replace_type(worst_outcome, "g2", q=r1.q, utility=r1.utility)
-    bad = _replace_type(bad, "g1", q=r2.q, utility=r2.utility)
-    res = check_monotone(bad)
+    i1, i2 = _row(worst_outcome, "g1"), _row(worst_outcome, "g2")
+    assert worst_outcome.q[i2] > worst_outcome.q[i1]
+    res = check_monotone(_swapped(worst_outcome, i1, i2))
     assert not res.passed
 
 
@@ -186,10 +326,11 @@ def test_pointwise_counts_closing_as_a_candidate(six_outcome):
     assert res.witness == f"cell {n}"
 
 
-def test_quasi_concavity_fails_on_shifted_threshold(six_outcome):
-    dq = six_outcome.schedule.grid.dq
-    rec = six_outcome.by_id("c")
-    bad = _replace_type(six_outcome, "c", threshold_q=rec.q + 5 * dq)
+def test_quasi_concavity_fails_on_shifted_quantity(six_outcome):
+    # the threshold comes from the schedule; c's quantity moves 5 cells off it
+    assert check_quasi_concavity(six_outcome).passed
+    k = six_outcome.k[_row(six_outcome, "c")]
+    bad = _replace_type(six_outcome, "c", k=k + 5)
     res = check_quasi_concavity(bad)
     assert not res.passed
     assert res.witness == "c"

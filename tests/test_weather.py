@@ -69,6 +69,29 @@ def test_model_invariants_enforced():
         WeatherModel(states=((-1.0, 1.0),))
 
 
+@pytest.mark.parametrize(
+    "states",
+    [
+        ((1.0, math.nan),),
+        ((math.nan, 1.0),),
+        ((math.inf, 1.0),),
+        ((-math.inf, 1.0),),
+        ((1.0, 0.5), (2.0, math.inf)),
+        ((1.0, 0.5), (math.nan, 0.5)),
+    ],
+)
+def test_model_rejects_non_finite_states(states):
+    # a NaN probability used to pass: the sum check compared NaN
+    with pytest.raises(ParameterDomainError, match="non-finite weather state"):
+        WeatherModel(states=states)
+
+
+@pytest.mark.parametrize("samples", [[3.0, math.nan, 5.0], [math.inf], [math.nan]])
+def test_empirical_rejects_non_finite_samples(samples):
+    with pytest.raises(ParameterDomainError, match="non-finite weather state"):
+        empirical_model(samples)
+
+
 def test_expect_normalization_and_weighted_mean():
     model = WeatherModel(states=((5.0, 2.0 / 3.0), (10.0, 1.0 / 3.0)))
     assert expect(model, lambda w: 1.0) == pytest.approx(1.0, abs=1e-15)

@@ -12,6 +12,7 @@ import io
 import json
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -87,17 +88,9 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
         rows = list(csv.DictReader(fh))
     if len(rows) != grid.n_cells + 1:
         raise ProcureError(f"{path}: expected {grid.n_cells + 1} rows, got {len(rows)}")
-    p = np.full(grid.n_cells, np.nan)
-    closed_from = None
-    for k, row in enumerate(rows[:-1]):
-        cell = row["p_k$_per_MWh"]
-        if cell == "closed":
-            if closed_from is None:
-                closed_from = k
-        else:
-            p[k] = float(cell)
-    t0 = float(rows[0]["t_k$"])
-    return PriceSchedule(grid=grid, p=p, t0=t0, closed_from=closed_from)
+    cells = [row["p_k$_per_MWh"] for row in rows[:-1]]
+    p = [np.nan if cell == "closed" else float(cell) for cell in cells]
+    return PriceSchedule(grid=grid, p=p, t0=float(rows[0]["t_k$"]))
 
 
 def outcome_csv(outcome: ContractOutcome) -> str:
@@ -141,13 +134,15 @@ def settlement_csv(table: SettlementTable) -> str:
     )
 
 
-def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> None:
+def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
+    """The schedule with its prices corrupted as kind says; t0 is kept."""
     n = schedule.n_open
+    p = schedule.p.copy()
     if kind == "halve_prices":
-        schedule.p[n // 2 : n] *= 0.5
+        p[n // 2 : n] *= 0.5
     elif kind == "early_close" and n > 0:
-        schedule.p[n - 1] = np.nan
-        schedule.closed_from = n - 1
+        p[n - 1] = np.nan
+    return replace(schedule, p=p)
 
 
 def _load(
@@ -157,7 +152,7 @@ def _load(
 ) -> Scenario:
     sc = load_scenario(scenario_path, n_cells=grid_cells)
     if admissible:
-        sc.admissible = tuple(admissible.split(","))
+        sc = replace(sc, admissible=tuple(admissible.split(",")))
         sc.space.subset(sc.admissible)  # validate ids early
     return sc
 
@@ -205,14 +200,13 @@ def cmd_solve(
     admissible: Optional[str] = None,
 ) -> int:
     sc = _load(scenario_path, grid_cells, admissible)
-    if alpha is not None:
-        sc.alpha = alpha
+    alpha = sc.alpha if alpha is None else alpha
     outcome = _solve_scenario(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
-    if sc.alpha is not None:
-        table = settlement_table(outcome, sc.alpha)
+    if alpha is not None:
+        table = settlement_table(outcome, alpha)
         _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
     _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
     return 0
@@ -222,7 +216,8 @@ def cmd_verify(scenario_path: Path, grid_cells: Optional[int] = None) -> int:
     sc = _load(scenario_path, grid_cells)
     outcome = _solve_scenario(sc)
     if sc.corruption is not None:
-        _corrupt_schedule(outcome.schedule, sc.corruption)
+        # the solver's columns, certified against the corrupted schedule
+        outcome = replace(outcome, schedule=_corrupt_schedule(outcome.schedule, sc.corruption))
     results = run_checks(outcome)
     print(report_text(results))
     return 0 if all(r.passed for r in results) else 1

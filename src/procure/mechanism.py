@@ -37,8 +37,8 @@ class QuantityGrid:
     n_cells: int
 
     def __post_init__(self) -> None:
-        if self.q_max <= 0.0:
-            raise ConfigurationError(f"q_max must be positive, got {self.q_max}")
+        if not (0.0 < self.q_max < math.inf):
+            raise ConfigurationError(f"q_max must be positive and finite, got {self.q_max}")
         if self.n_cells < 1:
             raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
 
@@ -63,8 +63,8 @@ class BuyerUtility:
         if kind == "affine":
             a = float(spec["intercept"])  # type: ignore[arg-type]
             b = float(spec["slope"])  # type: ignore[arg-type]
-            if a <= 0.0 or b < 0.0:
-                raise ConfigurationError("affine V' needs intercept > 0 and slope >= 0")
+            if not (0.0 < a < math.inf and 0.0 <= b < math.inf):  # NaN fails too
+                raise ConfigurationError("affine V' needs finite intercept > 0 and slope >= 0")
             self.intercept, self.slope = a, b
         elif kind == "piecewise":
             pts = [(float(q), float(v)) for q, v in spec["breakpoints"]]  # type: ignore
@@ -72,6 +72,8 @@ class BuyerUtility:
                 raise ConfigurationError("piecewise V' needs at least two breakpoints")
             qs = [q for q, _ in pts]
             vs = [v for _, v in pts]
+            if not all(map(math.isfinite, qs + vs)):
+                raise ConfigurationError(f"piecewise V' breakpoints must be finite, got {pts}")
             if qs[0] != 0.0:
                 raise ConfigurationError("piecewise V' must start at q = 0")
             if any(b <= a for a, b in zip(qs, qs[1:])):
@@ -139,19 +141,32 @@ def default_grid(vprime: BuyerUtility, n_cells: int = DEFAULT_N_CELLS) -> Quanti
     return QuantityGrid(q_max=qz, n_cells=n_cells)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class PriceSchedule:
     """Marginal price per grid cell plus the payment anchor t(0).
 
-    p[j] prices the cell [points[j], points[j+1]); NaN marks closed cells.
-    closed_from is the first closed cell index (procurement stops there),
-    or None when every cell is open.
+    p[j] prices the cell [points[j], points[j+1]); NaN marks closed cells,
+    which must form a tail. p is read-only, and closed_from is read from it:
+    the first closed cell (procurement stops there), or None.
     """
 
     grid: QuantityGrid
     p: np.ndarray
     t0: float = 0.0
-    closed_from: Optional[int] = None
+    closed_from: Optional[int] = field(init=False)
+
+    def __post_init__(self) -> None:
+        p = np.asarray(self.p, dtype=float).view()
+        p.flags.writeable = False
+        closed = np.isnan(p)
+        closed_from = int(np.argmax(closed)) if closed.any() else None
+        if closed_from is not None and not closed[closed_from:].all():
+            # V' is nonincreasing and costs nondecreasing, so closure is
+            # permanent unless the inputs break those assumptions.
+            reopened = closed_from + int(np.argmin(closed[closed_from:]))
+            raise CellReopenedError(f"cell {reopened} reopened after closure at {closed_from}")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "closed_from", closed_from)
 
     @property
     def n_open(self) -> int:
@@ -237,7 +252,7 @@ class Instance:
         return None if self.worst is None else self.space.types[self.worst]
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ContractOutcome:
     """Solved contract as columns over the rows of instance (its admissible
     types, in order): k is every type's best-response grid index, and
@@ -267,9 +282,7 @@ def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarra
     return np.diff(vprime.value(grid.points)) / grid.dq
 
 
-def price_cells(
-    cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray
-) -> tuple[np.ndarray, Optional[int]]:
+def price_cells(cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray) -> np.ndarray:
     """Pointwise-optimal price of every cell.
 
     In cell j the price maximizes survival(p) * (vbar[j] - p) over the
@@ -279,21 +292,13 @@ def price_cells(
     the smallest candidate. A cell is closed (NaN) when V' lies below
     every candidate there: priors are nonnegative and costs finite, so no
     margin is then profitable. Closure is decided for all cells at once,
-    and only the open prefix is priced; every step works column by
-    column, so a price does not depend on the cells around it. Returns
-    (p, closed_from); raises CellReopenedError when an open cell follows
-    a closed one.
+    and only the open cells are priced; every step works column by
+    column, so a price does not depend on the cells around it. That the
+    closed cells form a tail is PriceSchedule's check.
     """
     n_types, n_cells = cbar.shape
-    closed = vbar < cbar.min(axis=0)
-    shut = np.flatnonzero(closed)
-    closed_from = int(shut[0]) if shut.size else n_cells
-    if shut.size != n_cells - closed_from:
-        # V' is nonincreasing and costs nondecreasing, so closure is
-        # permanent unless the inputs break those assumptions.
-        reopened = closed_from + int(np.argmin(closed[closed_from:]))
-        raise CellReopenedError(f"cell {reopened} reopened after closure at {closed_from}")
-    open_cbar = cbar[:, :closed_from]
+    is_open = ~(vbar < cbar.min(axis=0))
+    open_cbar = cbar.compress(is_open, axis=1)  # a mask index is slower
     order = np.argsort(open_cbar, axis=0, kind="stable")
     cs = np.take_along_axis(open_cbar, order, axis=0)
     cum = np.cumsum(priors[order], axis=0)
@@ -302,18 +307,17 @@ def price_cells(
     run_end[:-1] = cs[1:] != cs[:-1]
     last = np.where(run_end, np.arange(n_types)[:, None], n_types)
     last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
-    obj = np.take_along_axis(cum, last, axis=0) * (vbar[:closed_from] - cs)
+    obj = np.take_along_axis(cum, last, axis=0) * (vbar[is_open] - cs)
     best = np.argmax(obj, axis=0)  # first maximum: the smallest candidate
     p = np.full(n_cells, np.nan)
-    p[:closed_from] = cs[best, np.arange(closed_from)]
-    return p, (None if shut.size == 0 else closed_from)
+    p[is_open] = cs[best, np.arange(cs.shape[1])]
+    return p
 
 
 def build_price_schedule(inst: Instance) -> PriceSchedule:
     """Pointwise-optimal price for every cell; t0 is left at 0 (see
     anchor_payment)."""
-    p, closed_from = price_cells(inst.cbar, inst.priors, inst.vbar)
-    return PriceSchedule(grid=inst.grid, p=p, t0=0.0, closed_from=closed_from)
+    return PriceSchedule(grid=inst.grid, p=price_cells(inst.cbar, inst.priors, inst.vbar))
 
 
 def _best_points(
@@ -340,7 +344,7 @@ def _best_points(
 
 
 def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
-    """Set and return t(0).
+    """t(0) for the schedule's prices; the schedule is left as it is.
 
     With a worst type the anchor is its startup cost C(0, worst). Without
     one it is found a posteriori as the largest per-type deficit
@@ -356,7 +360,6 @@ def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
             [[0.0], np.cumsum(np.nan_to_num(schedule.p) * schedule.grid.dq)]
         )
         t0 = float(np.max(inst.ec[np.arange(len(idx)), idx] - cum[idx]))
-    schedule.t0 = t0
     return t0
 
 
@@ -395,13 +398,9 @@ def _buyer_utility_survival(schedule: PriceSchedule, inst: Instance) -> float:
     return total - anchor
 
 
-def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> ContractOutcome:
-    """Full pipeline: schedule, anchor, best responses, utilities. The
-    admissible subset, when given, selects its rows of inst."""
-    if admissible is not None:
-        inst = inst.restrict(admissible)
-    schedule = build_price_schedule(inst)
-    anchor_payment(schedule, inst)
+def evaluate(inst: Instance, schedule: PriceSchedule) -> ContractOutcome:
+    """Best responses of inst's types to the schedule under its own t0, and
+    the curves and buyer utilities read there."""
     k = _best_points(schedule, inst.ec, inst.cbar, schedule.t0)
     payment = schedule.payments()[k]
     expected_cost = inst.ec[np.arange(len(k)), k]
@@ -416,6 +415,14 @@ def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> Contrac
         buyer_utility_survival=_buyer_utility_survival(schedule, inst),
         instance=inst,
     )
+
+
+def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> ContractOutcome:
+    """Price, anchor, evaluate, on inst or on the admissible subset's rows."""
+    if admissible is not None:
+        inst = inst.restrict(admissible)
+    schedule = build_price_schedule(inst)
+    return evaluate(inst, replace(schedule, t0=anchor_payment(schedule, inst)))
 
 
 MAX_EXCLUSION_TYPES = 12

@@ -22,7 +22,7 @@ CORRUPTIONS = ("halve_prices", "early_close")
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Scenario:
     description: str
     weather: WeatherModel

@@ -5,6 +5,8 @@ import json
 import pytest
 
 from procure.cli import main, read_schedule_csv
+from procure.errors import CellReopenedError
+from procure.mechanism import QuantityGrid
 from procure.scenario import load_scenario
 
 TINY_YAML = """\
@@ -56,6 +58,16 @@ def test_schedule_csv_roundtrip(scenario_dir, tmp_path):
     assert schedule.grid.n_cells == sc.grid.n_cells
     assert schedule.t0 == pytest.approx(4.0, abs=1e-9)
     assert schedule.n_open > 0
+
+
+def test_read_schedule_csv_rejects_a_price_after_closure(tmp_path):
+    path = tmp_path / "schedule.csv"
+    path.write_text(
+        "q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,1,1,0\n1,closed,closed,1\n"
+        "2,0.5,0.5,1\n3,closed,closed,1\n4,closed,closed,1\n"
+    )
+    with pytest.raises(CellReopenedError, match="^cell 2 reopened after closure at 1$"):
+        read_schedule_csv(path, QuantityGrid(q_max=4.0, n_cells=4))
 
 
 def test_verify_exit_codes(scenario_dir):

@@ -187,15 +187,14 @@ def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, ar
     assert main(["solve", str(path), "--out", str(out), *args]) == 0
     opts = dict(zip(args[::2], args[1::2]))
     sc = _load(path, int(opts.get("--grid-cells", 0)) or None, opts.get("--admissible"))
-    if "--alpha" in opts:
-        sc.alpha = float(opts["--alpha"])
+    alpha = float(opts["--alpha"]) if "--alpha" in opts else sc.alpha
     outcome = _solve_scenario(sc)
     want = {
         "schedule.csv": ref_schedule_csv(outcome.schedule),
         "outcome.csv": ref_outcome_csv(outcome),
     }
-    if sc.alpha is not None:
-        want["settlement.csv"] = ref_settlement_csv(ref_settlement_table(outcome, sc.alpha))
+    if alpha is not None:
+        want["settlement.csv"] = ref_settlement_csv(ref_settlement_table(outcome, alpha))
     got = _read(out)
     got.pop("run_manifest.json")
     assert got == want
@@ -222,7 +221,8 @@ def test_schedule_csv_equals_row_wise_reference(n_cells, closed_from):
     p = rng.uniform(0.0, 2.0, n_cells)
     if closed_from is not None:
         p[closed_from:] = np.nan
-    schedule = PriceSchedule(grid=grid, p=p, t0=3.7, closed_from=closed_from)
+    schedule = PriceSchedule(grid=grid, p=p, t0=3.7)
+    assert schedule.closed_from == closed_from
     assert schedule_csv(schedule) == ref_schedule_csv(schedule)
 
 
@@ -230,8 +230,7 @@ def test_schedule_csv_keeps_the_sign_of_a_zero_payment():
     # t = t0 + cumulative payments is -0.0 at the first closed point and
     # +0.0 after it (-0.0 + 0.0 is +0.0): the closed rows are not all alike
     grid = QuantityGrid(q_max=4.0, n_cells=4)
-    schedule = PriceSchedule(grid=grid, p=np.array([-0.0, np.nan, np.nan, np.nan]), t0=-0.0,
-                             closed_from=1)
+    schedule = PriceSchedule(grid=grid, p=np.array([-0.0, np.nan, np.nan, np.nan]), t0=-0.0)
     assert schedule.payments()[1:].tolist() == [-0.0, 0.0, 0.0, 0.0]
     text = schedule_csv(schedule)
     assert text == ref_schedule_csv(schedule)

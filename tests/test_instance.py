@@ -25,6 +25,7 @@ from procure.costmodel import (
 from procure.errors import CellReopenedError, ConfigurationError, ProcureError
 from procure.mechanism import (
     Instance,
+    PriceSchedule,
     QuantityGrid,
     _upward_closed_subsets,
     exclusion_search,
@@ -89,26 +90,28 @@ def pricing_inputs(draw):
 def test_price_cells_matches_per_cell_reference(inputs):
     cbar, priors, vbar = inputs
     ref = [_best_cell_price(cbar[:, j], priors, float(vbar[j])) for j in range(len(vbar))]
+    p = price_cells(cbar, priors, vbar)
+    want = np.array([np.nan if price is None else price for price in ref])
+    # the same bits, closed cells' NaN included, reopened cells or not
+    assert np.array_equal(p.view(np.int64), want.view(np.int64))
+    grid = QuantityGrid(q_max=1.0, n_cells=len(vbar))
     closed = [j for j, price in enumerate(ref) if price is None]
     if closed and closed != list(range(closed[0], len(vbar))):
         reopened = next(j for j in range(closed[0], len(vbar)) if ref[j] is not None)
         with pytest.raises(
             CellReopenedError, match=f"^cell {reopened} reopened after closure at {closed[0]}$"
         ):
-            price_cells(cbar, priors, vbar)
+            PriceSchedule(grid=grid, p=p)
         return
-    p, closed_from = price_cells(cbar, priors, vbar)
-    want = np.array([np.nan if price is None else price for price in ref])
-    # the same bits, closed cells' NaN included
-    assert np.array_equal(p.view(np.int64), want.view(np.int64))
-    assert closed_from == (closed[0] if closed else None)
+    assert PriceSchedule(grid=grid, p=p).closed_from == (closed[0] if closed else None)
 
 
-def test_price_cells_rejects_reopened_cell():
+def test_schedule_rejects_reopened_cell():
     # one type; its cost dips back under V' after the cell at 1 closed
-    cbar = np.array([[1.0, 5.0, 1.0]])
+    p = price_cells(np.array([[1.0, 5.0, 1.0]]), np.array([1.0]), np.array([2.0, 2.0, 2.0]))
+    assert np.array_equal(p, [1.0, np.nan, 1.0], equal_nan=True)
     with pytest.raises(CellReopenedError, match="cell 2 reopened after closure at 1"):
-        price_cells(cbar, np.array([1.0]), np.array([2.0, 2.0, 2.0]))
+        PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=p)
     assert issubclass(CellReopenedError, ProcureError)
 
 

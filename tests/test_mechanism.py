@@ -1,4 +1,5 @@
 import math
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -69,6 +70,9 @@ def test_grid_invariants():
         QuantityGrid(q_max=0.0, n_cells=4)
     with pytest.raises(ConfigurationError):
         QuantityGrid(q_max=10.0, n_cells=0)
+    for q_max in (math.nan, math.inf):
+        with pytest.raises(ConfigurationError, match="finite"):
+            QuantityGrid(q_max=q_max, n_cells=4)
 
 
 def test_buyer_utility_affine():
@@ -78,6 +82,9 @@ def test_buyer_utility_affine():
     assert v.value(0.0) == 0.0
     assert v.value(10.0) == pytest.approx(10.0 - 0.005 * 100.0)
     assert v.q_zero() == pytest.approx(100.0)
+    for a, b in ((math.nan, 0.01), (math.inf, 0.01), (1.0, math.nan), (1.0, math.inf)):
+        with pytest.raises(ConfigurationError, match="finite"):
+            BuyerUtility.affine(a, b)
 
 
 def test_buyer_utility_piecewise():
@@ -88,6 +95,11 @@ def test_buyer_utility_piecewise():
     # nonincreasing is required
     with pytest.raises(ConfigurationError):
         BuyerUtility.piecewise([(0.0, 0.5), (10.0, 1.0)])
+    for bad in (math.nan, math.inf):
+        for breakpoints in ([(0.0, 1.0), (bad, 0.0)], [(0.0, 1.0), (10.0, bad)],
+                            [(0.0, bad), (10.0, 0.0)]):
+            with pytest.raises(ConfigurationError, match="finite"):
+                BuyerUtility.piecewise(breakpoints)
 
 
 def test_default_grid_uses_marginal_utility_root():
@@ -102,10 +114,8 @@ def test_default_grid_uses_marginal_utility_root():
 def one_cell_price(costs, priors, v_marg):
     """Optimal price of one cell with the given per-type marginal costs;
     None when the cell is closed."""
-    p, closed_from = price_cells(
-        np.array([[c] for c in costs]), np.array(priors), np.array([v_marg])
-    )
-    return None if closed_from == 0 else float(p[0])
+    p = price_cells(np.array([[c] for c in costs]), np.array(priors), np.array([v_marg]))
+    return None if np.isnan(p[0]) else float(p[0])
 
 
 def test_optimal_price_single_type():
@@ -178,6 +188,34 @@ def test_anchor_no_worst_type_min_utility_zero(six_outcome):
     assert six_outcome.schedule.t0 == 4.0
 
 
+def test_pipeline_objects_are_immutable(six_scenario, six_outcome):
+    schedule = six_outcome.schedule
+    with pytest.raises(ValueError, match="read-only"):
+        schedule.p[0] = 1.0
+    for obj, name in (
+        (schedule, "t0"),
+        (schedule, "closed_from"),
+        (six_outcome, "schedule"),
+        (six_outcome, "buyer_utility"),
+        (six_scenario, "alpha"),
+        (six_scenario, "admissible"),
+    ):
+        with pytest.raises(FrozenInstanceError):
+            setattr(obj, name, getattr(obj, name))
+
+
+@pytest.mark.parametrize("fixture", ["six_scenario", "worst_scenario"])
+def test_anchor_payment_leaves_the_schedule_as_it_is(request, fixture):
+    # six_types is anchored a posteriori, simple_worst at its worst type
+    inst = request.getfixturevalue(fixture).instance
+    schedule = replace(build_price_schedule(inst), t0=-1.5)
+    bits = schedule.p.tobytes()
+    t0 = anchor_payment(schedule, inst)
+    assert schedule.t0 == -1.5
+    assert schedule.p.tobytes() == bits
+    assert t0 == solve(inst).schedule.t0
+
+
 def test_best_response_unprofitable_schedule(point_weather):
     model = linear_model()
     space = rate_space(0.5, c0=1.0)
@@ -185,7 +223,7 @@ def test_best_response_unprofitable_schedule(point_weather):
     inst = Instance.build(space, model, point_weather, grid, BuyerUtility.affine(0.3, 0.0))
     schedule = build_price_schedule(inst)
     # everything closed; seller stays at zero and collects the anchor
-    anchor_payment(schedule, inst)
+    schedule = replace(schedule, t0=anchor_payment(schedule, inst))
     assert best_response(space.by_id("r0"), schedule, model, point_weather) == 0.0
     out = solve(inst)
     assert out.q[0] == 0.0
@@ -201,7 +239,7 @@ def test_best_response_tie_breaks_to_largest(point_weather):
     grid = QuantityGrid(q_max=10.0, n_cells=5)
     inst = Instance.build(space, model, point_weather, grid, v)
     schedule = build_price_schedule(inst)
-    anchor_payment(schedule, inst)
+    schedule = replace(schedule, t0=anchor_payment(schedule, inst))
     assert best_response(space.by_id("r0"), schedule, model, point_weather) == 10.0
     out = solve(inst)
     assert out.q[0] == 10.0

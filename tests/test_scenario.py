@@ -136,3 +136,36 @@ def test_wrongly_typed_field_exits_2(tmp_path, capsys, old, new, field):
     err = capsys.readouterr().err
     assert f"error: {field}: " in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("intercept: 0.9", "intercept: .nan"),
+        ("intercept: 0.9", "intercept: .inf"),
+        ("slope: 4.0e-3", "slope: .nan"),
+        ("slope: 4.0e-3", "slope: .inf"),
+        (BUYER, "  marginal_utility: {kind: piecewise, breakpoints: [[0, 1], [.nan, 0]]}"),
+        (BUYER, "  marginal_utility: {kind: piecewise, breakpoints: [[0, 1], [100, .nan]]}"),
+        (BUYER, "  marginal_utility: {kind: piecewise, breakpoints: [[0, .inf], [100, 0]]}"),
+        (BUYER, "  marginal_utility: {kind: piecewise, breakpoints: [[0, 1], [.inf, 0]]}"),
+        ("q_max: 120", "q_max: .nan"),
+        ("q_max: 120", "q_max: .inf"),
+    ],
+    ids=["intercept-nan", "intercept-inf", "slope-nan", "slope-inf", "breakpoint-q-nan",
+         "breakpoint-v-nan", "breakpoint-v-inf", "breakpoint-q-inf", "q-max-nan", "q-max-inf"],
+)
+def test_non_finite_buyer_or_grid_number_exits_2(tmp_path, capsys, old, new):
+    # NaN passes every ordered comparison that fails, so a check written as
+    # "a <= 0 is an error" lets it through to the outputs
+    assert TINY.count(old) == 1
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY.replace(old, new))
+    with pytest.raises(ConfigurationError, match="finite"):
+        load_scenario(path)
+    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "finite" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()

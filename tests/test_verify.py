@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from procure.cli import _corrupt_schedule, main
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
-from procure.mechanism import BuyerUtility, Instance, QuantityGrid, solve
+from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
     CheckResult,
@@ -163,13 +163,35 @@ def test_checks_equal_row_wise_references_on_bundled(scenario_dir, name):
     sc = load_scenario(scenario_dir / name)
     outcome = solve(sc.instance, admissible=sc.admissible)
     if sc.corruption is not None:
-        _corrupt_schedule(outcome.schedule, sc.corruption)
+        schedule = _corrupt_schedule(outcome.schedule, sc.corruption)
+        outcome = dataclasses.replace(outcome, schedule=schedule)
     _assert_checks_equal_references(outcome)
     n = len(outcome.k)
     for i in range(n):
         _assert_checks_equal_references(_deflated(outcome, i))
     for i, j in itertools.combinations(range(n), 2):
         _assert_checks_equal_references(_swapped(outcome, i, j))
+
+
+def _assert_evaluate_reproduces(outcome):
+    """evaluate on the solved schedule gives the solver's columns and
+    buyer utilities, bit for bit."""
+    again = evaluate(outcome.instance, outcome.schedule)
+    assert np.array_equal(again.k, outcome.k)
+    for name in ("payment", "expected_cost", "utility"):
+        assert np.array_equal(
+            getattr(again, name).view(np.int64), getattr(outcome, name).view(np.int64)
+        ), name
+    for name in ("buyer_utility", "buyer_utility_survival"):
+        assert getattr(again, name).hex() == getattr(outcome, name).hex(), name
+
+
+@pytest.mark.parametrize(
+    "name", ["six_types.yaml", "simple_worst.yaml", "six_types_corrupted.yaml", "tiny_oracle.yaml"]
+)
+def test_evaluate_reproduces_solve_on_bundled(scenario_dir, name):
+    sc = load_scenario(scenario_dir / name)
+    _assert_evaluate_reproduces(solve(sc.instance, admissible=sc.admissible))
 
 
 WEATHER = weibull_model(3.0, 5.0, 40)
@@ -214,6 +236,12 @@ def test_checks_equal_row_wise_references_on_drawn_instances(inst, data):
     if n > 1:
         i, j = data.draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
         _assert_checks_equal_references(_swapped(outcome, i, j))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_evaluate_reproduces_solve_on_drawn_instances(inst):
+    _assert_evaluate_reproduces(solve(inst))
 
 
 def test_ic_fails_on_deflated_utility(six_outcome):
@@ -263,8 +291,8 @@ def test_pointwise_fails_on_non_candidate_price(six_outcome):
     assert res.worst == np.inf
 
 
-def _with_prices(outcome, p, closed_from):
-    schedule = dataclasses.replace(outcome.schedule, p=p, closed_from=closed_from)
+def _with_prices(outcome, p):
+    schedule = dataclasses.replace(outcome.schedule, p=p)
     return dataclasses.replace(outcome, schedule=schedule)
 
 
@@ -306,7 +334,6 @@ def test_pointwise_closing_against_candidates(six_outcome, cell_costs, priors, v
         six_outcome.schedule,
         grid=QuantityGrid(q_max=2.0, n_cells=2),
         p=np.array([1.0, np.nan]),
-        closed_from=1,
     )
     res = check_pointwise(dataclasses.replace(six_outcome, schedule=schedule, instance=inst))
     assert res.passed == passed
@@ -321,7 +348,7 @@ def test_pointwise_counts_closing_as_a_candidate(six_outcome):
     p = six_outcome.schedule.p.copy()
     p[n] = np.min(inst.cbar[:, n])
     assert p[n] > inst.vbar[n]
-    res = check_pointwise(_with_prices(six_outcome, p, n + 1))
+    res = check_pointwise(_with_prices(six_outcome, p))
     assert not res.passed
     assert res.witness == f"cell {n}"
 

@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 
 from .costmodel import (
     CostModel,
-    PluginCostModel,
     SellerType,
     SimpleCostModel,
     TypeSpace,
@@ -43,7 +42,6 @@ __all__ = [
     "CostModel",
     "Instance",
     "ParameterDomainError",
-    "PluginCostModel",
     "PriceSchedule",
     "ProcureError",
     "QuantityGrid",

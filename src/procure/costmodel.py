@@ -9,7 +9,7 @@ exceeds q.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -53,14 +53,9 @@ class SellerType:
 
 @dataclass(frozen=True)
 class TypeSpace:
-    """Non-empty finite type set with normalized priors.
-
-    dominance_split records which parameters raise vs lower the expected
-    marginal cost; by default it is taken from the cost model.
-    """
+    """Non-empty finite type set with normalized priors."""
 
     types: tuple[SellerType, ...]
-    dominance_split: Optional[tuple[tuple[str, ...], tuple[str, ...]]] = None
 
     def __post_init__(self) -> None:
         if not self.types:
@@ -102,7 +97,6 @@ class TypeSpace:
             raise ConfigurationError(f"unknown type ids in admissible set: {sorted(missing)}")
         space = object.__new__(TypeSpace)
         object.__setattr__(space, "types", kept)
-        object.__setattr__(space, "dominance_split", self.dominance_split)
         return space
 
 
@@ -134,13 +128,14 @@ class CostModel:
     analytic expected marginal costs. Realized cost must be convex and
     nondecreasing in q for fixed (w, x), and its value at q=0 must be the
     weather-independent startup cost c0 (checked by check_assumptions).
+
+    A plugin model is a subclass that sets param_names and overrides
+    realized_cost, and generation when it has a wind part; the scalar
+    loops below serve it for the rest.
     """
 
     kind: str = "plugin"
     param_names: tuple[str, ...] = ()
-    # A5 split: parameters that raise vs lower expected marginal cost.
-    raising_params: tuple[str, ...] = ()
-    lowering_params: tuple[str, ...] = ()
 
     def validate_type(self, x: SellerType) -> None:
         for name in self.param_names:
@@ -333,8 +328,6 @@ class SimpleCostModel(CostModel):
 
     kind = "simple"
     param_names = ("c0", "theta_c", "gamma")
-    raising_params = ("c0", "theta_c")
-    lowering_params = ("gamma",)
 
     def validate_type(self, x: SellerType) -> None:
         super().validate_type(x)
@@ -396,8 +389,6 @@ class WindConventionalCostModel(CostModel):
 
     kind = "wind_conventional"
     param_names = ("c0", "theta_w", "theta_c", "v_ci", "v_r", "v_co", "gamma")
-    raising_params = ("c0", "theta_w", "theta_c", "v_ci")
-    lowering_params = ("v_r", "v_co", "gamma")
 
     def validate_type(self, x: SellerType) -> None:
         super().validate_type(x)
@@ -482,44 +473,6 @@ class WindConventionalCostModel(CostModel):
         probs = np.array(weather.probs)
         p_short = float(probs[g <= q].sum())
         return x.param("theta_w") * (1.0 - p_short) + x.param("theta_c") * p_short
-
-
-class PluginCostModel(CostModel):
-    """User-supplied realized-cost function with a declared A5 split.
-
-    The declared monotone directions and the A2 convexity/startup
-    invariants are verified numerically at load time via check_assumptions;
-    violations are hard errors.
-    """
-
-    kind = "plugin"
-
-    def __init__(
-        self,
-        realized: Callable[[SellerType, float, float], float],
-        param_names: Sequence[str],
-        raising_params: Sequence[str],
-        lowering_params: Sequence[str],
-        generation: Optional[Callable[[SellerType, float], float]] = None,
-    ) -> None:
-        declared = set(raising_params) | set(lowering_params)
-        if declared - set(param_names):
-            raise ConfigurationError("A5 split names parameters not in param_names")
-        self._realized = realized
-        self._generation = generation
-        self.param_names = tuple(param_names)
-        self.raising_params = tuple(raising_params)
-        self.lowering_params = tuple(lowering_params)
-
-    def generation(self, x: SellerType, w: float) -> float:
-        if self._generation is None:
-            return 0.0
-        return self._generation(x, w)
-
-    def realized_cost(self, x: SellerType, q: float, w: float) -> float:
-        if q < 0.0:
-            raise ParameterDomainError(f"negative quantity {q}")
-        return self._realized(x, q, w)
 
 
 BUILTIN_MODELS = {

@@ -146,8 +146,9 @@ class PriceSchedule:
     """Marginal price per grid cell plus the payment anchor t(0).
 
     p[j] prices the cell [points[j], points[j+1]); NaN marks closed cells,
-    which must form a tail. p is read-only, and closed_from is read from it:
-    the first closed cell (procurement stops there), or None.
+    which must form a tail. p is a read-only copy of the prices given, and
+    closed_from is read from it: the first closed cell (procurement stops
+    there), or None.
     """
 
     grid: QuantityGrid
@@ -156,7 +157,7 @@ class PriceSchedule:
     closed_from: Optional[int] = field(init=False)
 
     def __post_init__(self) -> None:
-        p = np.asarray(self.p, dtype=float).view()
+        p = np.array(self.p, dtype=float)
         p.flags.writeable = False
         closed = np.isnan(p)
         closed_from = int(np.argmax(closed)) if closed.any() else None
@@ -356,10 +357,8 @@ def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
         t0 = inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
     else:
         idx = _best_points(schedule, inst.ec, inst.cbar, 0.0)
-        cum = np.concatenate(
-            [[0.0], np.cumsum(np.nan_to_num(schedule.p) * schedule.grid.dq)]
-        )
-        t0 = float(np.max(inst.ec[np.arange(len(idx)), idx] - cum[idx]))
+        t = replace(schedule, t0=0.0).payments()
+        t0 = float(np.max(inst.ec[np.arange(len(idx)), idx] - t[idx]))
     return t0
 
 

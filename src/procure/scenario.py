@@ -112,7 +112,14 @@ def _load_model(spec) -> CostModel:
         mod_name, _, attr = str(target).partition(":")
         if not attr:
             raise ConfigurationError("cost_model.import: expected 'module:factory'")
-        factory = getattr(importlib.import_module(mod_name), attr)
+        try:
+            factory = getattr(importlib.import_module(mod_name), attr)
+        except (ImportError, AttributeError) as exc:
+            raise ConfigurationError(
+                f"cost_model.import: cannot import {target!r}: {exc}"
+            ) from exc
+        if not callable(factory):
+            raise ConfigurationError(f"cost_model.import: {target!r} is not callable")
         model = factory()
         if not isinstance(model, CostModel):
             raise ConfigurationError("cost_model.import: factory did not return a CostModel")

@@ -15,11 +15,11 @@ from procure.costmodel import (
     EC_BLOCK_BYTES,
     ROW_GROUP,
     _aligned_empty,
+    CostModel,
     SellerType,
     SimpleCostModel,
     TypeSpace,
     WindConventionalCostModel,
-    PluginCostModel,
     dominates,
     ec_block_width,
     find_worst_type,
@@ -433,24 +433,26 @@ def test_make_model():
 def test_check_assumptions_rejects_bad_plugin(weather):
     # realized cost that depends on the weather at q=0 violates the
     # weather-free startup requirement
-    bad = PluginCostModel(
-        realized=lambda x, q, w: x.param("c0") + 0.1 * w + q,
-        param_names=("c0",),
-        raising_params=("c0",),
-        lowering_params=(),
-    )
+    class Bad(CostModel):
+        param_names = ("c0",)
+
+        def realized_cost(self, x, q, w):
+            return x.param("c0") + 0.1 * w + q
+
+    bad = Bad()
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     with pytest.raises(ConfigurationError):
         bad.check_assumptions(space, weather, np.linspace(0.0, 10.0, 5))
 
 
 def test_check_assumptions_rejects_concave_plugin(weather):
-    concave = PluginCostModel(
-        realized=lambda x, q, w: x.param("c0") + math.sqrt(q),
-        param_names=("c0",),
-        raising_params=("c0",),
-        lowering_params=(),
-    )
+    class Concave(CostModel):
+        param_names = ("c0",)
+
+        def realized_cost(self, x, q, w):
+            return x.param("c0") + math.sqrt(q)
+
+    concave = Concave()
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     with pytest.raises(ConfigurationError):
         concave.check_assumptions(space, weather, np.linspace(0.0, 10.0, 11))
@@ -458,16 +460,14 @@ def test_check_assumptions_rejects_concave_plugin(weather):
 
 NAN_PLUGIN = """\
 import math
-from procure.costmodel import PluginCostModel
+from procure.costmodel import CostModel
 
 
-def factory():
-    return PluginCostModel(
-        realized=lambda x, q, w: math.nan if q > 50 and w > 6 else x.param("c0") + q,
-        param_names=("c0",),
-        raising_params=("c0",),
-        lowering_params=(),
-    )
+class NanCost(CostModel):
+    param_names = ("c0",)
+
+    def realized_cost(self, x, q, w):
+        return math.nan if q > 50 and w > 6 else x.param("c0") + q
 """
 
 
@@ -479,7 +479,7 @@ def test_non_finite_expected_cost_exits_2(tmp_path, monkeypatch, capsys):
     path = tmp_path / "nan.yaml"
     path.write_text(
         "weather: {kind: weibull, shape: 3.0, mean: 5.0, n_points: 50}\n"
-        "cost_model: {kind: plugin, import: 'nan_cost_plugin:factory'}\n"
+        "cost_model: {kind: plugin, import: 'nan_cost_plugin:NanCost'}\n"
         "types:\n  - {id: ok, params: {c0: 1}}\n  - {id: p1, params: {c0: 2}}\n"
         "buyer: {marginal_utility: {kind: affine, intercept: 3.0, slope: 0.01}}\n"
         "grid: {q_max: 100, n_cells: 10}\n"
@@ -497,12 +497,13 @@ def test_non_finite_expected_cost_exits_2(tmp_path, monkeypatch, capsys):
 def test_plugin_marginal_cost_finite_difference(weather):
     # a plugin's marginal cost is the instance's per-cell finite difference
     # of its expected cost
-    model = PluginCostModel(
-        realized=lambda x, q, w: x.param("c0") + 0.5 * q,
-        param_names=("c0",),
-        raising_params=("c0",),
-        lowering_params=(),
-    )
+    class HalfRate(CostModel):
+        param_names = ("c0",)
+
+        def realized_cost(self, x, q, w):
+            return x.param("c0") + 0.5 * q
+
+    model = HalfRate()
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     grid = QuantityGrid(q_max=10.0, n_cells=5)
     inst = Instance.build(space, model, weather, grid, BuyerUtility.affine(1.0, 0.1))

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from procure import mechanism
 from procure.cli import cmd_solve, cmd_verify, main
 from procure.costmodel import (
-    PluginCostModel,
+    CostModel,
     SellerType,
     SimpleCostModel,
     TypeSpace,
@@ -209,12 +209,13 @@ def test_library_solve_checks_the_cost_model(worst_scenario):
     # expected cost sqrt(q) + c0 is concave in q; only check_assumptions
     # rejects it, and a library caller builds its instance without a load
     sc = worst_scenario
-    concave = PluginCostModel(
-        realized=lambda x, q, w: x.param("c0") + q**0.5,
-        param_names=("c0",),
-        raising_params=("c0",),
-        lowering_params=(),
-    )
+    class Concave(CostModel):
+        param_names = ("c0",)
+
+        def realized_cost(self, x, q, w):
+            return x.param("c0") + q**0.5
+
+    concave = Concave()
     space = TypeSpace((SellerType("p", {"c0": 1.0}, 1.0),))
     grid = QuantityGrid(q_max=10.0, n_cells=10)
     with pytest.raises(ConfigurationError, match="not convex"):

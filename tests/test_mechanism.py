@@ -6,7 +6,7 @@ import pytest
 
 from procure.cli import main
 from procure.costmodel import (
-    PluginCostModel,
+    CostModel,
     SellerType,
     SimpleCostModel,
     TypeSpace,
@@ -15,6 +15,7 @@ from procure.errors import ConfigurationError, ParameterDomainError
 from procure.mechanism import (
     BuyerUtility,
     Instance,
+    PriceSchedule,
     QuantityGrid,
     anchor_payment,
     best_response,
@@ -28,14 +29,13 @@ from procure.verify import check_quasi_concavity
 from procure.weather import WeatherModel, weibull_model
 
 
-def linear_model():
+class LinearModel(CostModel):
     """Plugin model with constant marginal cost given by the 'rate' parameter."""
-    return PluginCostModel(
-        realized=lambda x, q, w: x.param("c0") + x.param("rate") * q,
-        param_names=("c0", "rate"),
-        raising_params=("c0", "rate"),
-        lowering_params=(),
-    )
+
+    param_names = ("c0", "rate")
+
+    def realized_cost(self, x, q, w):
+        return x.param("c0") + x.param("rate") * q
 
 
 def rate_space(*rates, c0=0.0):
@@ -152,7 +152,7 @@ def test_single_type_schedule_tracks_cost_then_closes(weather):
 
 
 def test_closed_everywhere(point_weather):
-    model = linear_model()
+    model = LinearModel()
     space = rate_space(0.9)
     v = BuyerUtility.affine(0.5, 1e-2)
     grid = QuantityGrid(q_max=50.0, n_cells=10)
@@ -204,6 +204,17 @@ def test_pipeline_objects_are_immutable(six_scenario, six_outcome):
             setattr(obj, name, getattr(obj, name))
 
 
+def test_schedule_keeps_its_own_copy_of_the_prices():
+    # a write to the caller's array would otherwise reach p behind closed_from
+    arr = np.array([1.0, 2.0, 3.0])
+    s = PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=arr)
+    payments = s.payments()
+    arr[1] = np.nan
+    assert s.p.tolist() == [1.0, 2.0, 3.0]
+    assert s.closed_from is None
+    assert np.array_equal(s.payments(), payments)
+
+
 @pytest.mark.parametrize("fixture", ["six_scenario", "worst_scenario"])
 def test_anchor_payment_leaves_the_schedule_as_it_is(request, fixture):
     # six_types is anchored a posteriori, simple_worst at its worst type
@@ -217,7 +228,7 @@ def test_anchor_payment_leaves_the_schedule_as_it_is(request, fixture):
 
 
 def test_best_response_unprofitable_schedule(point_weather):
-    model = linear_model()
+    model = LinearModel()
     space = rate_space(0.5, c0=1.0)
     grid = QuantityGrid(q_max=10.0, n_cells=5)
     inst = Instance.build(space, model, point_weather, grid, BuyerUtility.affine(0.3, 0.0))
@@ -233,7 +244,7 @@ def test_best_response_unprofitable_schedule(point_weather):
 def test_best_response_tie_breaks_to_largest(point_weather):
     # flat price equal to the only type's marginal cost: the seller is
     # indifferent on every open cell and the tie goes to the largest q
-    model = linear_model()
+    model = LinearModel()
     space = rate_space(0.5)
     v = BuyerUtility.affine(0.5, 0.0)
     grid = QuantityGrid(q_max=10.0, n_cells=5)

@@ -169,3 +169,70 @@ def test_non_finite_buyer_or_grid_number_exits_2(tmp_path, capsys, old, new):
     assert "finite" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+SQRT_WIND_PLUGIN = """\
+import math
+from procure.costmodel import CostModel
+
+
+class SqrtWind(CostModel):
+    param_names = ("c0", "gamma")
+
+    def generation(self, x, w):
+        return x.param("gamma") * math.sqrt(w)
+
+    def realized_cost(self, x, q, w):
+        return x.param("c0") + 1.3 * max(q - self.generation(x, w), 0.0)
+"""
+
+PLUGIN_YAML = """\
+weather: {{kind: weibull, shape: 3.0, mean: 5.0, n_points: 30}}
+cost_model: {{kind: plugin, import: '{target}'}}
+types:
+  - {{id: p1, params: {{c0: 1, gamma: 1}}}}
+  - {{id: p2, params: {{c0: 1, gamma: 2}}}}
+buyer: {{marginal_utility: {{kind: affine, intercept: 1.0, slope: 0.05}}}}
+grid: {{q_max: 8, n_cells: 40}}
+"""
+
+
+def _plugin_scenario(tmp_path, monkeypatch, target):
+    (tmp_path / "sqrt_wind_plugin.py").write_text(SQRT_WIND_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    path = tmp_path / "plugin.yaml"
+    path.write_text(PLUGIN_YAML.format(target=target))
+    return path
+
+
+def test_subclass_plugin_runs_end_to_end(tmp_path, monkeypatch, capsys):
+    path = _plugin_scenario(tmp_path, monkeypatch, "sqrt_wind_plugin:SqrtWind")
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out), "--alpha", "0.5"]) == 0
+    sc = load_scenario(path)
+    expected = [
+        f"{sc.model.generation(x, w):.12g}" for x in sc.space for w in sc.weather.speeds
+    ]
+    lines = (out / "settlement.csv").read_text().splitlines()
+    column = lines[0].split(",").index("g_w")
+    assert [line.split(",")[column] for line in lines[1:]] == expected
+    assert main(["verify", str(path)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "target",
+    ["no_such_mod:factory", "sqrt_wind_plugin:missing", "sqrt_wind_plugin:math"],
+    ids=["no-module", "no-factory", "not-callable"],
+)
+def test_plugin_import_error_exits_2(tmp_path, monkeypatch, capsys, target):
+    # unchecked, these escape as ModuleNotFoundError, AttributeError and
+    # TypeError (a module is not callable): a traceback and exit 1
+    path = _plugin_scenario(tmp_path, monkeypatch, target)
+    with pytest.raises(ConfigurationError, match="^cost_model.import: "):
+        load_scenario(path)
+    rc = main(["verify", str(path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "error: cost_model.import: " in err and repr(target) in err
+    assert "Traceback" not in err

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import expect
-from procure.costmodel import PluginCostModel, SellerType, TypeSpace, find_worst_type
+from procure.costmodel import CostModel, SellerType, TypeSpace, find_worst_type
 from procure.errors import ParameterDomainError
 from procure.settlement import expost_payment, risk_payment, settlement_table
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, solve
@@ -191,17 +191,21 @@ def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome)
         settlement_table(worst_outcome, alpha=1.5)
 
 
+class SqrtWindModel(CostModel):
+    """Plugin model with a wind part: gamma*sqrt(w) free, the rest at 1.3."""
+
+    param_names = ("c0", "gamma")
+
+    def generation(self, x, w):
+        return x.param("gamma") * math.sqrt(w)
+
+    def realized_cost(self, x, q, w):
+        return x.param("c0") + 1.3 * max(q - x.param("gamma") * math.sqrt(w), 0.0)
+
+
 def _plugin_case():
     # a plugin model with a wind part, solved on a small grid
-    model = PluginCostModel(
-        realized=lambda x, q, w: (
-            x.param("c0") + 1.3 * max(q - x.param("gamma") * math.sqrt(w), 0.0)
-        ),
-        param_names=("c0", "gamma"),
-        raising_params=("c0",),
-        lowering_params=("gamma",),
-        generation=lambda x, w: x.param("gamma") * math.sqrt(w),
-    )
+    model = SqrtWindModel()
     space = TypeSpace(
         (
             SellerType("p1", {"c0": 1.0, "gamma": 1.0}, 0.5),

@@ -1,7 +1,8 @@
 """Command-line entry points: solve, verify, plotdata, exclusion-search.
 
-All outputs are deterministic: fixed 12-significant-digit floats, LF line
-endings, atomic write-then-rename, no timestamps or locale dependence.
+All outputs are deterministic: every float as '%.12g' formats it, UTF-8,
+LF line endings, atomic write-then-rename, no timestamps or locale
+dependence.
 """
 from __future__ import annotations
 
@@ -14,11 +15,12 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from . import __version__
+from .csvfmt import csv_chunks, format_g12
 from .errors import ConfigurationError, ProcureError
 from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, exclusion_search, solve
 from .scenario import Scenario, load_scenario
@@ -30,20 +32,6 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _fmt_column(a) -> list[str]:
-    """_fmt of every element of a float array, in C order.
-
-    Each distinct value is formatted once; values are told apart by their
-    bit pattern, so -0.0 and 0.0 (and NaNs) each keep their own text.
-    """
-    a = np.ascontiguousarray(a, dtype=float).reshape(-1)
-    bits, inverse = np.unique(a.view(np.int64), return_inverse=True)
-    values = bits.view(float).tolist()
-    # one % operation for all values; "%.12g" % x is _fmt(x) for every float
-    text = np.array(("%.12g\n" * len(values) % tuple(values)).split("\n")[:-1], dtype=object)
-    return text[inverse].tolist()
-
-
 def _csv_field(s: str) -> str:
     """s as csv.writer writes it among other fields of a row: quoted when
     it holds a comma, a quote or a line break."""
@@ -52,39 +40,42 @@ def _csv_field(s: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _write_atomic(path: Path, text: str) -> None:
+def _id_fields(ids: Sequence[str]) -> np.ndarray:
+    """The type ids as CSV fields, UTF-8 encoded in a bytes array."""
+    return np.array([_csv_field(i).encode("utf-8") for i in ids], dtype="S")
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, newline="\n")
+    tmp.write_bytes(data)
     os.replace(tmp, path)
 
 
-def _csv_text(header: Sequence[str], columns: Sequence[Sequence[str]]) -> str:
-    """A header line and one line per row of equal-length columns of
-    already formatted fields; LF line endings."""
-    return "\n".join([",".join(header), *map(",".join, zip(*columns))]) + "\n"
+def _schedule_chunks(schedule: PriceSchedule) -> Iterator[bytes]:
+    n = schedule.n_open
+    pts, t = schedule.grid.points, schedule.payments()
+    p = schedule.p[:n]
+    closed = np.array([b"closed"])
+    # k$/MWh equals $/kWh numerically
+    yield b"q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n"
+    yield from csv_chunks([pts[:n], p, p, t[:n]])
+    yield from csv_chunks([pts[n : n + 1], closed, closed, t[n : n + 1]])
+    # no price adds to t after point n, so t[n + 1:] repeats t[-1]; t[n]
+    # can differ from it in the sign of a zero
+    if n + 1 < len(t):
+        yield from csv_chunks([pts[n + 1 :], closed, closed, format_g12(t[-1:])])
 
 
 def schedule_csv(schedule: PriceSchedule) -> str:
     """One row per grid point, priced by the cell it starts; closed cells
-    and the last point read "closed". Rows 0 to n_open are formatted as
-    columns. The closed tail after them shares one template, its payment
-    formatted once: no price adds to t there. (t at n_open can differ
-    from the tail in the sign of a zero, so it stays with the columns.)"""
-    n = schedule.n_open
-    pts, t = schedule.grid.points, schedule.payments()
-    # k$/MWh equals $/kWh numerically
-    prices = _fmt_column(schedule.p[:n]) + ["closed"]
-    head = _csv_text(
-        ["q_MWh", "p_k$_per_MWh", "p_$_per_kWh", "t_k$"],
-        [_fmt_column(pts[: n + 1]), prices, prices, _fmt_column(t[: n + 1])],
-    )
-    tail = pts[n + 1 :].tolist()
-    return head + ("%.12g,closed,closed," + _fmt(t[-1]) + "\n") * len(tail) % tuple(tail)
+    and the last point read "closed". Text rather than bytes, unlike the
+    other outputs: perfbench/selftest.py edits it to inject a fault."""
+    return b"".join(_schedule_chunks(schedule)).decode("utf-8")
 
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     """Rebuild a PriceSchedule from schedule.csv (round-trip support)."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         rows = list(csv.DictReader(fh))
     if len(rows) != grid.n_cells + 1:
         raise ProcureError(f"{path}: expected {grid.n_cells + 1} rows, got {len(rows)}")
@@ -93,45 +84,33 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     return PriceSchedule(grid=grid, p=p, t0=float(rows[0]["t_k$"]))
 
 
-def outcome_csv(outcome: ContractOutcome) -> str:
+def outcome_csv(outcome: ContractOutcome) -> bytes:
     columns = (outcome.q, outcome.payment, outcome.expected_cost, outcome.utility)
-    return _csv_text(
-        ["type_id", "q", "payment", "expected_cost", "utility"],
-        [list(map(_csv_field, outcome.admissible_ids)), *map(_fmt_column, columns)],
+    return b"".join(
+        [
+            b"type_id,q,payment,expected_cost,utility\n",
+            *csv_chunks([_id_fields(outcome.admissible_ids), *columns]),
+        ]
     )
 
 
-def settlement_csv(table: SettlementTable) -> str:
-    n_states = len(table.w)
-    # type_id and payment_base hold one field per type, repeated over its states
-    ids = [cell for cell in map(_csv_field, table.type_ids) for _ in range(n_states)]
-    base = [cell for cell in _fmt_column(table.payment_base) for _ in range(n_states)]
-    if table.payment_expost is None:
-        expost = [""] * len(table)
-    else:
-        expost = _fmt_column(table.payment_expost)
-    return _csv_text(
-        [
-            "type_id",
-            "w",
-            "g_w",
-            "realized_cost",
-            "payment_base",
-            "payment_expost",
-            "payment_risk_alpha",
-            "profit",
-        ],
-        [
-            ids,
-            _fmt_column(table.w) * len(table.type_ids),
-            _fmt_column(table.generation),
-            _fmt_column(table.realized_cost),
-            base,
-            expost,
-            _fmt_column(table.payment_risk),
-            _fmt_column(table.profit),
-        ],
-    )
+def settlement_csv(table: SettlementTable) -> bytes:
+    """Type by type, one row per weather state; w and payment_base are
+    formatted once."""
+    n_types, n_states = table.generation.shape
+    expost = table.payment_expost
+    columns = [
+        np.repeat(_id_fields(table.type_ids), n_states),
+        np.tile(format_g12(table.w), (n_types, 1)),
+        table.generation.ravel(),
+        table.realized_cost.ravel(),
+        np.repeat(format_g12(table.payment_base), n_states, axis=0),
+        np.array([b""]) if expost is None else expost.ravel(),
+        table.payment_risk.ravel(),
+        table.profit.ravel(),
+    ]
+    header = b"type_id,w,g_w,realized_cost,payment_base,payment_expost,payment_risk_alpha,profit\n"
+    return b"".join([header, *csv_chunks(columns)])
 
 
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
@@ -176,7 +155,7 @@ def _solve_scenario(sc: Scenario) -> ContractOutcome:
     return solve(sc.instance, admissible=sc.admissible)
 
 
-def _manifest(scenario_path: Path, outcome: ContractOutcome) -> str:
+def _manifest(scenario_path: Path, outcome: ContractOutcome) -> bytes:
     digest = hashlib.sha256(scenario_path.read_bytes()).hexdigest()
     grid = outcome.instance.grid
     data = {
@@ -189,7 +168,7 @@ def _manifest(scenario_path: Path, outcome: ContractOutcome) -> str:
         "buyer_utility_survival": outcome.buyer_utility_survival,
         "t0": outcome.schedule.t0,
     }
-    return json.dumps(data, indent=2, sort_keys=True) + "\n"
+    return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def cmd_solve(
@@ -203,7 +182,7 @@ def cmd_solve(
     alpha = sc.alpha if alpha is None else alpha
     outcome = _solve_scenario(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
+    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule).encode("utf-8"))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     if alpha is not None:
         table = settlement_table(outcome, alpha)
@@ -231,22 +210,14 @@ def cmd_plotdata(
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = outcome.schedule
     n = schedule.n_open
-    header = ["q_MWh", "p_k$_per_MWh", "t_k$"]
+    series = [b"q_MWh,p_k$_per_MWh,t_k$\n"]
     if n == 0:
-        series = "# schedule closed at q=0; no open quantity range\n" + _csv_text(header, [])
+        series.insert(0, b"# schedule closed at q=0; no open quantity range\n")
     else:
-        columns = (schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n])
-        series = _csv_text(header, [_fmt_column(c) for c in columns])
-    _write_atomic(out_dir / "price_series.csv", series)
-    markers = _csv_text(
-        ["type_id", "q_MWh", "t_k$"],
-        [
-            list(map(_csv_field, outcome.admissible_ids)),
-            _fmt_column(outcome.q),
-            _fmt_column(outcome.payment),
-        ],
-    )
-    _write_atomic(out_dir / "type_markers.csv", markers)
+        series += csv_chunks([schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n]])
+    _write_atomic(out_dir / "price_series.csv", b"".join(series))
+    markers = csv_chunks([_id_fields(outcome.admissible_ids), outcome.q, outcome.payment])
+    _write_atomic(out_dir / "type_markers.csv", b"".join([b"type_id,q_MWh,t_k$\n", *markers]))
     return 0
 
 
@@ -256,7 +227,7 @@ def cmd_exclusion_search(
     sc = _load(scenario_path, grid_cells)
     ids, outcome = _search(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule))
+    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule).encode("utf-8"))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
     print(f"best admissible set (exhaustive): {','.join(ids)}")
@@ -291,6 +262,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     p_excl.add_argument("--out", type=Path, default=Path("out"))
 
     args = parser.parse_args(argv)
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        # type ids are printed as the files are written, whatever the locale
+        sys.stdout.reconfigure(encoding="utf-8")
     try:
         if args.command == "solve":
             return cmd_solve(

@@ -114,13 +114,6 @@ def power_curve(x: SellerType, w: float) -> float:
     return gamma * v_r**3
 
 
-def _cubes(speeds: Sequence[float]) -> np.ndarray:
-    """w**3 for each speed through Python's float power (libm pow), as the
-    scalar cost formulas compute it. numpy's vectorized power can round
-    differently in the last bit, which would change the settlement bytes."""
-    return np.array([w**3 for w in speeds], dtype=float)
-
-
 class CostModel:
     """Maps (quantity, weather, type) to realized cost.
 
@@ -150,15 +143,17 @@ class CostModel:
     def realized_cost(self, x: SellerType, q: float, w: float) -> float:
         raise NotImplementedError
 
-    def generation_array(self, x: SellerType, speeds: Sequence[float]) -> np.ndarray:
-        """generation(x, w) at each speed, bit for bit."""
-        return np.array([self.generation(x, w) for w in speeds], dtype=float)
+    def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
+        """generation(x, w) at each state's speed, bit for bit."""
+        return np.array([self.generation(x, w) for w in weather.speeds], dtype=float)
 
     def realized_cost_array(
-        self, x: SellerType, q: float, speeds: Sequence[float]
+        self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
     ) -> np.ndarray:
-        """realized_cost(x, q, w) at each speed, bit for bit."""
-        return np.array([self.realized_cost(x, q, w) for w in speeds], dtype=float)
+        """realized_cost(x, q, w) at each state's speed, bit for bit, given
+        generation = generation_array(x, weather); the built-in models read
+        it rather than computing it again."""
+        return np.array([self.realized_cost(x, q, w) for w in weather.speeds], dtype=float)
 
     def expected_cost(self, x: SellerType, q: float, weather: WeatherModel) -> float:
         if q < 0.0:
@@ -342,21 +337,21 @@ class SimpleCostModel(CostModel):
             raise ParameterDomainError(f"negative quantity {q}")
         return x.param("c0") + x.param("theta_c") * max(q - self.generation(x, w), 0.0)
 
-    def generation_array(self, x: SellerType, speeds: Sequence[float]) -> np.ndarray:
-        return x.param("gamma") * _cubes(speeds)
+    def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
+        return x.param("gamma") * weather.cubes
 
     def realized_cost_array(
-        self, x: SellerType, q: float, speeds: Sequence[float]
+        self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
     ) -> np.ndarray:
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
-        short = np.maximum(q - self.generation_array(x, speeds), 0.0)
+        short = np.maximum(q - generation, 0.0)
         return x.param("c0") + x.param("theta_c") * short
 
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        # numpy's power, not libm's (_cubes): the two can differ in the last
+        # numpy's power, not libm's (weather.cubes): the two can differ in the last
         # bit, and the expected costs have always been computed with this one
         g = x.param("gamma") * np.array(weather.speeds) ** 3
 
@@ -410,33 +405,32 @@ class WindConventionalCostModel(CostModel):
             + x.param("theta_c") * max(q - g, 0.0)
         )
 
-    def generation_array(self, x: SellerType, speeds: Sequence[float]) -> np.ndarray:
-        """power_curve(x, w) at each speed."""
-        w = np.asarray(speeds, dtype=float)
+    def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
+        """power_curve(x, w) at each state's speed."""
+        w = np.asarray(weather.speeds, dtype=float)
         if np.any(w < 0.0):
             raise ParameterDomainError(f"negative wind speed {float(w.min())}")
         v_ci, v_r, v_co = x.param("v_ci"), x.param("v_r"), x.param("v_co")
         gamma = x.param("gamma")
-        g = np.where(w <= v_r, gamma * _cubes(speeds), gamma * v_r**3)
+        g = np.where(w <= v_r, gamma * weather.cubes, gamma * v_r**3)
         g[(w < v_ci) | (w > v_co)] = 0.0
         return g
 
     def realized_cost_array(
-        self, x: SellerType, q: float, speeds: Sequence[float]
+        self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
     ) -> np.ndarray:
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
-        g = self.generation_array(x, speeds)
         return (
             x.param("c0")
-            + x.param("theta_w") * np.minimum(q, g)
-            + x.param("theta_c") * np.maximum(q - g, 0.0)
+            + x.param("theta_w") * np.minimum(q, generation)
+            + x.param("theta_c") * np.maximum(q - generation, 0.0)
         )
 
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
-        g = self.generation_array(x, weather.speeds)
+        g = self.generation_array(x, weather)
         theta_w, theta_c = x.param("theta_w"), x.param("theta_c")
 
         def short_rows(q: np.ndarray, t: np.ndarray) -> None:
@@ -469,7 +463,7 @@ class WindConventionalCostModel(CostModel):
     ) -> float:
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
-        g = self.generation_array(x, weather.speeds)
+        g = self.generation_array(x, weather)
         probs = np.array(weather.probs)
         p_short = float(probs[g <= q].sum())
         return x.param("theta_w") * (1.0 - p_short) + x.param("theta_c") * p_short

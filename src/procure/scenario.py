@@ -140,6 +140,9 @@ def _load_types(specs, model: CostModel) -> TypeSpace:
         where = f"types[{i}]"
         _only(s, {"id", "prior", "params"}, where)
         tid = str(_require(s, "id", where))
+        if "\0" in tid:
+            # the CSV writers pad fields with NUL bytes
+            raise ConfigurationError(f"{where}.id: {tid!r} holds a NUL character")
         params = _mapping(_require(s, "params", where), f"{where}.params")
         _only(params, set(model.param_names), f"{where}.params")
         prior = _as(float, s["prior"], f"{where}.prior") if "prior" in s else 1.0 / len(specs)
@@ -191,7 +194,9 @@ def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
     grid of n_cells cells over the same range when n_cells is given."""
     path = Path(path)
     try:
-        raw = yaml.load(path.read_text(), Loader=YAML_LOADER)
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
+    except UnicodeDecodeError as exc:
+        raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"{path}: not valid YAML: {exc}") from exc
     if not isinstance(raw, dict):

@@ -133,23 +133,29 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
     inst = outcome.instance
-    space, model, worst = inst.space, inst.model, inst.worst_type
-    speeds = inst.weather.speeds
+    space, model, weather = inst.space, inst.model, inst.weather
     q = outcome.q.tolist()
     base = outcome.payment
-    cost = np.array([model.realized_cost_array(x, q_x, speeds) for x, q_x in zip(space, q)])
+    generation = [model.generation_array(x, weather) for x in space]
+    cost = np.array(
+        [
+            model.realized_cost_array(x, q_x, weather, g)
+            for x, q_x, g in zip(space, q, generation)
+        ]
+    )
     # risk_payment: t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
     risk = base[:, None] + alpha * (cost - outcome.expected_cost[:, None])
     expost = None
-    if worst is not None:
-        # expost_payment: t(q) - t(q_worst) + C(q_worst, w, worst)
+    if inst.worst is not None:
+        # expost_payment: t(q) - t(q_worst) + C(q_worst, w, worst), the
+        # worst type's cost being its row of cost
         shift = base - base[inst.worst]
-        expost = shift[:, None] + model.realized_cost_array(worst, q[inst.worst], speeds)
+        expost = shift[:, None] + cost[inst.worst]
     return SettlementTable(
         type_ids=tuple(x.id for x in space),
-        w=np.array(speeds, dtype=float),
+        w=np.array(weather.speeds, dtype=float),
         payment_base=base,
-        generation=np.array([model.generation_array(x, speeds) for x in space]),
+        generation=np.array(generation),
         realized_cost=cost,
         payment_expost=expost,
         payment_risk=risk,

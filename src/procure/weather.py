@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
+import numpy as np
+
 from .errors import ConfigurationError, ParameterDomainError
 
 PROB_SUM_TOL = 1e-12
@@ -57,6 +59,16 @@ class WeatherModel:
     @cached_property
     def probs(self) -> tuple[float, ...]:
         return tuple(p for _, p in self.states)
+
+    @cached_property
+    def cubes(self) -> np.ndarray:
+        """w**3 at each speed, read-only, through Python's float power (libm
+        pow) as the scalar cost formulas compute it. numpy's vectorized
+        power can round differently in the last bit, which would change the
+        settlement bytes."""
+        cubes = np.array([w**3 for w in self.speeds], dtype=float)
+        cubes.flags.writeable = False
+        return cubes
 
     def mean(self) -> float:
         return math.fsum(p * w for w, p in self.states)

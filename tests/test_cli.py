@@ -1,9 +1,14 @@
 """End-to-end CLI tests: deterministic outputs, exit codes, and scenario
 validation errors."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import procure
 from procure.cli import main, read_schedule_csv
 from procure.errors import CellReopenedError
 from procure.mechanism import QuantityGrid
@@ -242,3 +247,77 @@ def test_bad_scenarios_exit_2_with_message(tmp_path, capsys, mutation, fragment)
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "out")])
     assert rc == 2
+
+
+# ids that are not ASCII, and one that needs CSV quoting
+UNICODE_YAML = """\
+description: non-ASCII type ids
+weather: {kind: weibull, shape: 3.0, mean: 5.0, n_points: 40}
+cost_model: {kind: simple}
+types:
+  - {id: "é1", params: {c0: 4, theta_c: 1.2, gamma: 1}}
+  - {id: 'ü,"2', params: {c0: 4, theta_c: 1.2, gamma: 2}}
+buyer:
+  marginal_utility: {kind: affine, intercept: 1.0, slope: 1.5e-3}
+grid: {q_max: 300, n_cells: 150}
+options: {alpha: 0.4}
+"""
+
+
+def _procure(argv, **env):
+    """procure run in a child process under the given environment, with
+    default-encoding warnings on."""
+    src = str(Path(procure.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=src, **env)
+    return subprocess.run(
+        [sys.executable, "-X", "warn_default_encoding", "-m", "procure.cli", *argv],
+        env=env, capture_output=True, text=True, encoding="utf-8", timeout=120,
+    )
+
+
+def test_outputs_do_not_depend_on_the_locale(tmp_path):
+    path = tmp_path / "unicode.yaml"
+    path.write_bytes(UNICODE_YAML.encode("utf-8"))
+    outs = {}
+    for name, env in (
+        ("ascii", {"PYTHONUTF8": "0", "LC_ALL": "POSIX"}),
+        ("utf8", {"LC_ALL": "C.UTF-8"}),
+    ):
+        out = tmp_path / name
+        outs[name] = {}
+        for command, *options in (
+            ("solve", "--out", str(out)),
+            ("verify",),
+            ("exclusion-search", "--out", str(tmp_path / f"{name}-search")),
+        ):
+            proc = _procure([command, str(path), *options], **env)
+            assert proc.returncode == 0, proc.stderr
+            assert "EncodingWarning" not in proc.stderr
+            outs[name][command] = proc.stdout
+        outs[name].update(_read_all(out))
+    assert outs["ascii"] == outs["utf8"]
+    assert "é1" in outs["ascii"]["verify"]
+    outcome = outs["ascii"]["outcome.csv"].decode("utf-8").splitlines()
+    assert [row.split(",")[0] for row in outcome[1:]] == ["é1", '"ü']
+    assert outcome[2].startswith('"ü,""2",')
+
+
+def test_scenario_that_is_not_utf8_exits_2(tmp_path):
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(UNICODE_YAML.encode("latin-1"))
+    out = tmp_path / "out"
+    proc = _procure(["solve", str(path), "--out", str(out)], PYTHONUTF8="0", LC_ALL="POSIX")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {path}: not UTF-8 text")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
+
+
+def test_nul_in_a_type_id_exits_2(tmp_path, capsys):
+    path = tmp_path / "nul.yaml"
+    path.write_text(TINY_YAML.format(extra="").replace("id: lo", 'id: "l\\0o"'))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: types[0].id: 'l\\x00o' holds a NUL character\n"
+    assert not out.exists()

@@ -181,7 +181,7 @@ def blocked_kernel_mismatches():
         most = 20_001 if n_states < 2000 else 2001
         width = ec_block_width(n_states)
         for model, x, dense in kernel_cases():
-            g = model.generation_array(x, weather.speeds)
+            g = model.generation_array(x, weather)
             low, top = float(np.min(g)), 1.25 * float(np.max(g))
             for grid, qs in kernel_grids(width, most, low, top):
                 if not np.array_equal(

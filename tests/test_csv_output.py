@@ -10,7 +10,8 @@ import sys
 import numpy as np
 import pytest
 
-from procure.cli import _csv_field, _fmt_column, _load, _solve_scenario, main, schedule_csv
+from procure.cli import _csv_field, _load, _solve_scenario, main, schedule_csv
+from procure.csvfmt import FIELD, format_g12
 from procure.mechanism import PriceSchedule, QuantityGrid
 from procure.settlement import SettlementRow, _payment_at
 
@@ -247,7 +248,13 @@ def test_quoted_ids_and_closed_schedule_are_exercised(tmp_path):
     assert _solve_scenario(_load(path)).schedule.n_open == 0
 
 
-def test_fmt_column_equals_scalar_format():
+def _texts(values):
+    """format_g12's fields as strings, the NUL padding removed, in C order."""
+    rows = format_g12(values).reshape(-1, FIELD)
+    return [row.tobytes().translate(None, b"\0").decode() for row in rows]
+
+
+def test_format_g12_equals_scalar_format():
     special = [
         0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
         sys.float_info.max, -sys.float_info.max, 0.1, 0.1, 1.0, 1.0, 0.0, -0.0,
@@ -255,8 +262,8 @@ def test_fmt_column_equals_scalar_format():
     rng = np.random.default_rng(20260418)
     bits = rng.integers(-(2**63), 2**63, size=100_000, dtype=np.int64)
     values = np.concatenate([np.array(special), bits.view(np.float64)])
-    assert _fmt_column(values) == [f"{x:.12g}" for x in values.tolist()]
+    assert _texts(values) == [f"{x:.12g}" for x in values.tolist()]
     # two-dimensional input is read in C order
     grid = values[:60].reshape(6, 10)
-    assert _fmt_column(grid) == [f"{x:.12g}" for x in grid.ravel().tolist()]
-    assert _fmt_column(np.empty(0)) == []
+    assert _texts(grid) == [f"{x:.12g}" for x in grid.ravel().tolist()]
+    assert _texts(np.empty(0)) == []

@@ -261,3 +261,14 @@ def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):
     assert r.realized_cost == table.realized_cost[1, 4]
     assert r.payment_expost == table.payment_expost[1, 4]
     assert type(r.profit) is float
+
+
+def test_cubes_are_computed_once_per_weather_model(worst_scenario, worst_outcome):
+    weather = worst_scenario.weather
+    settlement_table(worst_outcome, 0.5)
+    cubes = weather.cubes
+    settlement_table(worst_outcome, 0.3)
+    assert weather.cubes is cubes
+    assert not cubes.flags.writeable
+    # libm's power, as the scalar formulas compute it, bit for bit
+    assert cubes.tolist() == [w**3 for w in weather.speeds]

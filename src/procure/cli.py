@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -45,10 +45,24 @@ def _id_fields(ids: Sequence[str]) -> np.ndarray:
     return np.array([_csv_field(i).encode("utf-8") for i in ids], dtype="S")
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
+def _write_atomic(path: Path, chunks: Iterable[bytes]) -> None:
+    """Write the chunks to path as they come, through a temporary file
+    renamed over path at the end; a chunk that raises leaves no temporary
+    file and path as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(data)
+    try:
+        with open(tmp, "wb") as fh:
+            for chunk in chunks:
+                fh.write(chunk)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     os.replace(tmp, path)
+
+
+def _csv(header: bytes, columns: Sequence[np.ndarray]) -> Iterator[bytes]:
+    yield header
+    yield from csv_chunks(columns)
 
 
 def _schedule_chunks(schedule: PriceSchedule) -> Iterator[bytes]:
@@ -84,17 +98,13 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     return PriceSchedule(grid=grid, p=p, t0=float(rows[0]["t_k$"]))
 
 
-def outcome_csv(outcome: ContractOutcome) -> bytes:
+def outcome_csv(outcome: ContractOutcome) -> Iterator[bytes]:
     columns = (outcome.q, outcome.payment, outcome.expected_cost, outcome.utility)
-    return b"".join(
-        [
-            b"type_id,q,payment,expected_cost,utility\n",
-            *csv_chunks([_id_fields(outcome.admissible_ids), *columns]),
-        ]
-    )
+    header = b"type_id,q,payment,expected_cost,utility\n"
+    return _csv(header, [_id_fields(outcome.admissible_ids), *columns])
 
 
-def settlement_csv(table: SettlementTable) -> bytes:
+def settlement_csv(table: SettlementTable) -> Iterator[bytes]:
     """Type by type, one row per weather state; w and payment_base are
     formatted once."""
     n_types, n_states = table.generation.shape
@@ -110,7 +120,7 @@ def settlement_csv(table: SettlementTable) -> bytes:
         table.profit.ravel(),
     ]
     header = b"type_id,w,g_w,realized_cost,payment_base,payment_expost,payment_risk_alpha,profit\n"
-    return b"".join([header, *csv_chunks(columns)])
+    return _csv(header, columns)
 
 
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
@@ -182,12 +192,12 @@ def cmd_solve(
     alpha = sc.alpha if alpha is None else alpha
     outcome = _solve_scenario(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule).encode("utf-8"))
+    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     if alpha is not None:
         table = settlement_table(outcome, alpha)
         _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
-    _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
+    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
     return 0
 
 
@@ -210,14 +220,14 @@ def cmd_plotdata(
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = outcome.schedule
     n = schedule.n_open
-    series = [b"q_MWh,p_k$_per_MWh,t_k$\n"]
+    header = b"q_MWh,p_k$_per_MWh,t_k$\n"
     if n == 0:
-        series.insert(0, b"# schedule closed at q=0; no open quantity range\n")
+        series = [b"# schedule closed at q=0; no open quantity range\n", header]
     else:
-        series += csv_chunks([schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n]])
-    _write_atomic(out_dir / "price_series.csv", b"".join(series))
-    markers = csv_chunks([_id_fields(outcome.admissible_ids), outcome.q, outcome.payment])
-    _write_atomic(out_dir / "type_markers.csv", b"".join([b"type_id,q_MWh,t_k$\n", *markers]))
+        series = _csv(header, [schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n]])
+    _write_atomic(out_dir / "price_series.csv", series)
+    markers = [_id_fields(outcome.admissible_ids), outcome.q, outcome.payment]
+    _write_atomic(out_dir / "type_markers.csv", _csv(b"type_id,q_MWh,t_k$\n", markers))
     return 0
 
 
@@ -227,9 +237,9 @@ def cmd_exclusion_search(
     sc = _load(scenario_path, grid_cells)
     ids, outcome = _search(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", schedule_csv(outcome.schedule).encode("utf-8"))
+    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
-    _write_atomic(out_dir / "run_manifest.json", _manifest(scenario_path, outcome))
+    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
     print(f"best admissible set (exhaustive): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
     return 0

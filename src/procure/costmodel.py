@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -226,45 +226,59 @@ def _expected_cost_blocked(
     c0: float,
     weights: np.ndarray,
     qs: np.ndarray,
-    columns: np.ndarray,
-    short: Callable[[np.ndarray, np.ndarray], object],
-    middle: Callable[[np.ndarray, np.ndarray, np.ndarray], object],
-    covered: Optional[Callable[[np.ndarray, np.ndarray], object]],
+    g: np.ndarray,
+    wind: Optional[tuple[float, float]] = None,
 ) -> np.ndarray:
     """c0 + weights @ integrand(qs): the weather-expected cost at each grid
-    point, for state weights over the states x points integrand.
+    point, for state weights over the states x points integrand, given the
+    generation g of each state. With wind = (theta_w, theta_c) the
+    integrand is theta_w*min(q, g) + theta_c*max(q - g, 0); with wind None
+    it is the shortfall max(q - g, 0), theta_c being in the weights.
 
     The grid goes in blocks of ec_block_width points, and each block's
-    integrand fills one C-contiguous states x n tile, so every elementwise
+    integrand fills one C-contiguous states x k block, so every elementwise
     pass runs over contiguous memory and one block exists at a time.
 
-    columns holds per-state values, one row each, tiled across a block
-    once per call; columns[0] is generation g. g need not be sorted (wind
-    generation drops to 0 above cut-out), so the rows of a block split by
-    the running max of g from the first state and the running min of g
-    from the last. Rows [0, a), whose running max is at most the block's
-    smallest point, are short of wind at every point; rows [c, states),
-    whose running min is at least the block's largest point, are covered
-    at every point; rows [a, c) take the whole integrand. a and c for all
-    blocks come from two searchsorted calls before the loop.
+    g need not be sorted (wind generation drops to 0 above cut-out), so the
+    rows of a block split by the running max of g from the first state and
+    the running min of g from the last. Rows [0, a), whose running max is at
+    most the block's smallest point, are short of wind at every point; rows
+    [c, states), whose running min is at least the block's largest point,
+    are covered at every point; rows [a, c) take the whole integrand. a and
+    c for all blocks come from two searchsorted calls before the loop.
 
-    The three pieces fill their rows of the tile in place. short(out, t)
-    and middle(out, t, tmp) find the block's points in every row of out,
-    with t the tiles of columns on those rows and tmp scratch of out's
-    shape; covered(out, q) gets the points as the 1 x n row q. short and
-    covered must give middle's bits on their rows, which IEEE identities
-    allow: max(x, 0) is x when x >= +0, q - q is +0, x + (+0) is x,
-    min(q, g) is the smaller operand, and + and * commute.
+    Rows that start from q - g are one product: the states x 2 matrix
+    [1, -g] times the 2 x k matrix [q; 1], which is built per block in one
+    small buffer. Both terms of each entry, 1*q and -g*1, are exact, so
+    BLAS returns the one rounding of q - g whatever order it sums them in,
+    with or without FMA and however threads split the product. The simple
+    model's rows [0, c) are that product, and rows [a, c) then take
+    max(., 0) in place, so it needs no other block. The wind model's short
+    rows are theta_c*(q - g) + theta_w*g, from the product and a tile of
+    theta_w*g; its middle rows start from a copy of q and make five passes
+    with a tile of g and a scratch block; its covered rows are theta_w*q,
+    the product of [theta_w, 0] and [q; 1], whose terms theta_w*q and 0*1
+    leave the one rounding of theta_w*q. (numpy computes a states x 1 by
+    1 x k product without BLAS, 3-5 times slower than copying q and
+    scaling it.)
 
-    covered=None says that the covered rows are exactly +0, as the simple
-    model's shortfall max(q - g, 0) is there. Those rows are then not
-    built: rows [c, r) are filled with +0, with r = c rounded up to a
-    multiple of ROW_GROUP (at most the number of states), and gemv runs
-    over the first r rows only. Adding p * (+0) changes no sum, but gemv
-    sums the rows in groups, and cutting a group short at c would change
-    the order in which the non-zero rows are added; a whole number of
-    groups of 16 leaves each row in its group. A one-point block, which
-    numpy takes through dot, keeps all its rows.
+    Each of these gives the whole integrand's bits on its rows, which IEEE
+    identities allow: max(x, 0) is x when x >= +0, q - q is +0, x + (+0)
+    is x, min(q, g) is the smaller operand, + and * commute, and a sum of
+    exact terms, one of them maybe 0, is rounded once. The one exception is
+    the sign of a zero: BLAS sums from +0, so a product entry is +0 where
+    q - g or theta_w*q is -0 (q = -0). That sign cannot reach the expected
+    cost: gemv's weighted sum starts from +0 too, and a sum that starts
+    from +0 is +0 whatever the signs of its zero terms.
+
+    With wind None the covered rows are exactly +0 and are not built: rows
+    [c, r) are filled with +0, with r = c rounded up to a multiple of
+    ROW_GROUP (at most the number of states), and gemv runs over the first
+    r rows only. Adding p * (+0) changes no sum, but gemv sums the rows in
+    groups, and cutting a group short at c would change the order in which
+    the non-zero rows are added; a whole number of groups of 16 leaves each
+    row in its group. A one-point block, which numpy takes through dot,
+    keeps all its rows.
     """
     qs = np.asarray(qs, dtype=float)
     if not np.all(qs >= 0.0):
@@ -279,7 +293,6 @@ def _expected_cost_blocked(
         # points wide in another order.
         starts = starts[:-1]
     ends = np.append(starts[1:], n)
-    g = columns[0]
     rise = np.maximum.accumulate(g)
     floor = np.minimum.accumulate(g[::-1])[::-1]
     short_end = np.searchsorted(rise, np.minimum.reduceat(qs, starts), side="right")
@@ -287,31 +300,60 @@ def _expected_cost_blocked(
         np.searchsorted(floor, np.maximum.reduceat(qs, starts), side="left"), short_end
     )
 
-    m = len(columns)
-    size = n_states * min(width + 3, n)
-    q_buf, tmp_buf = _aligned_empty(size), _aligned_empty(size)
-    t_buf = _aligned_empty(m * size)
+    ones_minus_g = np.stack([np.ones(n_states), -g], axis=1)
+    if wind is not None:
+        theta_w, theta_c = wind
+        theta_w_and_zero = np.zeros((n_states, 2))
+        theta_w_and_zero[:, 0] = theta_w
+    # The blocks share one buffer, each starting on a cache line. glibc's
+    # malloc returns freed heap memory to the system above a trim threshold
+    # of twice the largest buffer it has unmapped: one buffer stays in the
+    # heap for the next call, while four separate blocks freed together
+    # pass the threshold and are faulted in again on every call.
+    k_max = min(width + 3, n)
+    stride = -(-n_states * k_max // 8) * 8
+    blocks = _aligned_empty((1 if wind is None else 4) * stride)
+    operand_buf = np.empty(2 * k_max)
     k = 0
     for lo, hi, a, c in zip(starts.tolist(), ends.tolist(), short_end.tolist(),
                             covered_start.tolist()):
         if hi - lo != k:  # the first block, and a wider last one
             k = hi - lo
-            out, tmp = (buf[: n_states * k].reshape(n_states, k) for buf in (q_buf, tmp_buf))
-            tiles = t_buf[: m * n_states * k].reshape(m, n_states, k)
-            tiles[...] = columns[:, :, None]
-        q = qs[None, lo:hi]
-        out[:c] = q
-        if a:
-            short(out[:a], tiles[:, :a])
-        if c > a:
-            middle(out[a:c], tiles[:, a:c], tmp[a:c])
+            out, *scratch = (
+                blocks[i : i + n_states * k].reshape(n_states, k)
+                for i in range(0, len(blocks), stride)
+            )
+            q_and_ones = operand_buf[: 2 * k].reshape(2, k)
+            q_and_ones[1] = 1.0
+            q = q_and_ones[:1]
+            if wind is not None:
+                tmp, g_tile, wind_tile = scratch
+                g_tile[...] = g[:, None]
+                np.multiply(g_tile, theta_w, out=wind_tile)
+        q[0] = qs[lo:hi]
         r = n_states
-        if covered is None:
+        if wind is None:
+            np.matmul(ones_minus_g[:c], q_and_ones, out=out[:c])
+            np.maximum(out[a:c], 0.0, out=out[a:c])
             if k > 1:  # numpy takes one point through dot, which groups rows otherwise
                 r = min(n_states, -(-c // ROW_GROUP) * ROW_GROUP)
             out[c:r] = 0.0
-        elif c < n_states:
-            covered(out[c:], q)
+        else:
+            if a:
+                short = np.matmul(ones_minus_g[:a], q_and_ones, out=out[:a])
+                short *= theta_c
+                short += wind_tile[:a]  # min(q, g) is g
+            if c > a:
+                # q - min(q, g) is max(q - g, 0) bit for bit
+                mid = out[a:c]
+                mid[...] = q
+                wind_part = np.minimum(mid, g_tile[a:c], out=tmp[a:c])
+                np.subtract(mid, wind_part, out=mid)
+                wind_part *= theta_w
+                mid *= theta_c
+                np.add(wind_part, mid, out=mid)
+            # min(q, g) is q and the shortfall q - q is +0
+            np.matmul(theta_w_and_zero[c:], q_and_ones, out=out[c:])
         np.matmul(weights[:r], out[:r], out=ec[lo:hi])
     ec += c0
     return ec
@@ -354,19 +396,8 @@ class SimpleCostModel(CostModel):
         # numpy's power, not libm's (weather.cubes): the two can differ in the last
         # bit, and the expected costs have always been computed with this one
         g = x.param("gamma") * np.array(weather.speeds) ** 3
-
-        def short_rows(q: np.ndarray, t: np.ndarray) -> None:
-            q -= t[0]  # max(q - g, 0) is q - g for g <= q
-
-        def shortfall(q: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
-            q -= t[0]
-            np.maximum(q, 0.0, out=q)
-
-        # max(q - g, 0) is +0 where g >= q: the covered rows are left out
         weights = x.param("theta_c") * np.array(weather.probs)
-        return _expected_cost_blocked(
-            x.param("c0"), weights, qs, g[None, :], short_rows, shortfall, None
-        )
+        return _expected_cost_blocked(x.param("c0"), weights, qs, g)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel
@@ -431,32 +462,8 @@ class WindConventionalCostModel(CostModel):
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
         g = self.generation_array(x, weather)
-        theta_w, theta_c = x.param("theta_w"), x.param("theta_c")
-
-        def short_rows(q: np.ndarray, t: np.ndarray) -> None:
-            # min(q, g) is g: theta_c*(q - g) + theta_w*g
-            q -= t[0]
-            q *= theta_c
-            q += t[1]
-
-        def cost_above_c0(q: np.ndarray, t: np.ndarray, tmp: np.ndarray) -> None:
-            wind = np.minimum(q, t[0], out=tmp)
-            # q - min(q, g) is max(q - g, 0) bit for bit
-            short = np.subtract(q, wind, out=q)
-            wind *= theta_w
-            short *= theta_c
-            np.add(wind, short, out=q)
-
-        def covered_rows(out: np.ndarray, q: np.ndarray) -> None:
-            # min(q, g) is q and the shortfall q - q is +0: theta_w*q
-            out[...] = q
-            out *= theta_w
-
-        probs = np.array(weather.probs)
-        columns = np.array([g, theta_w * g])
-        return _expected_cost_blocked(
-            x.param("c0"), probs, qs, columns, short_rows, cost_above_c0, covered_rows
-        )
+        wind = (x.param("theta_w"), x.param("theta_c"))
+        return _expected_cost_blocked(x.param("c0"), np.array(weather.probs), qs, g, wind)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel

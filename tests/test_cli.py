@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import procure
-from procure.cli import main, read_schedule_csv
+from procure.cli import _write_atomic, main, read_schedule_csv
 from procure.errors import CellReopenedError
 from procure.mechanism import QuantityGrid
 from procure.scenario import load_scenario
@@ -73,6 +73,21 @@ def test_read_schedule_csv_rejects_a_price_after_closure(tmp_path):
     )
     with pytest.raises(CellReopenedError, match="^cell 2 reopened after closure at 1$"):
         read_schedule_csv(path, QuantityGrid(q_max=4.0, n_cells=4))
+
+
+def test_write_atomic_streams_and_leaves_nothing_behind_on_error(tmp_path):
+    path = tmp_path / "settlement.csv"
+    _write_atomic(path, (bytes([65 + i]) * 3 for i in range(3)))
+    assert path.read_bytes() == b"AAABBBCCC"
+
+    def failing():
+        yield b"partial\n"
+        raise RuntimeError("formatter failed")
+
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        _write_atomic(path, failing())
+    assert path.read_bytes() == b"AAABBBCCC"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["settlement.csv"]
 
 
 def test_verify_exit_codes(scenario_dir):

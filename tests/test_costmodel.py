@@ -128,11 +128,13 @@ def dense_wind_conventional(x, qs, weather):
 
 def kernel_weathers():
     """(name, weather) of each weather the kernel tests run on: one state,
-    Weibull at 6, 200 and 2000 states, and an empirical weather of speeds
-    rounded to 0.5 m/s, calm ones included."""
+    one calm state (w = 0), a calm and a windy state, Weibull at 6, 200 and 2000
+    states, and an empirical weather of speeds rounded to 0.5 m/s."""
     speeds = np.round(2.0 * np.random.default_rng(3).weibull(2.0, 400) * 6.0) / 2.0
     return (
         ("1", WeatherModel(states=((8.0, 1.0),))),
+        ("calm", WeatherModel(states=((0.0, 1.0),))),
+        ("calm-windy", WeatherModel(states=((0.0, 0.25), (8.0, 0.75)))),
         *((str(s), weibull_model(3.0, 5.0, s)) for s in (6, 200, 2000)),
         ("empirical", empirical_model(speeds.tolist())),
     )
@@ -142,10 +144,13 @@ def kernel_cases():
     """(model, type, dense reference) of each case: the simple model, and
     the wind model with cut-out above every Weibull speed, with cut-out
     inside the speed range (generation drops back to 0, so it is not
-    sorted), and with theta_w = 0."""
+    sorted), and with theta_w = 0; and each model with c0 = -0, whose sum
+    with an expected cost of +0 is +0 and with one of -0 is -0."""
     wind = WindConventionalCostModel()
     return (
         (SimpleCostModel(), simple_type(), dense_simple),
+        (SimpleCostModel(), simple_type(c0=-0.0), dense_simple),
+        (wind, wc_type(c0=-0.0), dense_wind_conventional),
         (wind, wc_type(), dense_wind_conventional),
         (wind, wc_type(v_ci=2.0, v_r=6.0, v_co=9.0, gamma=4.0), dense_wind_conventional),
         (wind, wc_type(theta_w=0.0), dense_wind_conventional),
@@ -158,17 +163,21 @@ def kernel_grids(width, most, low, top):
     top. Random points leave most rows of a block to the whole integrand;
     sorted points from 0 to top give long short and covered row ranges;
     covered-first puts two whole blocks at or below every generation, so
-    every row of those blocks is covered; and one-point grids, which numpy
-    takes through dot instead of gemv, sit at each of 101 points from 0 to
-    top."""
+    every row of those blocks is covered; signed zeros and subnormal points
+    lead a grid, so that q - g is -0 at a calm state; and one-point grids,
+    which numpy takes through dot instead of gemv, sit at each of 101
+    points from 0 to top and at -0."""
     for n in (0, 1, 2, 3, *range(width - 1, width + 4), most):
         yield f"random-{n}", np.random.default_rng(n).uniform(0.0, 3000.0, n)
         yield f"sorted-{n}", np.linspace(0.0, top, n)
     yield "covered-first", np.concatenate(
         [np.linspace(0.0, low, 2 * width), np.linspace(low, top, width + 5)]
     )
+    tiny = [-0.0, 5e-324, 0.0, -0.0, 1e-310, 2.2250738585072014e-308, 1e-300]
+    yield "zeros-subnormals", np.concatenate([tiny, np.linspace(0.0, top, width)])
     for i, q in enumerate(np.linspace(0.0, top, 101)):
         yield f"point-{i}", np.array([q])
+    yield "point-minus-zero", np.array([-0.0])
 
 
 def blocked_kernel_mismatches():
@@ -184,11 +193,13 @@ def blocked_kernel_mismatches():
             g = model.generation_array(x, weather)
             low, top = float(np.min(g)), 1.25 * float(np.max(g))
             for grid, qs in kernel_grids(width, most, low, top):
-                if not np.array_equal(
-                    model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)
-                ):
-                    bad.append((model.kind, name, grid))
+                if not same_bits(model.expected_cost_grid(x, qs, weather), dense(x, qs, weather)):
+                    bad.append((model.kind, x.param("c0"), name, grid))
     return bad
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def zero_tail_mismatches():
@@ -214,16 +225,54 @@ def zero_tail_mismatches():
     return bad
 
 
-def one_blas_thread(function):
+def product_mismatches():
+    """(product, rows, points) of each case where a product the kernel
+    builds its rows with differs from the elementwise result in any bit
+    other than a zero's sign: [1, -g] @ [q; 1] against q - g, and
+    [theta_w, 0] @ [q; 1] against theta_w * q. BLAS sums from +0, so a
+    result of -0 comes back +0. The values take random magnitudes from
+    1e-300 to 1e300 and both signs, with zeros of both signs, subnormals
+    and the largest finite doubles among them."""
+    rng = np.random.default_rng(7)
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, 1e-300,
+               1e300, -1e300, 1.7976931348623157e308, -1.7976931348623157e308, 1.0]
+
+    def values(n):
+        v = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-300.0, 300.0, n)
+        v[: len(special)] = special
+        v[len(special) : 2 * len(special)] = rng.uniform(0.0, 10.0, len(special))
+        return rng.permutation(v)
+
+    bad = []
+    with np.errstate(over="ignore"):
+        for rows, k in ((1, 1), (1, 64), (7, 1), (16, 3), (17, 67), (200, 131), (2000, 520)):
+            g, q = values(max(rows, 24)), values(max(k, 24))
+            g, q = g[:rows], q[:k]
+            q_and_ones = np.stack([q, np.ones(k)])
+            ones_minus_g = np.stack([np.ones(rows), -g], axis=1)
+            difference = q[None, :] - g[:, None]
+            if not same_bits(ones_minus_g @ q_and_ones, difference + 0.0):
+                bad.append(("difference", rows, k))
+            for theta_w in (0.0, 0.2, 1.3, 5e-324, 1e-300, 1e300):
+                theta_w_and_zero = np.zeros((rows, 2))
+                theta_w_and_zero[:, 0] = theta_w
+                scaled = np.broadcast_to(theta_w * q, (rows, k))
+                if not same_bits(theta_w_and_zero @ q_and_ones, scaled + 0.0):
+                    bad.append((f"scale {theta_w}", rows, k))
+    return bad
+
+
+def with_blas_threads(function, threads=1):
     """What function (a name in this module) returns, printed by a child
-    process with one BLAS thread: with several, gemv splits the points
-    between threads and the dense product's bits change at the split."""
+    process with the given number of BLAS threads: with several, gemv
+    splits the points between threads and the dense product's bits change
+    at the split."""
     path = [str(Path(procure.__file__).parents[1]), str(Path(__file__).parent)]
     env = dict(
         os.environ,
-        OPENBLAS_NUM_THREADS="1",
-        OMP_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS=str(threads),
+        OMP_NUM_THREADS=str(threads),
+        MKL_NUM_THREADS=str(threads),
         PYTHONPATH=os.pathsep.join(path),
     )
     code = f"import test_costmodel; print(test_costmodel.{function}())"
@@ -235,13 +284,20 @@ def one_blas_thread(function):
 
 
 def test_blocked_expected_cost_is_bit_identical_to_dense_product():
-    assert one_blas_thread("blocked_kernel_mismatches") == "[]"
+    assert with_blas_threads("blocked_kernel_mismatches") == "[]"
 
 
 def test_products_over_rounded_up_nonzero_rows_are_bit_identical():
     # the simple model's kernel leaves out the +0 rows past a multiple of
     # ROW_GROUP; this pins the BLAS property it rests on
-    assert one_blas_thread("zero_tail_mismatches") == "[]"
+    assert with_blas_threads("zero_tail_mismatches") == "[]"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_kernel_products_are_exact(threads):
+    # the kernel builds q - g and theta_w*q rows as products; this pins the
+    # exactness it rests on, with one BLAS thread and with two
+    assert with_blas_threads("product_mismatches", threads) == "[]"
 
 
 def test_ec_block_width():
@@ -254,18 +310,19 @@ def test_ec_block_width():
 
 
 @pytest.mark.parametrize(
-    "model, x, n_states, n_points",
+    "model, x, n_states, n_points, most_mb",
     [
-        (SimpleCostModel(), simple_type(), 200, 20_001),
-        (WindConventionalCostModel(), wc_type(), 200, 20_001),
-        (SimpleCostModel(), simple_type(), 2000, 2001),
-        (WindConventionalCostModel(), wc_type(), 2000, 2001),
+        (SimpleCostModel(), simple_type(), 200, 20_001, 1.5),
+        (WindConventionalCostModel(), wc_type(), 200, 20_001, 8),
+        (SimpleCostModel(), simple_type(), 2000, 2001, 1.5),
+        (WindConventionalCostModel(), wc_type(), 2000, 2001, 8),
     ],
     ids=["simple", "wind_conventional", "simple-2000x2001", "wind_conventional-2000x2001"],
 )
-def test_expected_cost_grid_peak_memory(model, x, n_states, n_points):
+def test_expected_cost_grid_peak_memory(model, x, n_states, n_points, most_mb):
     # One dense integrand alone is 32 MB at either size. numpy reports its
-    # buffers to tracemalloc.
+    # buffers to tracemalloc. The simple model's kernel holds one states x
+    # points block (1 MB at 2000 states); the wind model's holds four.
     weather = weibull_model(3.0, 5.0, n_states)
     qs = np.linspace(0.0, 3000.0, n_points)
     tracemalloc.start()
@@ -274,7 +331,7 @@ def test_expected_cost_grid_peak_memory(model, x, n_states, n_points):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 8 * 2**20
+    assert peak < most_mb * 2**20
 
 
 def test_marginal_cost_simple_at_zero(weather):

@@ -75,9 +75,11 @@ def _schedule_chunks(schedule: PriceSchedule) -> Iterator[bytes]:
     yield from csv_chunks([pts[:n], p, p, t[:n]])
     yield from csv_chunks([pts[n : n + 1], closed, closed, t[n : n + 1]])
     # no price adds to t after point n, so t[n + 1:] repeats t[-1]; t[n]
-    # can differ from it in the sign of a zero
+    # can differ from it in the sign of a zero. The rows after n are each
+    # a grid point and one constant field.
     if n + 1 < len(t):
-        yield from csv_chunks([pts[n + 1 :], closed, closed, format_g12(t[-1:])])
+        tail = b"closed,closed," + format_g12(t[-1:]).tobytes().rstrip(b"\0")
+        yield from csv_chunks([pts[n + 1 :], np.array([tail])])
 
 
 def schedule_csv(schedule: PriceSchedule) -> str:
@@ -188,6 +190,8 @@ def cmd_solve(
     grid_cells: Optional[int] = None,
     admissible: Optional[str] = None,
 ) -> int:
+    if alpha is not None and not (0.0 <= alpha <= 1.0):  # NaN fails too
+        raise ConfigurationError(f"--alpha: {alpha} outside [0, 1]")
     sc = _load(scenario_path, grid_cells, admissible)
     alpha = sc.alpha if alpha is None else alpha
     outcome = _solve_scenario(sc)

@@ -19,6 +19,12 @@ from .weather import WeatherModel
 
 EQUAL_COST_TOL = 1e-12
 
+# dominance codes of type i against type j (dominance_matrix): bit BETTER
+# when i is nowhere costlier than j, bit WORSE when nowhere cheaper, both
+# (EQUAL) or neither (INCOMPARABLE); DOMINANCE_NAMES[code] names each
+INCOMPARABLE, BETTER, WORSE, EQUAL = range(4)
+DOMINANCE_NAMES = ("incomparable", "better", "worse", "equal")
+
 # Bytes of one states x points block of the expected-cost kernel: a block
 # this size stays in a core's L2 cache while the integrand makes its passes
 # over it. Its width in points follows the number of states (ec_block_width).
@@ -352,8 +358,9 @@ def _expected_cost_blocked(
                 wind_part *= theta_w
                 mid *= theta_c
                 np.add(wind_part, mid, out=mid)
-            # min(q, g) is q and the shortfall q - q is +0
-            np.matmul(theta_w_and_zero[c:], q_and_ones, out=out[c:])
+            if c < n_states:
+                # min(q, g) is q and the shortfall q - q is +0
+                np.matmul(theta_w_and_zero[c:], q_and_ones, out=out[c:])
         np.matmul(weights[:r], out[:r], out=ec[lo:hi])
     ec += c0
     return ec
@@ -395,8 +402,8 @@ class SimpleCostModel(CostModel):
     ) -> np.ndarray:
         # numpy's power, not libm's (weather.cubes): the two can differ in the last
         # bit, and the expected costs have always been computed with this one
-        g = x.param("gamma") * np.array(weather.speeds) ** 3
-        weights = x.param("theta_c") * np.array(weather.probs)
+        g = x.param("gamma") * weather.speed_array ** 3
+        weights = x.param("theta_c") * weather.prob_array
         return _expected_cost_blocked(x.param("c0"), weights, qs, g)
 
     def expected_marginal_cost(
@@ -438,9 +445,7 @@ class WindConventionalCostModel(CostModel):
 
     def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
         """power_curve(x, w) at each state's speed."""
-        w = np.asarray(weather.speeds, dtype=float)
-        if np.any(w < 0.0):
-            raise ParameterDomainError(f"negative wind speed {float(w.min())}")
+        w = weather.speed_array
         v_ci, v_r, v_co = x.param("v_ci"), x.param("v_r"), x.param("v_co")
         gamma = x.param("gamma")
         g = np.where(w <= v_r, gamma * weather.cubes, gamma * v_r**3)
@@ -463,7 +468,7 @@ class WindConventionalCostModel(CostModel):
     ) -> np.ndarray:
         g = self.generation_array(x, weather)
         wind = (x.param("theta_w"), x.param("theta_c"))
-        return _expected_cost_blocked(x.param("c0"), np.array(weather.probs), qs, g, wind)
+        return _expected_cost_blocked(x.param("c0"), weather.prob_array, qs, g, wind)
 
     def expected_marginal_cost(
         self, x: SellerType, q: float, weather: WeatherModel
@@ -471,8 +476,7 @@ class WindConventionalCostModel(CostModel):
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
         g = self.generation_array(x, weather)
-        probs = np.array(weather.probs)
-        p_short = float(probs[g <= q].sum())
+        p_short = float(weather.prob_array[g <= q].sum())
         return x.param("theta_w") * (1.0 - p_short) + x.param("theta_c") * p_short
 
 
@@ -490,26 +494,33 @@ def make_model(kind: str) -> CostModel:
 
 
 def dominance_matrix(ec: np.ndarray) -> np.ndarray:
-    """rel[i, j]: how type i's expected-cost row ec[i] compares with ec[j]
-    ("better", "worse", "equal" or "incomparable", as in dominates)."""
+    """rel[i, j]: how type i's expected-cost row ec[i] compares with ec[j],
+    as an int8 code: BETTER when ec[i] is nowhere above ec[j] beyond the
+    tolerance, WORSE when nowhere below it, EQUAL when both, INCOMPARABLE
+    when neither. DOMINANCE_NAMES[code] is the name dominates() returns.
+
+    ec[j] - ec[i] is the exact negation of ec[i] - ec[j] and the tolerance
+    is symmetric, so each unordered pair's largest and smallest difference
+    is computed once, and rel[j, i] swaps the two bits of rel[i, j].
+    """
+    n = len(ec)
     scale = np.maximum(1.0, np.max(np.abs(ec), axis=1))
-    rel = np.empty((len(ec), len(ec)), dtype="<U12")
-    for i, row in enumerate(ec):
-        tol = EQUAL_COST_TOL * np.maximum(scale[i], scale)[:, None]
-        d = row - ec
-        below = np.all(d <= tol, axis=1)
-        above = np.all(d >= -tol, axis=1)
-        rel[i] = np.where(
-            below & above,
-            "equal",
-            np.where(below, "better", np.where(above, "worse", "incomparable")),
-        )
-    return rel
+    below = np.ones((n, n), dtype=bool)
+    above = np.ones((n, n), dtype=bool)
+    for i in range(n - 1):
+        d = ec[i] - ec[i + 1 :]
+        tol = EQUAL_COST_TOL * np.maximum(scale[i], scale[i + 1 :])
+        below[i, i + 1 :] = np.max(d, axis=1) <= tol
+        above[i, i + 1 :] = np.min(d, axis=1) >= -tol
+    rows, cols = np.triu_indices(n, 1)
+    below[cols, rows] = above[rows, cols]
+    above[cols, rows] = below[rows, cols]
+    return (BETTER * below + WORSE * above).astype(np.int8)
 
 
 def worst_index(rel: np.ndarray) -> Optional[int]:
     """First type that every other type dominates or equals, or None."""
-    covered = (rel == "better") | (rel == "equal")
+    covered = (rel & BETTER) != 0  # BETTER or EQUAL
     hits = np.flatnonzero(covered.all(axis=0))
     return int(hits[0]) if hits.size else None
 
@@ -530,7 +541,7 @@ def dominates(
     ec = np.array(
         [model.expected_cost_grid(x, qs, weather), model.expected_cost_grid(y, qs, weather)]
     )
-    return str(dominance_matrix(ec)[0, 1])
+    return DOMINANCE_NAMES[dominance_matrix(ec)[0, 1]]
 
 
 def find_worst_type(

@@ -18,11 +18,19 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .costmodel import CostModel, SellerType, TypeSpace, dominance_matrix, worst_index
+from .costmodel import (
+    BETTER,
+    CostModel,
+    SellerType,
+    TypeSpace,
+    dominance_matrix,
+    worst_index,
+)
 from .errors import CellReopenedError, ConfigurationError
 from .weather import WeatherModel
 
@@ -46,9 +54,12 @@ class QuantityGrid:
     def dq(self) -> float:
         return self.q_max / self.n_cells
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, self.q_max, self.n_cells + 1)
+        """The n_cells + 1 grid points, read-only, built on first use."""
+        points = np.linspace(0.0, self.q_max, self.n_cells + 1)
+        points.flags.writeable = False
+        return points
 
 
 class BuyerUtility:
@@ -186,10 +197,10 @@ class Instance:
     ec[i, k] is type i's weather-expected cost at grid point k, computed
     with the cost model's own expected_cost_grid. cbar[i, j] is type i's
     average expected marginal cost on cell j and vbar[j] the buyer's
-    average marginal utility there. dominance[i, j] compares type i with
-    type j as dominates() does, and worst indexes the type every other
-    type dominates or equals, or is None. An admissible subset is a row
-    selection (restrict), so nothing is recomputed per subset.
+    average marginal utility there. dominance[i, j] is dominance_matrix's
+    int8 code comparing type i with type j, and worst indexes the type
+    every other type dominates or equals, or is None. An admissible subset
+    is a row selection (restrict), so nothing is recomputed per subset.
     """
 
     space: TypeSpace
@@ -434,7 +445,7 @@ def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     ids = [t.id for t in inst.space]
     # better_than[y] = types better than y
     better_than = {
-        y: {ids[i] for i in np.flatnonzero(inst.dominance[:, j] == "better")}
+        y: {ids[i] for i in np.flatnonzero(inst.dominance[:, j] == BETTER)}
         for j, y in enumerate(ids)
     }
     out = [tuple(ids)]

@@ -153,7 +153,7 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
         expost = shift[:, None] + cost[inst.worst]
     return SettlementTable(
         type_ids=tuple(x.id for x in space),
-        w=np.array(weather.speeds, dtype=float),
+        w=weather.speed_array,
         payment_base=base,
         generation=np.array(generation),
         realized_cost=cost,

@@ -13,7 +13,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, TypeSpace, find_worst_type
+from .costmodel import BETTER, CostModel, TypeSpace, find_worst_type
 from .errors import ConfigurationError
 from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
@@ -77,7 +77,7 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
     ids, utility, q = outcome.admissible_ids, outcome.utility, outcome.q
     worst = -math.inf
     witness = "no ordered pairs"
-    for i, j in np.argwhere(inst.dominance == "better"):
+    for i, j in np.argwhere(inst.dominance == BETTER):
         for kindname, viol in (
             ("U", utility[j] - utility[i]),
             ("q", q[j] - q[i]),

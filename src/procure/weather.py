@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -27,38 +27,49 @@ class WeatherModel:
     states: sorted tuple of (speed, probability) pairs with strictly
     increasing speeds; probabilities sum to one. Immutable after
     construction, safe for concurrent read-only use.
+
+    speeds and probs are the states' two columns as tuples, which the
+    scalar cost formulas read, and speed_array and prob_array the same
+    values as read-only float arrays for the vectorized ones; all four are
+    built once, with the checks.
     """
 
     states: tuple[tuple[float, float], ...]
     meta: str = ""
+    speeds: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    speed_array: np.ndarray = field(init=False, repr=False, compare=False)
+    prob_array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.states:
             raise ConfigurationError("weather model needs at least one state")
-        for w, p in self.states:
-            if not (math.isfinite(w) and math.isfinite(p)):
-                raise ParameterDomainError(f"non-finite weather state w={w}, p={p}")
-        prev = -math.inf
-        for w, p in self.states:
-            if w < 0.0:
-                raise ParameterDomainError(f"negative wind speed {w}")
-            if p < 0.0:
-                raise ParameterDomainError(f"negative probability {p} at w={w}")
-            if w <= prev:
-                raise ConfigurationError("wind speeds must be strictly increasing")
-            prev = w
-        total = math.fsum(p for _, p in self.states)
+        speeds, probs = zip(*self.states)
+        n = len(speeds)
+        w, p = np.fromiter(speeds, float, n), np.fromiter(probs, float, n)
+        finite = np.isfinite(w) & np.isfinite(p)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise ParameterDomainError(f"non-finite weather state w={speeds[i]}, p={probs[i]}")
+        # the first state that breaks a rule, and the first rule it breaks
+        bad = (w < 0.0) | (p < 0.0)
+        bad[1:] |= w[1:] <= w[:-1]
+        if bad.any():
+            i = int(np.argmax(bad))
+            if w[i] < 0.0:
+                raise ParameterDomainError(f"negative wind speed {speeds[i]}")
+            if p[i] < 0.0:
+                raise ParameterDomainError(f"negative probability {probs[i]} at w={speeds[i]}")
+            raise ConfigurationError("wind speeds must be strictly increasing")
+        total = math.fsum(probs)
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigurationError(f"probabilities sum to {total!r}, not 1")
-
-    # cached on first use: states is immutable, and callers read these often
-    @cached_property
-    def speeds(self) -> tuple[float, ...]:
-        return tuple(w for w, _ in self.states)
-
-    @cached_property
-    def probs(self) -> tuple[float, ...]:
-        return tuple(p for _, p in self.states)
+        w.flags.writeable = False
+        p.flags.writeable = False
+        object.__setattr__(self, "speeds", speeds)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "speed_array", w)
+        object.__setattr__(self, "prob_array", p)
 
     @cached_property
     def cubes(self) -> np.ndarray:
@@ -91,17 +102,12 @@ def weibull_model(
         raise ConfigurationError("n_points must be at least 2")
     lam = mean_speed / math.gamma(1.0 + 1.0 / shape)
     p_cell = TRUNCATION_QUANTILE / n_points
-
-    def quantile(u: float) -> float:
-        return lam * (-math.log1p(-u)) ** (1.0 / shape)
-
-    states = []
-    for k in range(n_points):
-        u_mid = (k + 0.5) * p_cell
-        prob = p_cell if k < n_points - 1 else p_cell + (1.0 - TRUNCATION_QUANTILE)
-        states.append((quantile(u_mid), prob))
+    exponent = 1.0 / shape
+    # the quantile lam * (-log(1 - u))**(1/shape) at each cell's midpoint u
+    speeds = [lam * (-math.log1p(-((k + 0.5) * p_cell))) ** exponent for k in range(n_points)]
+    probs = [p_cell] * (n_points - 1) + [p_cell + (1.0 - TRUNCATION_QUANTILE)]
     return WeatherModel(
-        states=tuple(states),
+        states=tuple(zip(speeds, probs)),
         meta=f"weibull(shape={shape!r}, mean={mean_speed!r}, n_points={n_points})",
     )
 

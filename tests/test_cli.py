@@ -190,6 +190,23 @@ def test_solve_alpha_override_adds_settlement(scenario_dir, tmp_path):
     assert (out / "settlement.csv").exists()
 
 
+@pytest.mark.parametrize("alpha", ["1.5", "-0.25", "nan"])
+def test_bad_alpha_leaves_the_output_directory_as_it_was(scenario_dir, tmp_path, capsys, alpha):
+    path = str(scenario_dir / "tiny_oracle.yaml")
+    out = tmp_path / "out"
+    assert main(["solve", path, "--out", str(out), "--alpha", "0.4"]) == 0
+    before = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    assert "settlement.csv" in before
+    assert main(["solve", path, "--out", str(out), "--alpha", alpha]) == 2
+    after = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in out.iterdir()}
+    assert after == before
+    assert main(["solve", path, "--out", str(tmp_path / "new"), "--alpha", alpha]) == 2
+    assert not (tmp_path / "new").exists()
+    err = capsys.readouterr().err
+    assert err.count(f"error: --alpha: {float(alpha)} outside [0, 1]") == 2
+    assert "Traceback" not in err
+
+
 def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
     out = tmp_path / "out"
     rc = main(

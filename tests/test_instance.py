@@ -12,6 +12,12 @@ from hypothesis import given, settings, strategies as st
 from procure import mechanism
 from procure.cli import cmd_solve, cmd_verify, main
 from procure.costmodel import (
+    BETTER,
+    DOMINANCE_NAMES,
+    EQUAL,
+    EQUAL_COST_TOL,
+    INCOMPARABLE,
+    WORSE,
     CostModel,
     SellerType,
     SimpleCostModel,
@@ -188,7 +194,8 @@ def test_instance_matches_pairwise_dominance(six_scenario, worst_scenario):
             assert np.array_equal(inst.ec[i], sc.model.expected_cost_grid(x, pts, sc.weather))
             for j, y in enumerate(sc.space):
                 if i != j:
-                    assert inst.dominance[i, j] == dominates(x, y, sc.model, sc.weather, pts)
+                    name = DOMINANCE_NAMES[inst.dominance[i, j]]
+                    assert name == dominates(x, y, sc.model, sc.weather, pts)
         assert inst.worst_type == find_worst_type(sc.space, sc.model, sc.weather, pts)
     assert six_scenario.instance.worst is None
     assert worst_scenario.instance.worst_type.id == "g1"
@@ -224,10 +231,55 @@ def test_library_solve_checks_the_cost_model(worst_scenario):
 
 def test_worst_index_needs_every_other_type_covered():
     rel = dominance_matrix(np.array([[1.0, 2.0], [1.0, 3.0], [0.5, 4.0]]))
-    assert rel[0, 1] == "better" and rel[1, 0] == "worse"
-    assert rel[0, 2] == "incomparable"
+    assert rel[0, 1] == BETTER and rel[1, 0] == WORSE
+    assert rel[0, 2] == INCOMPARABLE
     assert worst_index(rel) is None
     assert worst_index(dominance_matrix(np.array([[1.0, 3.0], [1.0, 2.0]]))) == 0
+
+
+def ref_dominance_matrix(ec: np.ndarray) -> np.ndarray:
+    """dominance_matrix as a loop over rows that names every pair."""
+    scale = np.maximum(1.0, np.max(np.abs(ec), axis=1))
+    rel = np.empty((len(ec), len(ec)), dtype="<U12")
+    for i, row in enumerate(ec):
+        tol = EQUAL_COST_TOL * np.maximum(scale[i], scale)[:, None]
+        d = row - ec
+        below = np.all(d <= tol, axis=1)
+        above = np.all(d >= -tol, axis=1)
+        rel[i] = np.where(
+            below & above,
+            "equal",
+            np.where(below, "better", np.where(above, "worse", "incomparable")),
+        )
+    return rel
+
+
+EC_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 1e3]), st.floats(-1e6, 1e6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_dominance_codes_match_the_named_reference(data):
+    n_types = data.draw(st.integers(1, 6), label="types")
+    n_points = data.draw(st.integers(1, 8), label="points")
+    steps = st.lists(st.integers(-3, 3), min_size=n_points, max_size=n_points)
+    rows = []
+    for i in range(n_types):
+        if rows and data.draw(st.booleans(), label=f"near_{i}"):
+            # an earlier row moved by a few half tolerances at each point, so
+            # that pairs fall on both sides of the equality gate
+            base = data.draw(st.sampled_from(rows), label=f"base_{i}")
+            tol = 0.5 * EQUAL_COST_TOL * max(1.0, float(np.max(np.abs(base))))
+            row = base + tol * np.array(data.draw(steps, label=f"steps_{i}"))
+        else:
+            values = st.lists(EC_VALUES, min_size=n_points, max_size=n_points)
+            row = np.array(data.draw(values, label=f"row_{i}"))
+        rows.append(row)
+    ec = np.array(rows)
+    codes = dominance_matrix(ec)
+    assert codes.dtype == np.int8
+    assert np.all(np.diagonal(codes) == EQUAL)
+    assert np.array_equal(np.array(DOMINANCE_NAMES)[codes], ref_dominance_matrix(ec))
 
 
 def test_identity_holds_on_proper_admissible_set(six_scenario):

@@ -62,6 +62,17 @@ def point_weather():
     return WeatherModel(states=((5.0, 1.0),))
 
 
+@pytest.mark.parametrize("q_max, n_cells", [(10.0, 4), (0.3, 7), (1.0, 1), (5500.0, 20000)])
+def test_grid_points_are_built_once_and_read_only(q_max, n_cells):
+    grid = QuantityGrid(q_max=q_max, n_cells=n_cells)
+    points = grid.points
+    assert grid.points is points
+    assert points.tobytes() == np.linspace(0.0, q_max, n_cells + 1).tobytes()
+    assert not points.flags.writeable
+    with pytest.raises(ValueError):
+        points[0] = 1.0
+
+
 def test_grid_invariants():
     grid = QuantityGrid(q_max=10.0, n_cells=4)
     assert grid.points[0] == 0.0

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procure.cli import _corrupt_schedule, main
-from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
+from procure.costmodel import BETTER, SellerType, SimpleCostModel, TypeSpace
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
@@ -86,7 +86,7 @@ def ref_check_monotone(outcome):
     worst = -math.inf
     witness = "no ordered pairs"
     for i, j in itertools.permutations(range(len(inst.space)), 2):
-        if inst.dominance[i, j] != "better":
+        if inst.dominance[i, j] != BETTER:
             continue
         a, b = inst.space.types[i], inst.space.types[j]
         for kindname, viol in (

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -70,6 +71,20 @@ def test_model_invariants_enforced():
 
 
 @pytest.mark.parametrize(
+    "states, error, message",
+    [
+        (((1.0, 0.5), (1.0, 0.5)), ConfigurationError, "strictly increasing"),
+        (((2.0, 0.5), (1.0, -0.5)), ParameterDomainError, "negative probability -0.5 at w=1.0"),
+        (((1.0, 0.5), (-1.0, 0.5)), ParameterDomainError, "negative wind speed -1.0"),
+        (((1.0, -0.5), (-1.0, 1.5)), ParameterDomainError, "negative probability -0.5 at w=1.0"),
+    ],
+)
+def test_model_names_the_first_bad_state(states, error, message):
+    with pytest.raises(error, match=message):
+        WeatherModel(states=states)
+
+
+@pytest.mark.parametrize(
     "states",
     [
         ((1.0, math.nan),),
@@ -124,3 +139,19 @@ def test_expect_is_linear(a, b, speeds):
     lhs = expect(model, lambda w: a * f(w) + b * g(w))
     rhs = a * expect(model, f) + b * expect(model, g)
     assert abs(lhs - rhs) <= 1e-12 * max(1.0, abs(lhs), abs(rhs))
+
+
+@pytest.mark.parametrize(
+    "model",
+    [weibull_model(3.0, 5.0, 2000), empirical_model([5.0, 5.0, 10.0, 0.0]),
+     WeatherModel(states=((0.0, 1.0),))],
+)
+def test_state_arrays_are_read_only_and_bit_equal_to_the_tuples(model):
+    for array, column in ((model.speed_array, model.speeds), (model.prob_array, model.probs)):
+        assert array.dtype == np.float64
+        assert array.tobytes() == np.array(column).tobytes()
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    assert model.speeds == tuple(w for w, _ in model.states)
+    assert model.probs == tuple(p for _, p in model.states)

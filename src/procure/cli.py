@@ -183,6 +183,20 @@ def _manifest(scenario_path: Path, outcome: ContractOutcome) -> bytes:
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
+def _write_outputs(
+    scenario_path: Path, out_dir: Path, outcome: ContractOutcome, alpha: Optional[float] = None
+) -> None:
+    """schedule.csv, outcome.csv, settlement.csv when alpha is given, and
+    run_manifest.json, written in that order into out_dir."""
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
+    _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
+    if alpha is not None:
+        table = settlement_table(outcome, alpha)
+        _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
+    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
+
+
 def cmd_solve(
     scenario_path: Path,
     out_dir: Path,
@@ -194,14 +208,7 @@ def cmd_solve(
         raise ConfigurationError(f"--alpha: {alpha} outside [0, 1]")
     sc = _load(scenario_path, grid_cells, admissible)
     alpha = sc.alpha if alpha is None else alpha
-    outcome = _solve_scenario(sc)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
-    _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
-    if alpha is not None:
-        table = settlement_table(outcome, alpha)
-        _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
-    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
+    _write_outputs(scenario_path, out_dir, _solve_scenario(sc), alpha)
     return 0
 
 
@@ -240,10 +247,7 @@ def cmd_exclusion_search(
 ) -> int:
     sc = _load(scenario_path, grid_cells)
     ids, outcome = _search(sc)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
-    _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
-    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
+    _write_outputs(scenario_path, out_dir, outcome)
     print(f"best admissible set (exhaustive): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
     return 0

@@ -366,36 +366,66 @@ def _expected_cost_blocked(
     return ec
 
 
-class SimpleCostModel(CostModel):
-    """Free wind generation gamma*w^3 plus a conventional plant with
-    constant marginal cost: C(q,w,x) = c0 + theta_c * max(q - gamma*w^3, 0)."""
+class ShortfallCostModel(CostModel):
+    """The built-in cost structure: C(q,w,x) = c0 + theta_w*min(q,g(w)) +
+    theta_c*max(q-g(w),0). Startup cost c0, theta_w on the energy that wind
+    generation g covers and theta_c on the shortfall that the conventional
+    plant makes up. A subclass gives g (generation, generation_array) and
+    theta_w."""
 
-    kind = "simple"
-    param_names = ("c0", "theta_c", "gamma")
+    def theta_w(self, x: SellerType) -> float:
+        raise NotImplementedError
 
     def validate_type(self, x: SellerType) -> None:
         super().validate_type(x)
         if x.param("gamma") <= 0.0:
             raise ParameterDomainError(f"type {x.id!r}: gamma must be positive")
 
-    def generation(self, x: SellerType, w: float) -> float:
-        return x.param("gamma") * w**3
-
     def realized_cost(self, x: SellerType, q: float, w: float) -> float:
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
-        return x.param("c0") + x.param("theta_c") * max(q - self.generation(x, w), 0.0)
-
-    def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
-        return x.param("gamma") * weather.cubes
+        g = self.generation(x, w)
+        return x.param("c0") + self.theta_w(x) * min(q, g) + x.param("theta_c") * max(q - g, 0.0)
 
     def realized_cost_array(
         self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
     ) -> np.ndarray:
         if q < 0.0:
             raise ParameterDomainError(f"negative quantity {q}")
-        short = np.maximum(q - generation, 0.0)
-        return x.param("c0") + x.param("theta_c") * short
+        return (
+            x.param("c0")
+            + self.theta_w(x) * np.minimum(q, generation)
+            + x.param("theta_c") * np.maximum(q - generation, 0.0)
+        )
+
+    def expected_marginal_cost(
+        self, x: SellerType, q: float, weather: WeatherModel
+    ) -> float:
+        """theta_w*(1 - P) + theta_c*P, P the prior mass of the states
+        whose generation is at most q."""
+        if q < 0.0:
+            raise ParameterDomainError(f"negative quantity {q}")
+        g = self.generation_array(x, weather)
+        p_short = float(weather.prob_array[g <= q].sum())
+        return self.theta_w(x) * (1.0 - p_short) + x.param("theta_c") * p_short
+
+
+class SimpleCostModel(ShortfallCostModel):
+    """Free wind generation g = gamma*w^3, uncapped, plus a conventional
+    plant with constant marginal cost: theta_w = 0, so
+    C(q,w,x) = c0 + theta_c * max(q - gamma*w^3, 0)."""
+
+    kind = "simple"
+    param_names = ("c0", "theta_c", "gamma")
+
+    def theta_w(self, x: SellerType) -> float:
+        return 0.0
+
+    def generation(self, x: SellerType, w: float) -> float:
+        return x.param("gamma") * w**3
+
+    def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
+        return x.param("gamma") * weather.cubes
 
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
@@ -406,42 +436,24 @@ class SimpleCostModel(CostModel):
         weights = x.param("theta_c") * weather.prob_array
         return _expected_cost_blocked(x.param("c0"), weights, qs, g)
 
-    def expected_marginal_cost(
-        self, x: SellerType, q: float, weather: WeatherModel
-    ) -> float:
-        if q < 0.0:
-            raise ParameterDomainError(f"negative quantity {q}")
-        theta_c = x.param("theta_c")
-        gamma = x.param("gamma")
-        return theta_c * math.fsum(p for w, p in weather.states if gamma * w**3 <= q)
 
-
-class WindConventionalCostModel(CostModel):
-    """Wind turbine with the cut-in/rated/cut-out power curve plus a
-    conventional plant: C(q,w,x) = c0 + theta_w*min(q,g(w)) + theta_c*max(q-g(w),0)."""
+class WindConventionalCostModel(ShortfallCostModel):
+    """Wind turbine with the cut-in/rated/cut-out power curve (power_curve)
+    plus a conventional plant."""
 
     kind = "wind_conventional"
     param_names = ("c0", "theta_w", "theta_c", "v_ci", "v_r", "v_co", "gamma")
+
+    def theta_w(self, x: SellerType) -> float:
+        return x.param("theta_w")
 
     def validate_type(self, x: SellerType) -> None:
         super().validate_type(x)
         if not (x.param("v_ci") < x.param("v_r") < x.param("v_co")):
             raise ParameterDomainError(f"type {x.id!r}: need v_ci < v_r < v_co")
-        if x.param("gamma") <= 0.0:
-            raise ParameterDomainError(f"type {x.id!r}: gamma must be positive")
 
     def generation(self, x: SellerType, w: float) -> float:
         return power_curve(x, w)
-
-    def realized_cost(self, x: SellerType, q: float, w: float) -> float:
-        if q < 0.0:
-            raise ParameterDomainError(f"negative quantity {q}")
-        g = power_curve(x, w)
-        return (
-            x.param("c0")
-            + x.param("theta_w") * min(q, g)
-            + x.param("theta_c") * max(q - g, 0.0)
-        )
 
     def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
         """power_curve(x, w) at each state's speed."""
@@ -452,32 +464,12 @@ class WindConventionalCostModel(CostModel):
         g[(w < v_ci) | (w > v_co)] = 0.0
         return g
 
-    def realized_cost_array(
-        self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
-    ) -> np.ndarray:
-        if q < 0.0:
-            raise ParameterDomainError(f"negative quantity {q}")
-        return (
-            x.param("c0")
-            + x.param("theta_w") * np.minimum(q, generation)
-            + x.param("theta_c") * np.maximum(q - generation, 0.0)
-        )
-
     def expected_cost_grid(
         self, x: SellerType, qs: np.ndarray, weather: WeatherModel
     ) -> np.ndarray:
         g = self.generation_array(x, weather)
         wind = (x.param("theta_w"), x.param("theta_c"))
         return _expected_cost_blocked(x.param("c0"), weather.prob_array, qs, g, wind)
-
-    def expected_marginal_cost(
-        self, x: SellerType, q: float, weather: WeatherModel
-    ) -> float:
-        if q < 0.0:
-            raise ParameterDomainError(f"negative quantity {q}")
-        g = self.generation_array(x, weather)
-        p_short = float(weather.prob_array[g <= q].sum())
-        return x.param("theta_w") * (1.0 - p_short) + x.param("theta_c") * p_short
 
 
 BUILTIN_MODELS = {

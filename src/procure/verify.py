@@ -75,18 +75,15 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
     inst = outcome.instance
     tol = grid_tolerance(inst)
     ids, utility, q = outcome.admissible_ids, outcome.utility, outcome.q
-    worst = -math.inf
-    witness = "no ordered pairs"
-    for i, j in np.argwhere(inst.dominance == BETTER):
-        for kindname, viol in (
-            ("U", utility[j] - utility[i]),
-            ("q", q[j] - q[i]),
-        ):
-            if viol > worst:
-                worst = float(viol)
-                witness = f"{kindname}({ids[i]} better than {ids[j]})"
-    if worst == -math.inf:
-        worst = 0.0
+    better, worse = np.nonzero(inst.dominance == BETTER)
+    # each ordered pair's U violation, then its q violation
+    viol = np.column_stack([utility[worse] - utility[better], q[worse] - q[better]]).ravel()
+    worst, witness = 0.0, "no ordered pairs"
+    if viol.size:
+        k = int(np.argmax(viol))  # the first largest, as a scan in this order finds it
+        worst = float(viol[k])
+        i, j = better[k // 2], worse[k // 2]
+        witness = f"{'Uq'[k % 2]}({ids[i]} better than {ids[j]})"
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
 
 

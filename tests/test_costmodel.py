@@ -570,8 +570,93 @@ def test_plugin_marginal_cost_finite_difference(weather):
 def test_wind_conventional_rejects_bad_speeds(weather):
     model = WindConventionalCostModel()
     x = wc_type(v_ci=13.0, v_r=3.0)
-    with pytest.raises(ParameterDomainError):
+    with pytest.raises(ParameterDomainError, match=r"^type 'a': need v_ci < v_r < v_co$"):
         model.validate_type(x)
+    # the shared gamma check runs first, so a type that breaks both gets its message
+    with pytest.raises(ParameterDomainError, match="^type 'a': gamma must be positive$"):
+        model.validate_type(wc_type(v_ci=13.0, v_r=3.0, gamma=0.0))
+
+
+@pytest.mark.parametrize("model, x", [
+    (SimpleCostModel(), simple_type(gamma=0.0)),
+    (WindConventionalCostModel(), wc_type(gamma=0.0)),
+])
+def test_builtin_models_reject_nonpositive_gamma(model, x):
+    with pytest.raises(ParameterDomainError, match=f"^type '{x.id}': gamma must be positive$"):
+        model.validate_type(x)
+
+
+def old_simple_cost(x, q, w):
+    """SimpleCostModel.realized_cost before the built-in models shared one formula."""
+    return x.param("c0") + x.param("theta_c") * max(q - x.param("gamma") * w**3, 0.0)
+
+
+def old_simple_cost_array(x, q, generation):
+    return x.param("c0") + x.param("theta_c") * np.maximum(q - generation, 0.0)
+
+
+def old_wind_cost(x, q, w):
+    """WindConventionalCostModel.realized_cost before the shared formula."""
+    g = power_curve(x, w)
+    return (
+        x.param("c0")
+        + x.param("theta_w") * min(q, g)
+        + x.param("theta_c") * max(q - g, 0.0)
+    )
+
+
+def old_wind_cost_array(x, q, generation):
+    return (
+        x.param("c0")
+        + x.param("theta_w") * np.minimum(q, generation)
+        + x.param("theta_c") * np.maximum(q - generation, 0.0)
+    )
+
+
+def _zeros_or(values):
+    return st.sampled_from([0.0, -0.0]) | values
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    wind=st.booleans(),
+    qs=st.lists(st.floats(0.0, 3000.0), max_size=3),
+    ratios=st.lists(st.floats(0.0, 2.0), max_size=3),
+    c0=_zeros_or(st.floats(0.0, 10.0)),
+    theta_w=_zeros_or(st.floats(0.0, 2.0)),
+    theta_c=_zeros_or(st.floats(0.0, 2.0)),
+    gamma=st.floats(0.1, 3.0),
+    speeds=st.lists(st.floats(0.0, 30.0), max_size=4),
+)
+def test_realized_cost_matches_the_per_model_formulas(wind, qs, ratios, c0, theta_w, theta_c,
+                                                      gamma, speeds):
+    # calm, below cut-in, at rated speed and above cut-out, then the drawn speeds
+    speeds = sorted({0.0, 1.5, 13.0, 24.0, *speeds})
+    if wind:
+        model = WindConventionalCostModel()
+        x = wc_type(c0=c0, theta_w=theta_w, theta_c=theta_c, gamma=gamma)
+        old, old_array = old_wind_cost, old_wind_cost_array
+    else:
+        model = SimpleCostModel()
+        x = simple_type(c0=c0, theta_c=theta_c, gamma=gamma)
+        old, old_array = old_simple_cost, old_simple_cost_array
+    weather = WeatherModel(states=tuple((w, 1.0 / len(speeds)) for w in speeds))
+    g = model.generation_array(x, weather)
+    # each state's generation and multiples of it, so that both branches and
+    # their tie show at every state
+    qs = [0.0, -0.0, *qs, *(r * g_j for r in (1.0, *ratios) for g_j in g.tolist())]
+    got = np.array([model.realized_cost(x, q, w) for q in qs for w in speeds])
+    want = np.array([old(x, q, w) for q in qs for w in speeds])
+    got_array = np.array([model.realized_cost_array(x, q, weather, g) for q in qs])
+    want_array = np.array([old_array(x, q, g) for q in qs])
+    if not wind and math.copysign(1.0, c0) < 0.0 and math.copysign(1.0, theta_c) < 0.0:
+        # c0 = theta_c = -0 makes every cost a zero, and c0 + 0*min(q, g) in the
+        # shared formula can turn the old -0 into +0
+        assert np.all(got == 0.0) and np.all(want == 0.0)
+        assert np.all(got_array == 0.0) and np.all(want_array == 0.0)
+    else:
+        assert same_bits(got, want)
+        assert same_bits(got_array, want_array)
 
 
 @pytest.mark.parametrize("bad", [-1.0, float("nan")])

@@ -142,7 +142,7 @@ def _load(
     admissible: Optional[str] = None,
 ) -> Scenario:
     sc = load_scenario(scenario_path, n_cells=grid_cells)
-    if admissible:
+    if admissible is not None:  # "" is an empty set, rejected like options.admissible: []
         sc = replace(sc, admissible=tuple(admissible.split(",")))
         sc.space.subset(sc.admissible)  # validate ids early
     return sc

@@ -25,10 +25,14 @@ EQUAL_COST_TOL = 1e-12
 INCOMPARABLE, BETTER, WORSE, EQUAL = range(4)
 DOMINANCE_NAMES = ("incomparable", "better", "worse", "equal")
 
-# Bytes of one states x points block of the expected-cost kernel: a block
-# this size stays in a core's L2 cache while the integrand makes its passes
-# over it. Its width in points follows the number of states (ec_block_width).
-EC_BLOCK_BYTES = 1 << 18
+# Bytes of one states x points block of the expected-cost kernel. The wind
+# model holds two such blocks (the integrand and a tile of theta_w*g), and
+# both stay in a core's L2 cache while the integrand makes its passes over
+# them; a budget of 2^20, whose two blocks fill a 2 MB L2, was slower. The
+# width in points follows the number of states (ec_block_width): 320 points
+# at 200 states, and the 64-point floor at 2000 states, where wider blocks
+# were slower too.
+EC_BLOCK_BYTES = 1 << 19
 
 # Rows of a block that the expected-cost kernel keeps together when it
 # leaves out zero rows: gemv sums the rows of a tile in groups of 4 or 8.
@@ -243,7 +247,8 @@ def _expected_cost_blocked(
 
     The grid goes in blocks of ec_block_width points, and each block's
     integrand fills one C-contiguous states x k block, so every elementwise
-    pass runs over contiguous memory and one block exists at a time.
+    pass runs over contiguous memory and one integrand block exists at a
+    time; the wind model holds one more, a tile of theta_w*g.
 
     g need not be sorted (wind generation drops to 0 above cut-out), so the
     rows of a block split by the running max of g from the first state and
@@ -261,8 +266,10 @@ def _expected_cost_blocked(
     model's rows [0, c) are that product, and rows [a, c) then take
     max(., 0) in place, so it needs no other block. The wind model's short
     rows are theta_c*(q - g) + theta_w*g, from the product and a tile of
-    theta_w*g; its middle rows start from a copy of q and make five passes
-    with a tile of g and a scratch block; its covered rows are theta_w*q,
+    theta_w*g; its middle rows take min(q, g) from the row q and the column
+    g[a:c] into the block and theta_c*(q - min(q, g)) in a scratch of only
+    those rows, made only when a block has any (on a fine grid most blocks
+    have none); its covered rows are theta_w*q,
     the product of [theta_w, 0] and [q; 1], whose terms theta_w*q and 0*1
     leave the one rounding of theta_w*q. (numpy computes a states x 1 by
     1 x k product without BLAS, 3-5 times slower than copying q and
@@ -314,28 +321,24 @@ def _expected_cost_blocked(
     # The blocks share one buffer, each starting on a cache line. glibc's
     # malloc returns freed heap memory to the system above a trim threshold
     # of twice the largest buffer it has unmapped: one buffer stays in the
-    # heap for the next call, while four separate blocks freed together
+    # heap for the next call, while two separate blocks freed together
     # pass the threshold and are faulted in again on every call.
     k_max = min(width + 3, n)
     stride = -(-n_states * k_max // 8) * 8
-    blocks = _aligned_empty((1 if wind is None else 4) * stride)
+    blocks = _aligned_empty((1 if wind is None else 2) * stride)
     operand_buf = np.empty(2 * k_max)
     k = 0
     for lo, hi, a, c in zip(starts.tolist(), ends.tolist(), short_end.tolist(),
                             covered_start.tolist()):
         if hi - lo != k:  # the first block, and a wider last one
             k = hi - lo
-            out, *scratch = (
-                blocks[i : i + n_states * k].reshape(n_states, k)
-                for i in range(0, len(blocks), stride)
-            )
+            out = blocks[: n_states * k].reshape(n_states, k)
             q_and_ones = operand_buf[: 2 * k].reshape(2, k)
             q_and_ones[1] = 1.0
             q = q_and_ones[:1]
             if wind is not None:
-                tmp, g_tile, wind_tile = scratch
-                g_tile[...] = g[:, None]
-                np.multiply(g_tile, theta_w, out=wind_tile)
+                wind_tile = blocks[stride : stride + n_states * k].reshape(n_states, k)
+                np.multiply(g[:, None], theta_w, out=wind_tile)
         q[0] = qs[lo:hi]
         r = n_states
         if wind is None:
@@ -351,13 +354,11 @@ def _expected_cost_blocked(
                 short += wind_tile[:a]  # min(q, g) is g
             if c > a:
                 # q - min(q, g) is max(q - g, 0) bit for bit
-                mid = out[a:c]
-                mid[...] = q
-                wind_part = np.minimum(mid, g_tile[a:c], out=tmp[a:c])
-                np.subtract(mid, wind_part, out=mid)
+                wind_part = np.minimum(q, g[a:c, None], out=out[a:c])
+                shortfall = np.subtract(q, wind_part)
+                shortfall *= theta_c
                 wind_part *= theta_w
-                mid *= theta_c
-                np.add(wind_part, mid, out=mid)
+                wind_part += shortfall
             if c < n_states:
                 # min(q, g) is q and the shortfall q - q is +0
                 np.matmul(theta_w_and_zero[c:], q_and_ones, out=out[c:])

@@ -174,6 +174,21 @@ def test_solve_admissible_subset(scenario_dir, tmp_path):
     assert manifest["admissible"] == ["a", "b", "c"]
 
 
+@pytest.mark.parametrize("flag", ["", "a,"])
+def test_solve_admissible_naming_no_type_exits_2(scenario_dir, tmp_path, capsys, flag):
+    # an empty --admissible used to solve every type and exit 0, while
+    # options: {admissible: []} exits 2
+    out = tmp_path / "out"
+    rc = main(["solve", str(scenario_dir / "six_types.yaml"), "--out", str(out),
+               "--admissible", flag])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: admissible subset is empty" if flag == ""
+                          else "error: unknown type ids in admissible set: ['']")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_solve_alpha_override_adds_settlement(scenario_dir, tmp_path):
     out = tmp_path / "out"
     rc = main(

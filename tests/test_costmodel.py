@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import procure
+from procure import costmodel
 from procure.costmodel import (
     EC_BLOCK_BYTES,
     ROW_GROUP,
@@ -198,6 +199,31 @@ def blocked_kernel_mismatches():
     return bad
 
 
+def blocked_budget_mismatches():
+    """(model kind, c0, weather, grid) of each case where expected_cost_grid
+    differs in any bit between block budgets of 2^18, 2^19 and 2^20 bytes,
+    on 20,001 random and 20,001 sorted points: the block width, and with it
+    where each block's rows split, must change no bit."""
+    bad = []
+    budget = costmodel.EC_BLOCK_BYTES
+    random_points = np.random.default_rng(5).uniform(0.0, 3000.0, 20_001)
+    try:
+        for name, weather in kernel_weathers():
+            for model, x, _ in kernel_cases():
+                top = 1.25 * float(np.max(model.generation_array(x, weather)))
+                grids = {"random": random_points, "sorted": np.linspace(0.0, top, 20_001)}
+                for grid, qs in grids.items():
+                    rows = []
+                    for block_bytes in (1 << 18, 1 << 19, 1 << 20):
+                        costmodel.EC_BLOCK_BYTES = block_bytes
+                        rows.append(model.expected_cost_grid(x, qs, weather))
+                    if not all(same_bits(row, rows[0]) for row in rows[1:]):
+                        bad.append((model.kind, x.param("c0"), name, grid))
+    finally:
+        costmodel.EC_BLOCK_BYTES = budget
+    return bad
+
+
 def same_bits(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
@@ -293,6 +319,12 @@ def test_products_over_rounded_up_nonzero_rows_are_bit_identical():
     assert with_blas_threads("zero_tail_mismatches") == "[]"
 
 
+def test_block_budget_changes_no_bit():
+    # the block width is a tuning constant; this pins that retuning it
+    # leaves every expected-cost bit as it was
+    assert with_blas_threads("blocked_budget_mismatches") == "[]"
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_kernel_products_are_exact(threads):
     # the kernel builds q - g and theta_w*q rows as products; this pins the
@@ -301,7 +333,7 @@ def test_kernel_products_are_exact(threads):
 
 
 def test_ec_block_width():
-    assert [ec_block_width(s) for s in (1, 6, 200, 2000)] == [32_768, 5440, 128, 64]
+    assert [ec_block_width(s) for s in (1, 6, 200, 2000)] == [65_536, 10_880, 320, 64]
     for n_states in (*range(1, 3000), 10**5, 10**7):
         width = ec_block_width(n_states)
         assert width % 64 == 0 and width >= 64
@@ -313,16 +345,17 @@ def test_ec_block_width():
     "model, x, n_states, n_points, most_mb",
     [
         (SimpleCostModel(), simple_type(), 200, 20_001, 1.5),
-        (WindConventionalCostModel(), wc_type(), 200, 20_001, 8),
+        (WindConventionalCostModel(), wc_type(), 200, 20_001, 3),
         (SimpleCostModel(), simple_type(), 2000, 2001, 1.5),
-        (WindConventionalCostModel(), wc_type(), 2000, 2001, 8),
+        (WindConventionalCostModel(), wc_type(), 2000, 2001, 3),
     ],
     ids=["simple", "wind_conventional", "simple-2000x2001", "wind_conventional-2000x2001"],
 )
 def test_expected_cost_grid_peak_memory(model, x, n_states, n_points, most_mb):
     # One dense integrand alone is 32 MB at either size. numpy reports its
     # buffers to tracemalloc. The simple model's kernel holds one states x
-    # points block (1 MB at 2000 states); the wind model's holds four.
+    # points block (1 MB at 2000 states); the wind model's holds two, and a
+    # scratch for the middle rows of a block when it has any.
     weather = weibull_model(3.0, 5.0, n_states)
     qs = np.linspace(0.0, 3000.0, n_points)
     tracemalloc.start()

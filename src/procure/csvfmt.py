@@ -15,8 +15,10 @@ prefix are then placed by per-row masks, which are looked up by
 else goes to '%', one element at a time: near-ties, a carry to 1e12,
 scientific notation, NaN and +-inf.
 
-csv_lines lays fields side by side in NUL-padded rows, and csv_chunks
-removes the padding with one bytes.translate per block of rows.
+csv_lines lays the fields of a block of rows side by side in NUL-padded
+rows, all the block's floats formatted in one format_g12 call. csv_chunks
+cuts a table into blocks of as many rows as fit in SLAB_BYTES padded bytes
+and yields each as bytes, its padding removed with one bytes.translate.
 """
 from __future__ import annotations
 
@@ -29,8 +31,10 @@ import numpy as np
 # prefix, then up to 12 digits and a point. The last byte is always NUL.
 FIELD = 24
 
-# lines laid out at once by csv_chunks
-SLAB_ROWS = 1024
+# padded bytes of the lines csv_chunks lays out at once, which bounds the
+# padded buffer and the formatter's temporaries: 1,024 settlement.csv rows
+# of 176 bytes (an ex-post column and type ids of up to 7 bytes)
+SLAB_BYTES = 180_224
 
 _ZERO = 416  # row keys after the 2 x 16 x 13 fixed-notation ones: 0, -0
 _PERCENT = 418  # all NUL, overwritten with '%' text
@@ -100,15 +104,13 @@ def _tables():
 _SCALE = np.array([float(10 ** (11 - (e if e < 12 else e - 16))) for e in range(16)])
 
 
-def format_g12(x, out: np.ndarray | None = None) -> np.ndarray:
+def format_g12(x) -> np.ndarray:
     """'%.12g' % v for each v of x, as NUL-padded uint8 rows of shape
-    x.shape + (FIELD,), in C order. out, when given, is such an array
-    (a view is fine) whose rows start on 8-byte boundaries."""
+    x.shape + (FIELD,), in C order."""
     x = np.asarray(x, dtype=float)
     shape = x.shape
     x = x.reshape(-1)
-    if out is None:
-        out = np.empty(shape + (FIELD,), np.uint8)
+    out = np.empty(shape + (FIELD,), np.uint8)
     with np.errstate(all="ignore"):
         e, m, slow = _mantissa(x)
     # the mantissa's three 4-digit groups, high to low
@@ -199,39 +201,34 @@ def _accept(y: np.ndarray, m: np.ndarray) -> np.ndarray:
     return fast
 
 
+def _widths(columns: Sequence[np.ndarray]) -> list[int]:
+    """Each column's field with its separator, in 8-byte slots so that
+    float fields are word-aligned; a formatted float's last byte is NUL."""
+    return [FIELD if c.dtype.kind in "fu" else (c.itemsize + 8) // 8 * 8 for c in columns]
+
+
 def csv_lines(columns: Sequence[np.ndarray]) -> np.ndarray:
     """The CSV lines of the columns as NUL-padded uint8 rows, one per line.
 
     A float column's fields read as '%.12g' % v. A uint8 column holds
     fields format_g12 has already written, one row each. A bytes ('S')
-    column's fields are its elements. A column of one field repeats it on
-    every line. Fields are separated by ',' and each line ends in '\\n'.
+    column's fields are its elements, and a bytes column of one field
+    repeats it on every line. Fields are separated by ',' and each line
+    ends in '\\n'.
     """
     n = max(len(c) for c in columns)
-    floats = [c.dtype.kind == "f" for c in columns]
-    # each field with its separator, in 8-byte slots so that float fields
-    # are word-aligned; a formatted float's last byte is NUL
-    widths = [
-        FIELD if c.dtype.kind in "fu" else (c.itemsize + 8) // 8 * 8 for c in columns
-    ]
+    widths = _widths(columns)
     ends = np.cumsum(widths)
     lines = np.empty((n, int(ends[-1])), np.uint8)
-    j = 0
-    while j < len(columns):
-        start = int(ends[j]) - widths[j]
-        if floats[j]:
-            # a run of adjacent float columns is formatted in one call
-            k = next((i for i in range(j, len(columns)) if not floats[i]), len(columns)) - j
-            values = np.stack(columns[j : j + k], axis=1)
-            format_g12(values, out=lines[:, start : start + k * FIELD].reshape(n, k, FIELD))
-            j += k
-        else:
-            w = widths[j]
-            field = columns[j]
-            if field.dtype.kind == "S":
-                field = field.astype(f"S{w}").view(np.uint8).reshape(-1, w)
-            lines[:, start : start + w] = field
-            j += 1
+    floats = [c for c in columns if c.dtype.kind == "f"]
+    # every float field of the block in one call, a column's fields together
+    texts = iter(format_g12(np.reshape(floats, (len(floats), n))))
+    for c, w, end in zip(columns, widths, ends):
+        if c.dtype.kind == "f":
+            c = next(texts)
+        elif c.dtype.kind == "S":
+            c = c.astype(f"S{w}").view(np.uint8).reshape(-1, w)
+        lines[:, end - w : end] = c
     for end in ends[:-1]:
         lines[:, end - 1] = ord(",")
     lines[:, -1] = ord("\n")
@@ -240,9 +237,10 @@ def csv_lines(columns: Sequence[np.ndarray]) -> np.ndarray:
 
 def csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """csv_lines of the columns as bytes, the NUL padding removed, in
-    blocks of SLAB_ROWS lines laid out one at a time: that bounds the
-    padded buffer and the formatter's temporaries."""
+    blocks of as many lines as fit in SLAB_BYTES padded bytes (at least
+    one), laid out one at a time."""
     n = max(len(c) for c in columns)
-    for i in range(0, n, SLAB_ROWS):
-        block = [c if len(c) == 1 else c[i : i + SLAB_ROWS] for c in columns]
+    rows = max(1, SLAB_BYTES // sum(_widths(columns)))
+    for i in range(0, n, rows):
+        block = [c if len(c) == 1 else c[i : i + rows] for c in columns]
         yield csv_lines(block).tobytes().translate(None, b"\0")

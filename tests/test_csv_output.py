@@ -10,10 +10,13 @@ import sys
 import numpy as np
 import pytest
 
-from procure.cli import _csv_field, _load, _solve_scenario, main, schedule_csv
+from procure import csvfmt
+from procure.cli import (
+    _csv_field, _load, _schedule_chunks, _solve_scenario, main, schedule_csv, settlement_csv,
+)
 from procure.csvfmt import FIELD, format_g12
 from procure.mechanism import PriceSchedule, QuantityGrid
-from procure.settlement import SettlementRow, _payment_at
+from procure.settlement import SettlementRow, _payment_at, settlement_table
 
 SIMPLE_YAML = """\
 description: simple pair whose ids need CSV quoting
@@ -166,22 +169,26 @@ def _read(out):
     return {p.name: p.read_text() for p in out.iterdir()}
 
 
-@pytest.mark.parametrize(
-    "name, args",
-    [
-        ("six_types.yaml", []),
-        ("simple_worst.yaml", []),
-        ("six_types_corrupted.yaml", []),
-        ("tiny_oracle.yaml", []),
-        ("tiny_oracle.yaml", ["--alpha", "0.3"]),
-        ("six_types.yaml", ["--alpha", "0.7", "--admissible", "a,b,c"]),
-        ("simple_worst.yaml", ["--alpha", "1", "--admissible", "g1"]),
-        ("simple_worst.yaml", ["--alpha", "0", "--grid-cells", "77"]),
-        ("quoted", []),
-        ("quoted", ["--admissible", "hi's", "--alpha", "0.9"]),
-        ("closed", []),
-    ],
-)
+SOLVE_CASES = [
+    ("six_types.yaml", []),
+    ("simple_worst.yaml", []),
+    ("six_types_corrupted.yaml", []),
+    ("tiny_oracle.yaml", []),
+    ("tiny_oracle.yaml", ["--alpha", "0.3"]),
+    ("six_types.yaml", ["--alpha", "0.7", "--admissible", "a,b,c"]),
+    ("simple_worst.yaml", ["--alpha", "1", "--admissible", "g1"]),
+    ("simple_worst.yaml", ["--alpha", "0", "--grid-cells", "77"]),
+    ("quoted", []),
+    ("quoted", ["--admissible", "hi's", "--alpha", "0.9"]),
+    ("closed", []),
+]
+PLOT_CASES = ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml", "quoted", "closed"]
+# padded bytes per CSV block small enough that schedule.csv's closed tail
+# and settlement.csv span several blocks on the bundled scenarios
+SMALL_SLAB = 2048
+
+
+@pytest.mark.parametrize("name, args", SOLVE_CASES)
 def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, args):
     path = _scenario(name, scenario_dir, tmp_path)
     out = tmp_path / "out"
@@ -201,14 +208,37 @@ def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, ar
     assert got == want
 
 
-@pytest.mark.parametrize(
-    "name", ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml", "quoted", "closed"]
-)
+@pytest.mark.parametrize("name", PLOT_CASES)
 def test_plotdata_equals_row_wise_reference(scenario_dir, tmp_path, name):
     path = _scenario(name, scenario_dir, tmp_path)
     out = tmp_path / "plot"
     assert main(["plotdata", str(path), "--out", str(out)]) == 0
     assert _read(out) == ref_plotdata(_solve_scenario(_load(path)))
+
+
+@pytest.mark.parametrize("name, args", SOLVE_CASES)
+def test_solve_outputs_in_small_blocks_equal_row_wise_reference(
+    scenario_dir, tmp_path, monkeypatch, name, args
+):
+    monkeypatch.setattr(csvfmt, "SLAB_BYTES", SMALL_SLAB)
+    test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, args)
+
+
+@pytest.mark.parametrize("name", PLOT_CASES)
+def test_plotdata_in_small_blocks_equals_row_wise_reference(
+    scenario_dir, tmp_path, monkeypatch, name
+):
+    monkeypatch.setattr(csvfmt, "SLAB_BYTES", SMALL_SLAB)
+    test_plotdata_equals_row_wise_reference(scenario_dir, tmp_path, name)
+
+
+def test_small_blocks_split_the_closed_tail_and_settlement(scenario_dir, monkeypatch):
+    # the small-block comparisons above reach the cases they are here for
+    monkeypatch.setattr(csvfmt, "SLAB_BYTES", SMALL_SLAB)
+    outcome = _solve_scenario(_load(scenario_dir / "six_types.yaml"))
+    # header, open rows, first closed row, then the tail's blocks
+    assert len(list(_schedule_chunks(outcome.schedule))) > 3 + 10
+    assert len(list(settlement_csv(settlement_table(outcome, 0.5)))) > 1 + 10
 
 
 @pytest.mark.parametrize(

@@ -4,10 +4,12 @@ import csv
 import io
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from procure import csvfmt
 from procure.cli import _csv_field
-from procure.csvfmt import FIELD, SLAB_ROWS, csv_chunks, csv_lines, format_g12
+from procure.csvfmt import FIELD, csv_chunks, csv_lines, format_g12
 
 
 def _texts(values):
@@ -86,23 +88,76 @@ def test_two_dimensional_input_in_c_order():
     _assert_exact(np.asfortranarray(values))
 
 
-def test_csv_lines_equal_csv_writer():
-    # more lines than one slab holds, so that csv_chunks yields three
-    n = 2 * SLAB_ROWS + 3
-    rng = np.random.default_rng(11)
-    a, b = rng.uniform(-50, 50, n), rng.normal(size=n)
-    b[2] = np.nan
-    ids = ["x", 'q,"', "é1", "", "long id with spaces", "z"] * (n // 6 + 1)
-    ids = ids[:n]
-    # csv_lines takes text fields as they are: quote them as csv.writer does
-    fields = np.array([_csv_field(i).encode() for i in ids], dtype="S")
-    chunks = list(csv_chunks([fields, a, np.array([b"k"]), format_g12(b), np.array([b""]), a]))
-    assert len(chunks) == 3
-    text = b"".join(chunks).decode("utf-8")
+def _writer_text(rows):
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    for row in zip(ids, a.tolist(), b.tolist(), a.tolist()):
-        writer.writerow([row[0], "%.12g" % row[1], "k", "%.12g" % row[2], "", "%.12g" % row[3]])
-    assert text == buf.getvalue()
-    lines = csv_lines([a, fields])
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def test_csv_lines_equal_csv_writer():
+    rng = np.random.default_rng(11)
+    # csv_lines takes text fields as they are: quote them as csv.writer does
+    ids = ["x", 'q,"', "é1", "", "long id with spaces", "z"]
+    fields = np.array([_csv_field(i).encode() for i in ids], dtype="S")
+
+    def table(n):
+        a, b = rng.uniform(-50, 50, n), rng.normal(size=n)
+        b[2 % n] = np.nan
+        f = np.resize(fields, n)
+        return [f, a, np.array([b"k"]), format_g12(b), np.array([b""]), a], (f, a, b)
+
+    # more lines than one block holds, so that csv_chunks yields three
+    n = 2 * (csvfmt.SLAB_BYTES // csv_lines(table(1)[0]).shape[1]) + 3
+    columns, (f, a, b) = table(n)
+    chunks = list(csv_chunks(columns))
+    assert len(chunks) == 3
+    rows = [
+        [i, "%.12g" % x, "k", "%.12g" % y, "", "%.12g" % x]
+        for i, x, y in zip(np.resize(ids, n).tolist(), a.tolist(), b.tolist())
+    ]
+    assert b"".join(chunks).decode("utf-8") == _writer_text(rows)
+    lines = csv_lines([a, f])
     assert lines.shape[1] % 8 == 0 and (lines[:, -1] == ord("\n")).all()
+
+
+def _every_kind(n):
+    """A table of n lines with every column kind csv_chunks takes, and its
+    rows as csv.writer writes them."""
+    ties = [float(f"{m}5e{e - 12}") for e in (-4, 0, 5, 11) for m in (10**11, 123456789012)]
+    pool = np.concatenate(
+        [
+            [np.nan, np.inf, -np.inf, -0.0, 0.0, 1e-300, 2.5e300],
+            _neighbours(np.array([999999999999.5, 9.999999999995e-05, *ties])),
+        ]
+    )
+    x = np.resize(pool, n)
+    y = -np.resize(pool[::-1], n)
+    ids = ["a", 'q,"', "é1", "", "long id, with a comma"]
+    fields = np.resize(np.array([_csv_field(i).encode() for i in ids], dtype="S"), n)
+    columns = [fields, x, format_g12(y), np.array([b"k"]), y, np.array([b""]), x]
+    rows = [
+        [i, "%.12g" % u, "%.12g" % v, "k", "%.12g" % v, "", "%.12g" % u]
+        for i, u, v in zip(np.resize(ids, n).tolist(), x.tolist(), y.tolist())
+    ]
+    return columns, rows
+
+
+@pytest.mark.parametrize("lines", ["one", "two blocks and three"])
+@pytest.mark.parametrize(
+    "budget", ["half a row", "one row", "just short of four rows", "default", "the whole table"]
+)
+def test_csv_chunks_bytes_do_not_depend_on_the_block_size(monkeypatch, lines, budget):
+    width = csv_lines(_every_kind(1)[0]).shape[1]
+    n = 1 if lines == "one" else 2 * (csvfmt.SLAB_BYTES // width) + 3
+    slab = {
+        "half a row": width // 2,
+        "one row": width,
+        "just short of four rows": 4 * width - 1,
+        "default": csvfmt.SLAB_BYTES,
+        "the whole table": n * width + width // 2,
+    }[budget]
+    monkeypatch.setattr(csvfmt, "SLAB_BYTES", slab)
+    columns, want = _every_kind(n)
+    chunks = list(csv_chunks(columns))
+    assert len(chunks) == -(-n // max(1, slab // width))
+    assert b"".join(chunks).decode("utf-8") == _writer_text(want)

@@ -9,13 +9,15 @@ exceeds q.
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigurationError, ParameterDomainError
-from .weather import WeatherModel
+from .weather import WeatherModel, cube
 
 EQUAL_COST_TOL = 1e-12
 
@@ -37,6 +39,15 @@ EC_BLOCK_BYTES = 1 << 19
 # Rows of a block that the expected-cost kernel keeps together when it
 # leaves out zero rows: gemv sums the rows of a tile in groups of 4 or 8.
 ROW_GROUP = 16
+
+# States x points of one expected-cost row from which a load computes a
+# wind_conventional type set's rows on two threads (_worker_rows). Six wind
+# types' check_assumptions on two threads took, against one (2-vCPU Xeon,
+# one BLAS thread): 1.33 times as long at 20 states x 2001 points, 1.05-1.11
+# at 200 x 201 to 1001, 0.96-1.06 at 200 x 2001 and 0.97-1.00 at 20 x 20,001
+# (the break-even), 0.87-0.96 at 200 x 20,001, 0.76 at 20 x 200,001, and
+# 0.72-0.84 at 2000 x 101 to 501: many states gain sooner.
+THREAD_ROW_ELEMS = 400_000
 
 
 @dataclass(frozen=True)
@@ -184,31 +195,62 @@ class CostModel:
 
         Returns the expected-cost rows it checked, one per type on qs, so
         that callers need not compute them again.
+
+        The types are checked in order, each one's parameters before its
+        row, and the first failure raises. Where _worker_rows says so, a
+        worker thread computes the rows of the later types meanwhile, each
+        with the same expected_cost_grid call; an error it meets is raised
+        here in that type's turn, and it is joined before this returns.
         """
         w_lo, w_hi = weather.speeds[0], weather.speeds[-1]
-        rows = []
-        for x in space:
-            self.validate_type(x)
-            c0 = x.param("c0")
-            for w in (w_lo, w_hi):
-                v = self.realized_cost(x, 0.0, w)
-                if abs(v - c0) > 1e-9 * max(1.0, abs(c0)):
+        ec = np.empty((len(space), len(qs)))
+        later = _worker_rows(self, space, weather, qs)
+        failed: dict = {}  # type index -> the exception the worker met on its row
+
+        def compute_later_rows() -> None:
+            for i in later:
+                try:
+                    ec[i] = self.expected_cost_grid(space.types[i], qs, weather)
+                except BaseException as exc:  # the calling thread raises it
+                    failed[i] = exc
+                    return
+
+        worker = None
+        if later:
+            worker = threading.Thread(target=compute_later_rows, name="procure-ec-rows")
+            worker.start()
+        try:
+            for i, x in enumerate(space):
+                self.validate_type(x)
+                c0 = x.param("c0")
+                for w in (w_lo, w_hi):
+                    v = self.realized_cost(x, 0.0, w)
+                    if abs(v - c0) > 1e-9 * max(1.0, abs(c0)):
+                        raise ConfigurationError(
+                            f"type {x.id!r}: startup cost {v} at w={w} differs from c0={c0}"
+                        )
+                if i in later:
+                    worker.join()
+                    if i in failed:
+                        raise failed[i]
+                else:
+                    ec[i] = self.expected_cost_grid(x, qs, weather)
+                row = ec[i]
+                bad = np.flatnonzero(~np.isfinite(row))
+                if bad.size:
                     raise ConfigurationError(
-                        f"type {x.id!r}: startup cost {v} at w={w} differs from c0={c0}"
+                        f"type {x.id!r}: expected cost {row[bad[0]]} at q={qs[bad[0]]} "
+                        "is not finite"
                     )
-            ec = self.expected_cost_grid(x, qs, weather)
-            bad = np.flatnonzero(~np.isfinite(ec))
-            if bad.size:
-                raise ConfigurationError(
-                    f"type {x.id!r}: expected cost {ec[bad[0]]} at q={qs[bad[0]]} is not finite"
-                )
-            d = np.diff(ec)
-            if np.any(d < -1e-9 * max(1.0, float(np.max(np.abs(ec))))):
-                raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")
-            if np.any(np.diff(d) < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
-                raise ConfigurationError(f"type {x.id!r}: expected cost not convex in q")
-            rows.append(ec)
-        return np.array(rows)
+                d = np.diff(row)
+                if np.any(d < -1e-9 * max(1.0, float(np.max(np.abs(row))))):
+                    raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")
+                if np.any(np.diff(d) < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
+                    raise ConfigurationError(f"type {x.id!r}: expected cost not convex in q")
+        finally:
+            if worker is not None:
+                worker.join()
+        return ec
 
 
 def _aligned_empty(n: int) -> np.ndarray:
@@ -423,7 +465,7 @@ class SimpleCostModel(ShortfallCostModel):
         return 0.0
 
     def generation(self, x: SellerType, w: float) -> float:
-        return x.param("gamma") * w**3
+        return x.param("gamma") * cube(w)
 
     def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
         return x.param("gamma") * weather.cubes
@@ -450,8 +492,15 @@ class WindConventionalCostModel(ShortfallCostModel):
 
     def validate_type(self, x: SellerType) -> None:
         super().validate_type(x)
-        if not (x.param("v_ci") < x.param("v_r") < x.param("v_co")):
+        v_r = x.param("v_r")
+        if not (x.param("v_ci") < v_r < x.param("v_co")):
             raise ParameterDomainError(f"type {x.id!r}: need v_ci < v_r < v_co")
+        try:
+            v_r**3
+        except OverflowError:
+            raise ParameterDomainError(
+                f"type {x.id!r}: parameter v_r={v_r} is too large, v_r**3 overflows"
+            ) from None
 
     def generation(self, x: SellerType, w: float) -> float:
         return power_curve(x, w)
@@ -477,6 +526,30 @@ BUILTIN_MODELS = {
     "simple": SimpleCostModel,
     "wind_conventional": WindConventionalCostModel,
 }
+
+
+def _worker_rows(
+    model: CostModel, space: TypeSpace, weather: WeatherModel, qs: np.ndarray
+) -> range:
+    """The types whose expected-cost rows check_assumptions leaves to a
+    worker thread: the later half of a wind_conventional type set when
+    this process may run on two CPUs and each row has at least
+    THREAD_ROW_ELEMS states x points, else none.
+
+    The wind model's kernel spends its time in numpy and BLAS calls, which
+    release the GIL, so its rows overlap on two cores; the simple model's
+    rows ran slower on two threads, and a plugin's Python code is never
+    run off the calling thread.
+    """
+    n = len(space)
+    if (
+        type(model) is WindConventionalCostModel
+        and len(weather.states) * len(qs) >= THREAD_ROW_ELEMS
+        and hasattr(os, "sched_getaffinity")  # elsewhere than Linux, one thread
+        and len(os.sched_getaffinity(0)) >= 2
+    ):
+        return range((n + 1) // 2, n)
+    return range(n, n)
 
 
 def make_model(kind: str) -> CostModel:

@@ -229,6 +229,8 @@ class Instance:
         that breaks them."""
         ec = model.check_assumptions(space, weather, grid.points)
         dominance = dominance_matrix(ec)
+        cbar = np.diff(ec, axis=1)
+        cbar /= grid.dq
         return cls(
             space=space,
             model=model,
@@ -237,7 +239,7 @@ class Instance:
             vprime=vprime,
             priors=np.array([x.prior_weight for x in space]),
             ec=ec,
-            cbar=np.diff(ec, axis=1) / grid.dq,
+            cbar=cbar,
             vbar=cell_marginal_utility(vprime, grid),
             dominance=dominance,
             worst=worst_index(dominance),

@@ -77,12 +77,25 @@ class WeatherModel:
         pow) as the scalar cost formulas compute it. numpy's vectorized
         power can round differently in the last bit, which would change the
         settlement bytes."""
-        cubes = np.array([w**3 for w in self.speeds], dtype=float)
+        cubes = np.array([cube(w) for w in self.speeds], dtype=float)
         cubes.flags.writeable = False
         return cubes
 
     def mean(self) -> float:
         return math.fsum(p * w for w, p in self.states)
+
+
+def cube(w: float) -> float:
+    """w**3 through Python's float power, as the built-in cost models cube
+    a wind speed, or a ParameterDomainError where the power overflows (a
+    float power raises OverflowError there). A plugin model that never
+    cubes a speed takes any finite one."""
+    try:
+        return w**3
+    except OverflowError:
+        raise ParameterDomainError(
+            f"weather: wind speed {w!r} is too large, w**3 overflows"
+        ) from None
 
 
 def weibull_model(
@@ -100,7 +113,12 @@ def weibull_model(
         raise ParameterDomainError("shape and mean_speed must be positive")
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
-    lam = mean_speed / math.gamma(1.0 + 1.0 / shape)
+    try:
+        lam = mean_speed / math.gamma(1.0 + 1.0 / shape)
+    except OverflowError:
+        raise ParameterDomainError(
+            f"weibull shape {shape!r} is too small, Gamma(1 + 1/shape) overflows"
+        ) from None
     p_cell = TRUNCATION_QUANTILE / n_points
     exponent = 1.0 / shape
     # the quantile lam * (-log(1 - u))**(1/shape) at each cell's midpoint u

@@ -127,6 +127,83 @@ def test_non_finite_weather_exits_2(scenario_dir, tmp_path, capsys, weather):
         assert "Traceback" not in err
 
 
+WIND_YAML = """\
+weather: {weather}
+cost_model: {{kind: wind_conventional}}
+types:
+  - {{id: a, params: {{c0: 4, theta_w: 0.2, theta_c: 1.2, v_ci: 3, v_r: {v_r}, v_co: 1.0e+300, gamma: 1}}}}
+  - {{id: b, params: {{c0: 5, theta_w: 0.1, theta_c: 1.2, v_ci: 3, v_r: 13, v_co: 20, gamma: 1}}}}
+buyer: {{marginal_utility: {{kind: affine, intercept: 0.55, slope: 1.0e-4}}}}
+grid: {{n_cells: 50}}
+"""
+
+CALM = "{kind: weibull, shape: 3.0, mean: 5.0, n_points: 50}"
+
+
+def _exits_2_with(path, tmp_path, capsys, message):
+    out = tmp_path / "out"
+    for argv in (["verify", str(path)], ["solve", str(path), "--out", str(out)]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.endswith(" overflows\n")
+        assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["simple", "wind_conventional"])
+@pytest.mark.parametrize(
+    "weather, message",
+    [
+        ("{kind: weibull, shape: 0.001, mean: 5.0, n_points: 20}",
+         "error: weibull shape 0.001 is too small, Gamma(1 + 1/shape) overflows\n"),
+        ("{kind: weibull, shape: 3.0, mean: 1.0e+300, n_points: 20}",
+         "error: weather: wind speed 3.28815"),
+        ("{kind: empirical, samples: [3.0, 2.0e+200]}",
+         "error: weather: wind speed 2e+200 is too large, w**3 overflows\n"),
+    ],
+    ids=["weibull-shape", "weibull-mean", "empirical-sample"],
+)
+def test_overflowing_weather_exits_2(tmp_path, capsys, kind, weather, message):
+    # these raised OverflowError, a traceback and exit 1, which verify
+    # uses for a failed check; the simple model cubes the top speed in the
+    # startup-cost check, the wind model in its expected-cost rows
+    path = tmp_path / "big.yaml"
+    if kind == "simple":
+        text = TINY_YAML.format(extra="")
+        path.write_text(text.replace(f"weather: {CALM}", f"weather: {weather}"))
+    else:
+        path.write_text(WIND_YAML.format(weather=weather, v_r=13))
+    _exits_2_with(path, tmp_path, capsys, message)
+
+
+def test_overflowing_rated_speed_exits_2(tmp_path, capsys):
+    path = tmp_path / "big.yaml"
+    path.write_text(WIND_YAML.format(weather=CALM, v_r="1.0e+200"))
+    message = "error: type 'a': parameter v_r=1e+200 is too large, v_r**3 overflows\n"
+    _exits_2_with(path, tmp_path, capsys, message)
+
+
+@pytest.mark.parametrize(
+    "weather",
+    ["{kind: weibull, shape: 3.0, mean: 1.0e+300, n_points: 30}",
+     "{kind: empirical, samples: [3.0, 2.0e+200]}"],
+    ids=["weibull-mean", "empirical-sample"],
+)
+def test_plugin_that_never_cubes_takes_any_finite_speed(tmp_path, monkeypatch, capsys, weather):
+    from test_scenario import PLUGIN_YAML, SQRT_WIND_PLUGIN  # test_scenario imports this module
+
+    (tmp_path / "sqrt_wind_plugin.py").write_text(SQRT_WIND_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    path = tmp_path / "plugin.yaml"
+    path.write_text(
+        PLUGIN_YAML.format(target="sqrt_wind_plugin:SqrtWind").replace(
+            "{kind: weibull, shape: 3.0, mean: 5.0, n_points: 30}", weather
+        )
+    )
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_plotdata_outputs(scenario_dir, tmp_path):
     out = tmp_path / "plot"
     rc = main(["plotdata", str(scenario_dir / "six_types.yaml"), "--out", str(out)])

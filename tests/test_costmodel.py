@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -710,3 +712,175 @@ def test_aligned_empty_starts_on_a_cache_line():
         assert a.shape == (n,) and a.dtype == np.float64
         assert a.ctypes.data % 64 == 0
         keep.append(np.empty(n % 7 + 1))
+
+
+# The bundled six_types.yaml types, whose rows the benchmark's grid_fine
+# workload computes at 200 states and 20,001 points.
+SIX_WIND_TYPES = TypeSpace(tuple(
+    wc_type(tid, c0, theta_w, theta_c, v_ci, v_r, v_co, gamma, prior=1.0 / 6.0)
+    for tid, c0, theta_w, theta_c, v_ci, v_r, v_co, gamma in (
+        ("a", 4.0, 0.2, 1.2, 3.0, 13.0, 20.0, 1.0),
+        ("b", 4.0, 0.2, 1.2, 3.0, 13.0, 20.0, 2.0),
+        ("c", 5.0, 0.1, 1.2, 3.0, 13.0, 20.0, 1.0),
+        ("d", 5.0, 0.2, 1.0, 1.0, 17.0, 28.0, 2.0),
+        ("e", 6.0, 0.1, 1.0, 1.0, 17.0, 28.0, 1.0),
+        ("f", 6.0, 0.1, 1.0, 1.0, 13.0, 28.0, 2.0),
+    )
+))
+
+
+def spy_on_rows(model):
+    """[(type id, thread)] of each expected_cost_grid call on model from
+    now on, recorded by a wrapper set on the instance."""
+    calls = []
+    kernel = model.expected_cost_grid
+
+    def spy(x, qs, weather):
+        calls.append((x.id, threading.current_thread()))
+        return kernel(x, qs, weather)
+
+    model.expected_cost_grid = spy
+    return calls
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """check_assumptions sees two CPUs, whatever this process may run on."""
+    monkeypatch.setattr(costmodel.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def threaded_row_mismatches():
+    """(states, points, problem) of each case where check_assumptions'
+    rows for the six wind types differ in any bit from one
+    expected_cost_grid call per type, or where no row came from a worker
+    thread."""
+    bad = []
+    for n_states, n_points in ((200, 20_001), (2000, 2001)):
+        weather = weibull_model(3.0, 5.0, n_states)
+        qs = QuantityGrid(q_max=5500.0, n_cells=n_points - 1).points
+        model = WindConventionalCostModel()
+        calls = spy_on_rows(model)
+        rows = model.check_assumptions(SIX_WIND_TYPES, weather, qs)
+        del model.expected_cost_grid
+        want = np.array([model.expected_cost_grid(x, qs, weather) for x in SIX_WIND_TYPES])
+        if not same_bits(rows, want):
+            bad.append((n_states, n_points, "bits"))
+        workers = {t.name for _, t in calls if t is not threading.main_thread()}
+        if workers != {"procure-ec-rows"}:
+            bad.append((n_states, n_points, f"rows computed on {workers or 'main only'}"))
+    return bad
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_threaded_rows_are_bit_identical(threads):
+    if len(os.sched_getaffinity(0)) < 2:
+        pytest.skip("fewer than 2 CPUs available: check_assumptions stays on one thread")
+    assert with_blas_threads("threaded_row_mismatches", threads) == "[]"
+
+
+def test_an_earlier_types_error_comes_first_on_two_threads(two_cpus):
+    # a's EC is concave (theta_w > theta_c); b's parameters are invalid,
+    # and its row is computed on the worker while a is checked
+    model = WindConventionalCostModel()
+    space = TypeSpace((
+        wc_type("a", theta_w=2.0, theta_c=1.0, prior=0.5),
+        wc_type("b", gamma=0.0, prior=0.5),
+    ))
+    weather = weibull_model(3.0, 5.0, 200)
+    qs = QuantityGrid(q_max=5500.0, n_cells=20_000).points
+    calls = spy_on_rows(model)
+    spy = model.expected_cost_grid
+
+    def slow_worker(x, qs, weather):
+        if threading.current_thread() is not threading.main_thread():
+            time.sleep(0.2)  # still running when type a fails, unless joined
+        return spy(x, qs, weather)
+
+    model.expected_cost_grid = slow_worker
+    before = threading.active_count()
+    with pytest.raises(ConfigurationError, match="^type 'a': expected cost not convex in q$"):
+        model.check_assumptions(space, weather, qs)
+    assert threading.active_count() == before
+    assert sorted((i, t is threading.main_thread()) for i, t in calls) == [
+        ("a", True), ("b", False)
+    ]
+
+
+def test_a_worker_error_is_raised_in_its_types_turn(two_cpus):
+    # type e's row is on the worker in both type sets
+    model = WindConventionalCostModel()
+    weather = weibull_model(3.0, 5.0, 200)
+    qs = QuantityGrid(q_max=5500.0, n_cells=20_000).points
+    kernel = model.expected_cost_grid
+
+    def failing(x, qs, weather):
+        if x.id == "e":
+            raise ParameterDomainError("type 'e': no row")
+        return kernel(x, qs, weather)
+
+    model.expected_cost_grid = failing
+    with pytest.raises(ParameterDomainError, match="^type 'e': no row$"):
+        model.check_assumptions(SIX_WIND_TYPES, weather, qs)
+    concave_first = TypeSpace((
+        wc_type("a", theta_w=2.0, theta_c=1.0, prior=0.5), wc_type("e", prior=0.5)
+    ))
+    with pytest.raises(ConfigurationError, match="^type 'a': expected cost not convex in q$"):
+        model.check_assumptions(concave_first, weather, qs)
+
+
+@pytest.mark.parametrize(
+    "model, space, n_states, n_points",
+    [
+        (SimpleCostModel(), TypeSpace(tuple(
+            simple_type(f"s{i}", gamma=1.0 + i, prior=0.25) for i in range(4)
+        )), 200, 20_001),
+        (type("WindPlugin", (WindConventionalCostModel,), {})(), SIX_WIND_TYPES, 200, 20_001),
+        (WindConventionalCostModel(), SIX_WIND_TYPES, 200, 201),
+    ],
+    ids=["simple", "wind-subclass-plugin", "wind-small-grid"],
+)
+def test_rows_stay_on_the_calling_thread(two_cpus, model, space, n_states, n_points):
+    # the simple model's rows and small wind grids ran slower on two
+    # threads, and a plugin's code never leaves the calling thread
+    weather = weibull_model(3.0, 5.0, n_states)
+    qs = QuantityGrid(q_max=5500.0, n_cells=n_points - 1).points
+    calls = spy_on_rows(model)
+    model.check_assumptions(space, weather, qs)
+    assert [i for i, _ in calls] == [x.id for x in space]
+    assert all(t is threading.main_thread() for _, t in calls)
+
+
+def test_load_leaves_no_thread_running(two_cpus, scenario_dir):
+    before = threading.active_count()
+    sc = load_scenario(scenario_dir / "six_types.yaml", n_cells=20_000)
+    assert threading.active_count() == before
+    assert same_bits(
+        sc.instance.ec,
+        np.array([sc.model.expected_cost_grid(x, sc.grid.points, sc.weather) for x in sc.space]),
+    )
+
+
+def test_concurrent_loads_share_a_weather_model(two_cpus):
+    # four callers, each with its own worker, on one weather model whose
+    # cubes none has computed yet, switching threads every microsecond
+    weather = weibull_model(3.0, 5.0, 200)
+    qs = QuantityGrid(q_max=5500.0, n_cells=20_000).points
+    model = WindConventionalCostModel()
+    results = [None] * 4
+
+    def load(k):
+        results[k] = model.check_assumptions(SIX_WIND_TYPES, weather, qs)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=load, args=(k,)) for k in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    want = np.array([model.expected_cost_grid(x, qs, weather) for x in SIX_WIND_TYPES])
+    assert all(r is not None and same_bits(r, want) for r in results)

@@ -31,7 +31,7 @@ from .mechanism import (
     exclusion_search,
     solve,
 )
-from .settlement import expost_payment, risk_payment, settlement_table
+from .settlement import settlement_table
 from .weather import WeatherModel, empirical_model, weibull_model
 
 __all__ = [
@@ -56,10 +56,8 @@ __all__ = [
     "dominates",
     "empirical_model",
     "exclusion_search",
-    "expost_payment",
     "find_worst_type",
     "power_curve",
-    "risk_payment",
     "settlement_table",
     "solve",
     "weibull_model",

@@ -8,10 +8,13 @@ is chosen from the cell-averaged expected marginal costs
     cbar_j(x) = (EC(q_{j+1}, x) - EC(q_j, x)) / dq,
 
 and the cell-averaged marginal utility vbar_j = (V(q_{j+1}) - V(q_j)) / dq.
-With these averages the seller's grid utility telescopes exactly into
-per-cell margins, so the pointwise per-cell maximization is exactly optimal
-among candidate schedules on the grid (not merely up to O(dq)); the averages
-coincide with the pointwise c(q, x) and V'(q) as dq -> 0.
+With these averages each cell's margin telescopes exactly (no O(dq) term),
+and each cell's price maximizes that cell's own margin; the averages
+coincide with the pointwise c(q, x) and V'(q) as dq -> 0. The schedule is
+not always buyer-optimal: where no worst type exists, a cell's price also
+moves the payment anchor, and on six_types setting cell 11's price to
+0.1778917 raises the buyer's utility U from 12.2632690 to 12.5310916
+(ROADMAP item 3).
 """
 from __future__ import annotations
 

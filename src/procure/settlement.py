@@ -1,10 +1,14 @@
-"""Post-solve payment transformations.
-
-Two modifications of the base payment schedule: a weather-indexed payment
-that makes participation profitable for every weather realization (it
-requires a worst type), and an alpha-parameterized payment that shifts a
-share of the weather risk onto the buyer. Both leave every type's expected
+"""Post-solve payment transformations, each keeping every type's expected
 payment, and hence its optimal quantity, unchanged.
+
+The ex-post payment t(q) - t(q_worst) + C(q_worst, w, worst) needs a worst
+type and makes its realized profit exactly 0 in every weather state. Other
+types are protected only through a fallback, producing the worst type's
+quantity (acceptance criterion 05); at its own quantity simple_worst's g2
+loses up to 97.1 in some state. The alpha risk-shared payment
+t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x)) moves a share alpha of the
+weather risk onto the buyer; with alpha = 1 every type's realized profit
+stays at its U in every state, up to round-off.
 """
 from __future__ import annotations
 
@@ -14,58 +18,8 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, SellerType
 from .errors import ParameterDomainError
-from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid
-
-
-def expost_payment(
-    outcome: ContractOutcome,
-    schedule: PriceSchedule,
-    worst: SellerType,
-    q: float,
-    w: float,
-    model: CostModel,
-) -> float:
-    """Weather-indexed payment t(q) - t(q_worst) + C(q_worst, w, worst).
-
-    The correction has zero weather mean, so expected payments match the
-    base schedule; the worst type's realized profit is identically zero.
-    """
-    grid, pts, t = schedule.grid, schedule.grid.points, schedule.payments()
-    q_worst = float(outcome.q[outcome.instance.space.index(worst.id)])
-    return (
-        _payment_at(grid, pts, t, q)
-        - _payment_at(grid, pts, t, q_worst)
-        + model.realized_cost(worst, q_worst, w)
-    )
-
-
-def risk_payment(
-    outcome: ContractOutcome,
-    x: SellerType,
-    w: float,
-    alpha: float,
-    model: CostModel,
-) -> float:
-    """Risk-shared payment t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x)).
-
-    alpha = 0 reproduces the base payment; alpha = 1 insures the seller
-    completely (her realized profit no longer depends on the weather).
-    """
-    if not (0.0 <= alpha <= 1.0):
-        raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
-    i = outcome.instance.space.index(x.id)
-    cost = model.realized_cost(x, float(outcome.q[i]), w)
-    return float(outcome.payment[i]) + alpha * (cost - float(outcome.expected_cost[i]))
-
-
-def _payment_at(grid: QuantityGrid, pts: np.ndarray, t: np.ndarray, q: float) -> float:
-    """t(q) from the payments t at the grid points pts; q must be one."""
-    k = int(round(q / grid.dq))
-    if not (0 <= k < len(pts)) or abs(pts[k] - q) > 1e-9 * max(1.0, q):
-        raise ParameterDomainError(f"quantity {q} is not a grid point")
-    return float(t[k])
+from .mechanism import ContractOutcome
 
 
 @dataclass(frozen=True)
@@ -127,8 +81,9 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
 
     The ex-post column is present only when a worst type exists (the
     construction needs one); profit is under the risk-shared payment.
-    Every entry equals the per-row expost_payment and risk_payment bit for
-    bit: the columns repeat their operations in the same order.
+    Every entry equals the per-row expost_payment and risk_payment of
+    tests/settlement_reference.py bit for bit: the columns repeat their
+    operations in the same order.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
@@ -143,12 +98,12 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
             for x, q_x, g in zip(space, q, generation)
         ]
     )
-    # risk_payment: t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
+    # t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
     risk = base[:, None] + alpha * (cost - outcome.expected_cost[:, None])
     expost = None
     if inst.worst is not None:
-        # expost_payment: t(q) - t(q_worst) + C(q_worst, w, worst), the
-        # worst type's cost being its row of cost
+        # t(q) - t(q_worst) + C(q_worst, w, worst), the worst type's cost
+        # being its row of cost
         shift = base - base[inst.worst]
         expost = shift[:, None] + cost[inst.worst]
     return SettlementTable(

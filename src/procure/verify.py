@@ -1,8 +1,12 @@
 """Independent certification: constraint checks and a brute-force oracle.
 
 Every check returns a CheckResult with the worst violation found, the
-tolerance applied, and a witness string. Tolerances are grid-derived:
-tol_grid = dq * (largest expected marginal cost anywhere on the grid).
+tolerance applied, and a witness string. Each check sets its own gate:
+ic, vp and monotone tol_grid = dq * max cbar (the largest cell-averaged
+expected marginal cost); identity max(0.5% * max(1, |U|), dq * max |V' - p|
+over the open cells); pointwise 1e-9 * max(1, max |vbar|); quasi_concavity
+one cell, dq; worst_type_pricing 1e-9 * max(1, max |cbar|); oracle 1e-9
+relative, 1e-9 * max(1, |oracle U|).
 """
 from __future__ import annotations
 

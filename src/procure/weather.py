@@ -28,16 +28,14 @@ class WeatherModel:
     increasing speeds; probabilities sum to one. Immutable after
     construction, safe for concurrent read-only use.
 
-    speeds and probs are the states' two columns as tuples, which the
-    scalar cost formulas read, and speed_array and prob_array the same
-    values as read-only float arrays for the vectorized ones; all four are
-    built once, with the checks.
+    speeds is the states' speed column as a tuple, which the scalar cost
+    formulas read; speed_array and prob_array are the two columns as
+    read-only float arrays for the vectorized ones. All three are built
+    once, with the checks.
     """
 
     states: tuple[tuple[float, float], ...]
-    meta: str = ""
     speeds: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    probs: tuple[float, ...] = field(init=False, repr=False, compare=False)
     speed_array: np.ndarray = field(init=False, repr=False, compare=False)
     prob_array: np.ndarray = field(init=False, repr=False, compare=False)
 
@@ -67,7 +65,6 @@ class WeatherModel:
         w.flags.writeable = False
         p.flags.writeable = False
         object.__setattr__(self, "speeds", speeds)
-        object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "speed_array", w)
         object.__setattr__(self, "prob_array", p)
 
@@ -124,10 +121,7 @@ def weibull_model(
     # the quantile lam * (-log(1 - u))**(1/shape) at each cell's midpoint u
     speeds = [lam * (-math.log1p(-((k + 0.5) * p_cell))) ** exponent for k in range(n_points)]
     probs = [p_cell] * (n_points - 1) + [p_cell + (1.0 - TRUNCATION_QUANTILE)]
-    return WeatherModel(
-        states=tuple(zip(speeds, probs)),
-        meta=f"weibull(shape={shape!r}, mean={mean_speed!r}, n_points={n_points})",
-    )
+    return WeatherModel(states=tuple(zip(speeds, probs)))
 
 
 def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
@@ -141,4 +135,4 @@ def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
     counts = Counter(samples)
     n = len(samples)
     states = tuple((float(w), counts[w] / n) for w in sorted(counts))
-    return WeatherModel(states=states, meta=f"empirical({n} samples)")
+    return WeatherModel(states=states)

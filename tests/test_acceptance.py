@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import cdf
+from settlement_reference import expost_payment, risk_payment
 from procure.cli import cmd_solve
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace, dominates, find_worst_type
 from procure.mechanism import (
@@ -24,7 +25,6 @@ from procure.mechanism import (
     solve,
 )
 from procure.scenario import load_scenario
-from procure.settlement import expost_payment, risk_payment
 from procure.verify import check_ic, check_vp, grid_tolerance, oracle_solve
 from procure.weather import weibull_model
 
@@ -169,7 +169,7 @@ def test_criterion_05_expost_participation(worst_scenario, worst_outcome, capsys
 
 def test_criterion_06_risk_sharing(worst_scenario, worst_outcome, capsys):
     sc = worst_scenario
-    probs = np.array(sc.weather.probs)
+    probs = sc.weather.prob_array
     speeds = sc.weather.speeds
     failures = []
     for i, x in enumerate(sc.space):

@@ -117,13 +117,13 @@ def test_expected_cost_grid_matches_scalar(weather):
 
 def dense_simple(x, qs, weather):
     g = (x.param("gamma") * np.array(weather.speeds) ** 3)[:, None]
-    probs = np.array(weather.probs)
+    probs = weather.prob_array
     return x.param("c0") + x.param("theta_c") * probs @ np.maximum(qs[None, :] - g, 0.0)
 
 
 def dense_wind_conventional(x, qs, weather):
     g = np.array([power_curve(x, w) for w in weather.speeds])[:, None]
-    probs = np.array(weather.probs)
+    probs = weather.prob_array
     wind = np.minimum(qs[None, :], g)
     short = np.maximum(qs[None, :] - g, 0.0)
     return x.param("c0") + probs @ (x.param("theta_w") * wind + x.param("theta_c") * short)

@@ -10,13 +10,14 @@ import sys
 import numpy as np
 import pytest
 
+from settlement_reference import expost_payment, risk_payment
 from procure import csvfmt
 from procure.cli import (
     _csv_field, _load, _schedule_chunks, _solve_scenario, main, schedule_csv, settlement_csv,
 )
 from procure.csvfmt import FIELD, format_g12
 from procure.mechanism import PriceSchedule, QuantityGrid
-from procure.settlement import SettlementRow, _payment_at, settlement_table
+from procure.settlement import SettlementRow, settlement_table
 
 SIMPLE_YAML = """\
 description: simple pair whose ids need CSV quoting
@@ -51,29 +52,17 @@ def _csv_text(header, rows):
 
 
 def ref_settlement_table(outcome, alpha):
-    """One (type, state) row at a time, with the scalar cost calls."""
-    schedule, inst = outcome.schedule, outcome.instance
-    space, model, worst = inst.space, inst.model, inst.worst_type
-    grid = schedule.grid
-    pts, t = grid.points, schedule.payments()
-    speeds = inst.weather.speeds
-    q, payment, expected = (
-        c.tolist() for c in (outcome.q, outcome.payment, outcome.expected_cost)
-    )
-    if worst is not None:
-        q_worst = q[inst.worst]
-        t_worst = _payment_at(grid, pts, t, q_worst)
-        worst_cost = [model.realized_cost(worst, q_worst, w) for w in speeds]
+    """One (type, state) row at a time, with the scalar cost calls and the
+    per-row payment references."""
+    inst = outcome.instance
+    model, worst = inst.model, inst.worst_type
+    payment = outcome.payment.tolist()
     rows = []
-    for i, x in enumerate(space):
-        if worst is not None:
-            shift = _payment_at(grid, pts, t, q[i]) - t_worst
-            expost = [shift + c for c in worst_cost]
-        else:
-            expost = [None] * len(speeds)
-        for w, payment_expost in zip(speeds, expost):
-            cost = model.realized_cost(x, q[i], w)
-            risk = payment[i] + alpha * (cost - expected[i])
+    for i, x in enumerate(inst.space):
+        q = float(outcome.q[i])
+        for w in inst.weather.speeds:
+            cost = model.realized_cost(x, q, w)
+            risk = risk_payment(outcome, x, w, alpha, model)
             rows.append(
                 SettlementRow(
                     type_id=x.id,
@@ -81,7 +70,9 @@ def ref_settlement_table(outcome, alpha):
                     generation=model.generation(x, w),
                     realized_cost=cost,
                     payment_base=payment[i],
-                    payment_expost=payment_expost,
+                    payment_expost=None if worst is None else expost_payment(
+                        outcome, outcome.schedule, worst, q, w, model
+                    ),
                     payment_risk=risk,
                     profit=risk - cost,
                 )

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import expect
+from settlement_reference import expost_payment, risk_payment
 from procure.costmodel import CostModel, SellerType, TypeSpace, find_worst_type
 from procure.errors import ParameterDomainError
-from procure.settlement import expost_payment, risk_payment, settlement_table
+from procure.settlement import settlement_table
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, solve
 from procure.weather import weibull_model
 
@@ -76,6 +77,21 @@ def test_expost_profit_at_own_bundle_can_be_negative(worst_scenario, worst_outco
     assert pay - sc.model.realized_cost(g2, q, calm) < 0.0
 
 
+def test_settlement_columns_hold_what_the_docstring_says(worst_scenario, worst_outcome):
+    # the ex-post column zeroes the worst type's profit in every state and
+    # leaves g2, at its own quantity, below 0 in some state; alpha = 1 keeps
+    # every type's profit at its U in every state, up to round-off
+    sc = worst_scenario
+    assert sc.instance.worst_type.id == "g1"
+    table = settlement_table(worst_outcome, alpha=1.0)
+    expost_profit = table.payment_expost - table.realized_cost
+    g1, g2 = sc.space.index("g1"), sc.space.index("g2")
+    assert (expost_profit[g1] == 0.0).all()
+    assert expost_profit[g2].min() == pytest.approx(-97.1156, abs=1e-4)
+    scale = np.abs(table.realized_cost).max()
+    assert np.abs(table.profit - worst_outcome.utility[:, None]).max() <= 1e-12 * scale
+
+
 def test_expost_requires_worst_type(six_scenario, six_outcome):
     # the six types have no worst type, so the table has no ex-post column
     sc = six_scenario
@@ -130,8 +146,8 @@ def _profit_variance(sc, outcome, x, alpha):
         - sc.model.realized_cost(x, q, w)
         for w in sc.weather.speeds
     ]
-    mean = math.fsum(p * v for p, v in zip(sc.weather.probs, profits))
-    return math.fsum(p * (v - mean) ** 2 for p, v in zip(sc.weather.probs, profits))
+    mean = math.fsum(p * v for (_, p), v in zip(sc.weather.states, profits))
+    return math.fsum(p * (v - mean) ** 2 for (_, p), v in zip(sc.weather.states, profits))
 
 
 @given(alpha=st.floats(0.0, 1.0, allow_nan=False))
@@ -176,8 +192,8 @@ def test_payment_requires_grid_point(worst_scenario, worst_outcome):
 
 
 def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome):
-    # the table computes both payments inline; they must match the public
-    # per-row functions bit for bit
+    # the table computes both payments inline; they must match the per-row
+    # reference functions bit for bit
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
     schedule = worst_outcome.schedule

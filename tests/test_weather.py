@@ -11,7 +11,7 @@ from procure.weather import WeatherModel, empirical_model, weibull_model
 
 def test_weibull_mean_recovery():
     model = weibull_model(3.0, 5.0, 200)
-    assert abs(math.fsum(model.probs) - 1.0) <= 1e-12
+    assert abs(math.fsum(model.prob_array) - 1.0) <= 1e-12
     assert abs(model.mean() - 5.0) <= 0.05
     # closed-form Weibull mean is lambda * Gamma(1 + 1/shape)
     lam = 5.0 / math.gamma(1.0 + 1.0 / 3.0)
@@ -40,8 +40,8 @@ def test_weibull_mean_error_shrinks_with_resolution():
 
 def test_weibull_tail_mass_folded_into_top_cell():
     model = weibull_model(3.0, 5.0, 100)
-    assert model.probs[-1] > model.probs[0]
-    assert abs(math.fsum(model.probs) - 1.0) <= 1e-12
+    assert model.prob_array[-1] > model.prob_array[0]
+    assert abs(math.fsum(model.prob_array) - 1.0) <= 1e-12
 
 
 def test_empirical_frequencies():
@@ -147,11 +147,11 @@ def test_expect_is_linear(a, b, speeds):
      WeatherModel(states=((0.0, 1.0),))],
 )
 def test_state_arrays_are_read_only_and_bit_equal_to_the_tuples(model):
-    for array, column in ((model.speed_array, model.speeds), (model.prob_array, model.probs)):
+    probs = tuple(p for _, p in model.states)
+    for array, column in ((model.speed_array, model.speeds), (model.prob_array, probs)):
         assert array.dtype == np.float64
         assert array.tobytes() == np.array(column).tobytes()
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
     assert model.speeds == tuple(w for w, _ in model.states)
-    assert model.probs == tuple(p for _, p in model.states)

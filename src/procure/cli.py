@@ -22,7 +22,14 @@ import numpy as np
 from . import __version__
 from .csvfmt import csv_chunks, format_g12
 from .errors import ConfigurationError, ProcureError
-from .mechanism import ContractOutcome, PriceSchedule, QuantityGrid, exclusion_search, solve
+from .mechanism import (
+    ContractOutcome,
+    PriceSchedule,
+    QuantityGrid,
+    evaluate,
+    exclusion_search,
+    solve,
+)
 from .scenario import Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
 from .verify import grid_tolerance, report_text, run_checks
@@ -140,51 +147,52 @@ def _load(
     scenario_path: Path,
     grid_cells: Optional[int] = None,
     admissible: Optional[str] = None,
+    exclusion_search: bool = False,
 ) -> Scenario:
-    sc = load_scenario(scenario_path, n_cells=grid_cells)
-    if admissible is not None:  # "" is an empty set, rejected like options.admissible: []
-        sc = replace(sc, admissible=tuple(admissible.split(",")))
-        sc.space.subset(sc.admissible)  # validate ids early
-    return sc
-
-
-def _search(sc: Scenario) -> tuple[tuple[str, ...], ContractOutcome]:
-    """exclusion_search on the scenario's instance. The search picks the
-    admissible set itself, so one given by the scenario or by --admissible
-    is an error rather than silently ignored."""
-    if sc.admissible is not None:
-        raise ConfigurationError(
-            "exclusion search conflicts with the admissible set "
-            f"{','.join(sc.admissible)} (options.admissible or --admissible): "
-            "the search chooses the admissible set itself; drop one of the two"
-        )
-    return exclusion_search(sc.instance)
+    """load_scenario with the command line's overrides; "" for admissible
+    is an empty set, rejected like options.admissible: []."""
+    ids = None if admissible is None else admissible.split(",")
+    return load_scenario(scenario_path, grid_cells, ids, exclusion_search)
 
 
 def _solve_scenario(sc: Scenario) -> ContractOutcome:
     if sc.exclusion_search:
-        return _search(sc)[1]
+        return exclusion_search(sc.instance)[1]
     return solve(sc.instance, admissible=sc.admissible)
 
 
-def _manifest(scenario_path: Path, outcome: ContractOutcome) -> bytes:
+def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> bytes:
+    """The run's inputs, the instance's shape and the solver's branch:
+    worst_type is the solved set's worst type, which anchors the payment
+    when there is one."""
     digest = hashlib.sha256(scenario_path.read_bytes()).hexdigest()
-    grid = outcome.instance.grid
+    inst = outcome.instance
+    grid = inst.grid
+    worst = inst.worst_type
     data = {
         "scenario_sha256": digest,
         "package_version": __version__,
         "grid": {"q_max": grid.q_max, "n_cells": grid.n_cells, "dq": grid.dq},
-        "tol_grid": grid_tolerance(outcome.instance),
+        "tol_grid": grid_tolerance(inst),
         "admissible": list(outcome.admissible_ids),
         "buyer_utility": outcome.buyer_utility,
         "buyer_utility_survival": outcome.buyer_utility_survival,
         "t0": outcome.schedule.t0,
+        "types": len(sc.space),
+        "weather_states": len(inst.weather.states),
+        "n_open": outcome.schedule.n_open,
+        "worst_type": None if worst is None else worst.id,
+        "anchor": "a-posteriori" if worst is None else "worst-type",
     }
     return (json.dumps(data, indent=2, sort_keys=True) + "\n").encode("utf-8")
 
 
 def _write_outputs(
-    scenario_path: Path, out_dir: Path, outcome: ContractOutcome, alpha: Optional[float] = None
+    scenario_path: Path,
+    out_dir: Path,
+    sc: Scenario,
+    outcome: ContractOutcome,
+    alpha: Optional[float],
 ) -> None:
     """schedule.csv, outcome.csv, settlement.csv when alpha is given, and
     run_manifest.json, written in that order into out_dir."""
@@ -194,7 +202,7 @@ def _write_outputs(
     if alpha is not None:
         table = settlement_table(outcome, alpha)
         _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
-    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, outcome)])
+    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, sc, outcome)])
 
 
 def cmd_solve(
@@ -208,7 +216,7 @@ def cmd_solve(
         raise ConfigurationError(f"--alpha: {alpha} outside [0, 1]")
     sc = _load(scenario_path, grid_cells, admissible)
     alpha = sc.alpha if alpha is None else alpha
-    _write_outputs(scenario_path, out_dir, _solve_scenario(sc), alpha)
+    _write_outputs(scenario_path, out_dir, sc, _solve_scenario(sc), alpha)
     return 0
 
 
@@ -216,8 +224,9 @@ def cmd_verify(scenario_path: Path, grid_cells: Optional[int] = None) -> int:
     sc = _load(scenario_path, grid_cells)
     outcome = _solve_scenario(sc)
     if sc.corruption is not None:
-        # the solver's columns, certified against the corrupted schedule
-        outcome = replace(outcome, schedule=_corrupt_schedule(outcome.schedule, sc.corruption))
+        # the corrupted schedule's own best responses, under its own t0
+        corrupted = _corrupt_schedule(outcome.schedule, sc.corruption)
+        outcome = evaluate(outcome.instance, corrupted)
     results = run_checks(outcome)
     print(report_text(results))
     return 0 if all(r.passed for r in results) else 1
@@ -245,9 +254,9 @@ def cmd_plotdata(
 def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
-    sc = _load(scenario_path, grid_cells)
-    ids, outcome = _search(sc)
-    _write_outputs(scenario_path, out_dir, outcome)
+    sc = _load(scenario_path, grid_cells, exclusion_search=True)
+    ids, outcome = exclusion_search(sc.instance)
+    _write_outputs(scenario_path, out_dir, sc, outcome, sc.alpha)
     print(f"best admissible set (exhaustive): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
     return 0

@@ -443,6 +443,15 @@ def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> Contrac
 MAX_EXCLUSION_TYPES = 12
 
 
+def check_exclusion_size(n_types: int) -> None:
+    """Refuse an exclusion search over more than MAX_EXCLUSION_TYPES types,
+    whose subsets are too many to enumerate."""
+    if n_types > MAX_EXCLUSION_TYPES:
+        raise ConfigurationError(
+            f"{n_types} types exceed the enumeration limit ({MAX_EXCLUSION_TYPES})"
+        )
+
+
 def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     """Non-empty subsets closed upward under dominance: keeping a type
     means keeping every better type. With no comparable pairs this is the
@@ -469,11 +478,7 @@ def exclusion_search(inst: Instance) -> tuple[tuple[str, ...], ContractOutcome]:
     wins ties. Every subset is solved on rows of inst, so no expected cost
     is computed again.
     """
-    n_types = len(inst.space)
-    if n_types > MAX_EXCLUSION_TYPES:
-        raise ConfigurationError(
-            f"{n_types} types exceed the enumeration limit ({MAX_EXCLUSION_TYPES})"
-        )
+    check_exclusion_size(len(inst.space))
     best_ids: Optional[tuple[str, ...]] = None
     best_outcome: Optional[ContractOutcome] = None
     for ids in _upward_closed_subsets(inst):

@@ -6,13 +6,20 @@ from __future__ import annotations
 import importlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import yaml
 
 from .costmodel import CostModel, SellerType, TypeSpace, make_model
 from .errors import ConfigurationError
-from .mechanism import BuyerUtility, Instance, QuantityGrid, default_grid, DEFAULT_N_CELLS
+from .mechanism import (
+    DEFAULT_N_CELLS,
+    BuyerUtility,
+    Instance,
+    QuantityGrid,
+    check_exclusion_size,
+    default_grid,
+)
 from .weather import WeatherModel, empirical_model, weibull_model
 
 CORRUPTIONS = ("halve_prices", "early_close")
@@ -24,18 +31,37 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
+    """A loaded scenario: its description, its Instance and the run
+    options. The model inputs (types, cost model, weather, grid and the
+    buyer's V') are the Instance's own; the properties read them there."""
+
     description: str
-    weather: WeatherModel
-    model: CostModel
-    space: TypeSpace
-    vprime: BuyerUtility
-    grid: QuantityGrid
     # expected costs, cell costs and dominance of the whole type set on grid
     instance: Instance
     alpha: Optional[float] = None
     admissible: Optional[tuple[str, ...]] = None
     exclusion_search: bool = False
     corruption: Optional[str] = None
+
+    @property
+    def weather(self) -> WeatherModel:
+        return self.instance.weather
+
+    @property
+    def model(self) -> CostModel:
+        return self.instance.model
+
+    @property
+    def space(self) -> TypeSpace:
+        return self.instance.space
+
+    @property
+    def vprime(self) -> BuyerUtility:
+        return self.instance.vprime
+
+    @property
+    def grid(self) -> QuantityGrid:
+        return self.instance.grid
 
 
 def _require(mapping: dict, key: str, where: str):
@@ -189,9 +215,18 @@ def _load_grid(spec, vprime: BuyerUtility, n_cells: Optional[int]) -> QuantityGr
     return QuantityGrid(q_max=grid.q_max, n_cells=n_cells)
 
 
-def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
+def load_scenario(
+    path: str | Path,
+    n_cells: Optional[int] = None,
+    admissible: Optional[Sequence[str]] = None,
+    exclusion_search: bool = False,
+) -> Scenario:
     """The scenario at path, with its instance built on its grid, or on a
-    grid of n_cells cells over the same range when n_cells is given."""
+    grid of n_cells cells over the same range when n_cells is given.
+    admissible, when given, replaces options.admissible, and
+    exclusion_search=True turns the search on whatever options say. Every
+    input is checked before the instance is built, so a bad one costs no
+    expected cost."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
@@ -227,28 +262,31 @@ def load_scenario(path: str | Path, n_cells: Optional[int] = None) -> Scenario:
         raise ConfigurationError(
             f"options.exclusion_search: expected true or false, got {exclusion!r}"
         )
-    admissible = None
+    exclusion = exclusion or exclusion_search
     if "admissible" in options:
         ids = _list(options["admissible"], "options.admissible")
-        admissible = tuple(str(i) for i in ids)
+        if admissible is None:
+            admissible = [str(i) for i in ids]
+    if admissible is not None:
+        admissible = tuple(admissible)
+        space.subset(admissible)
+        if exclusion:
+            raise ConfigurationError(
+                "exclusion search conflicts with the admissible set "
+                f"{','.join(admissible)} (options.admissible or --admissible): "
+                "the search chooses the admissible set itself; drop one of the two"
+            )
+    if exclusion:
+        check_exclusion_size(len(space))
     corruption = options.get("corruption")
     if corruption is not None and corruption not in CORRUPTIONS:
         raise ConfigurationError(f"options.corruption: unknown corruption {corruption!r}")
 
     # the build checks the cost model's invariants, so bad scenarios fail
     # before any solve
-    instance = Instance.build(space, model, weather, grid, vprime)
-    if admissible is not None:
-        space.subset(admissible)
-
     return Scenario(
         description=str(raw.get("description", "")),
-        weather=weather,
-        model=model,
-        space=space,
-        vprime=vprime,
-        grid=grid,
-        instance=instance,
+        instance=Instance.build(space, model, weather, grid, vprime),
         alpha=alpha,
         admissible=admissible,
         exclusion_search=exclusion,

@@ -1,10 +1,12 @@
-"""Shared fixtures: bundled scenario paths and a cached six-type solve;
-test helpers over a weather model's states."""
+"""Shared fixtures: bundled scenario paths, a cached six-type solve and a
+counter of expected-cost calls; test helpers over a weather model's states."""
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from procure.costmodel import SimpleCostModel, WindConventionalCostModel
 from procure.mechanism import solve
 from procure.scenario import load_scenario
 
@@ -44,3 +46,16 @@ def worst_scenario():
 @pytest.fixture(scope="session")
 def worst_outcome(worst_scenario):
     return solve(worst_scenario.instance)
+
+
+@pytest.fixture
+def ec_calls(monkeypatch):
+    """Counts expected_cost_grid calls per (type id, number of points)."""
+    calls = Counter()
+    for cls in (SimpleCostModel, WindConventionalCostModel):
+        def counted(self, x, qs, weather, _original=cls.expected_cost_grid):
+            calls[(x.id, len(qs))] += 1
+            return _original(self, x, qs, weather)
+
+        monkeypatch.setattr(cls, "expected_cost_grid", counted)
+    return calls

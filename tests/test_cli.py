@@ -45,6 +45,21 @@ def test_solve_writes_expected_files(scenario_dir, tmp_path):
     assert manifest["buyer_utility"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "name, shape",
+    [
+        ("six_types.yaml", (6, 200, 82, None, "a-posteriori")),
+        ("simple_worst.yaml", (2, 200, 191, "g1", "worst-type")),
+    ],
+)
+def test_manifest_records_shape_and_branch(scenario_dir, tmp_path, name, shape):
+    out = tmp_path / "out"
+    assert main(["solve", str(scenario_dir / name), "--out", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    keys = ("types", "weather_states", "n_open", "worst_type", "anchor")
+    assert tuple(manifest[key] for key in keys) == shape
+
+
 def test_solve_is_byte_identical_across_runs(scenario_dir, tmp_path):
     outs = []
     for name in ("run1", "run2"):
@@ -97,13 +112,15 @@ def test_verify_exit_codes(scenario_dir):
 
 
 def test_verify_fails_on_corrupted_scenario(scenario_dir, capsys):
-    # halved prices leave the candidates (pointwise) and move the threshold
-    # quantities off the solver's (quasi_concavity, read from the schedule)
+    # halved prices leave the candidates (pointwise). Every type's quantity
+    # is its best response to the halved schedule under its own t0, so the
+    # threshold audit (quasi_concavity) agrees with it, and the halved
+    # schedule is incentive compatible (ic, vp and monotone pass)
     rc = main(["verify", str(scenario_dir / "six_types_corrupted.yaml")])
     assert rc == 1
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[0] for line in lines if " status=FAIL " in line}
-    assert failed == {"check=pointwise", "check=quasi_concavity"}
+    assert failed == {"check=pointwise"}
 
 
 @pytest.mark.parametrize(
@@ -310,6 +327,21 @@ def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
     assert (out / "outcome.csv").exists()
 
 
+def test_exclusion_search_command_writes_settlement_with_alpha(scenario_dir, tmp_path):
+    # the command writes what solve writes for a scenario that turns the
+    # search on, settlement.csv included
+    path = tmp_path / "tiny.yaml"
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path.write_text(text + "options: {exclusion_search: true, alpha: 0.5}\n")
+    outs = {}
+    for command in ("solve", "exclusion-search"):
+        outs[command] = tmp_path / command
+        assert main([command, str(path), "--out", str(outs[command])]) == 0
+    written = _read_all(outs["exclusion-search"])
+    assert "settlement.csv" in written
+    assert written == _read_all(outs["solve"])
+
+
 @pytest.mark.parametrize(
     "options, argv",
     [
@@ -320,10 +352,11 @@ def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
     ids=["solve-options", "solve-flag", "exclusion-search-command"],
 )
 def test_exclusion_search_with_admissible_set_exits_2(
-    scenario_dir, tmp_path, capsys, options, argv
+    scenario_dir, tmp_path, capsys, ec_calls, options, argv
 ):
     # the search picks the admissible set itself; it used to search every
-    # type and report them all as admissible, exit 0
+    # type and report them all as admissible, exit 0. The conflict is found
+    # before the instance is built
     path = tmp_path / "tiny.yaml"
     path.write_text((scenario_dir / "tiny_oracle.yaml").read_text() + f"options: {options}\n")
     out = tmp_path / "out"
@@ -333,6 +366,7 @@ def test_exclusion_search_with_admissible_set_exits_2(
     assert err.startswith("error: exclusion search conflicts with the admissible set hi")
     assert "Traceback" not in err
     assert not out.exists()
+    assert not ec_calls
 
 
 @pytest.mark.parametrize(

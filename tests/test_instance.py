@@ -2,7 +2,6 @@
 every stage, and priced in one vectorized pass that matches the per-cell
 construction."""
 import dataclasses
-from collections import Counter
 from typing import Optional
 
 import numpy as np
@@ -20,9 +19,7 @@ from procure.costmodel import (
     WORSE,
     CostModel,
     SellerType,
-    SimpleCostModel,
     TypeSpace,
-    WindConventionalCostModel,
     dominance_matrix,
     dominates,
     find_worst_type,
@@ -138,19 +135,6 @@ def test_reopened_cell_exits_2_without_traceback(scenario_dir, tmp_path, monkeyp
     assert "Traceback" not in err
 
 
-@pytest.fixture
-def ec_calls(monkeypatch):
-    """Counts expected_cost_grid calls per (type id, number of points)."""
-    calls = Counter()
-    for cls in (SimpleCostModel, WindConventionalCostModel):
-        def counted(self, x, qs, weather, _original=cls.expected_cost_grid):
-            calls[(x.id, len(qs))] += 1
-            return _original(self, x, qs, weather)
-
-        monkeypatch.setattr(cls, "expected_cost_grid", counted)
-    return calls
-
-
 def _once_per_type(calls, n_points):
     return {key: n for key, n in calls.items() if key[1] == n_points} == {
         (tid, n_points): 1 for tid in "abcdef"
@@ -174,6 +158,26 @@ def test_verify_command_computes_each_curve_once(scenario_dir, ec_calls, capsys)
     assert cmd_verify(scenario_dir / "six_types.yaml") == 0
     assert _once_per_type(ec_calls, 2001), ec_calls
     assert len(ec_calls) == 6
+
+
+@pytest.mark.parametrize(
+    "options, flag",
+    [("{alpha: 0.5, admissible: [a, zz]}", []), ("{alpha: 0.5}", ["--admissible", "a,zz"])],
+    ids=["options", "flag"],
+)
+def test_bad_admissible_id_exits_2_before_any_expected_cost(
+    scenario_dir, tmp_path, capsys, ec_calls, options, flag
+):
+    # the ids are checked before the instance is built: a bad one used to
+    # cost a full load first
+    path = tmp_path / "six.yaml"
+    text = (scenario_dir / "six_types.yaml").read_text()
+    path.write_text(text.replace("options: {alpha: 0.5}", f"options: {options}"))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out), *flag]) == 2
+    assert capsys.readouterr().err == "error: unknown type ids in admissible set: ['zz']\n"
+    assert not ec_calls
+    assert not out.exists()
 
 
 def test_exclusion_search_computes_each_curve_once(scenario_dir, ec_calls):

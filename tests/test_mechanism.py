@@ -353,7 +353,9 @@ def test_exclusion_search_single_type(weather):
     assert ids == ("only",)
 
 
-def test_exclusion_search_refuses_more_than_twelve_types(weather, scenario_dir, tmp_path, capsys):
+def test_exclusion_search_refuses_more_than_twelve_types(
+    weather, scenario_dir, tmp_path, capsys, ec_calls
+):
     model = SimpleCostModel()
     space = TypeSpace(tuple(simple_type(f"t{i}", gamma=1.0 + i, prior=1 / 13) for i in range(13)))
     v = BuyerUtility.affine(1.0, 1.5e-3)
@@ -372,10 +374,13 @@ def test_exclusion_search_refuses_more_than_twelve_types(weather, scenario_dir, 
         "grid: {q_max: 600, n_cells: 20}\n"
     )
     out = tmp_path / "out"
+    ec_calls.clear()
     assert main(["exclusion-search", str(path), "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err == "error: 13 types exceed the enumeration limit (12)\n"
     assert not out.exists()
+    # the load refuses the type count before it builds the instance
+    assert not ec_calls
 
 
 def test_anchor_shift_does_not_move_argmax(worst_scenario, worst_outcome):

@@ -1,5 +1,6 @@
 """Scenario parsing: libyaml's loader builds the same objects as PyYAML's
 pure-Python one, and malformed YAML is a configuration error."""
+import dataclasses
 import importlib.util
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import yaml
 
 from procure.cli import main
 from procure.errors import ConfigurationError
-from procure.scenario import YAML_LOADER, load_scenario
+from procure.scenario import YAML_LOADER, Scenario, load_scenario
 from test_cli import TINY_YAML
 from test_csv_output import CLOSED, QUOTED
 
@@ -236,3 +237,17 @@ def test_plugin_import_error_exits_2(tmp_path, monkeypatch, capsys, target):
     err = capsys.readouterr().err
     assert "error: cost_model.import: " in err and repr(target) in err
     assert "Traceback" not in err
+
+
+def test_scenario_reads_model_inputs_from_its_instance(scenario_dir):
+    # the types, weather, cost model, grid and V' live in the instance
+    # alone, so a scenario cannot hold a type space other than its own
+    names = [f.name for f in dataclasses.fields(Scenario)]
+    assert names == [
+        "description", "instance", "alpha", "admissible", "exclusion_search", "corruption"
+    ]
+    sc = load_scenario(scenario_dir / "six_types.yaml")
+    for name in ("weather", "model", "space", "vprime", "grid"):
+        assert getattr(sc, name) is getattr(sc.instance, name)
+        with pytest.raises(AttributeError):
+            setattr(sc, name, None)

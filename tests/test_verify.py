@@ -163,8 +163,8 @@ def test_checks_equal_row_wise_references_on_bundled(scenario_dir, name):
     sc = load_scenario(scenario_dir / name)
     outcome = solve(sc.instance, admissible=sc.admissible)
     if sc.corruption is not None:
-        schedule = _corrupt_schedule(outcome.schedule, sc.corruption)
-        outcome = dataclasses.replace(outcome, schedule=schedule)
+        # as verify certifies it: the corrupted schedule's own best responses
+        outcome = evaluate(outcome.instance, _corrupt_schedule(outcome.schedule, sc.corruption))
     _assert_checks_equal_references(outcome)
     n = len(outcome.k)
     for i in range(n):
@@ -319,10 +319,19 @@ def _with_prices(outcome, p):
     return dataclasses.replace(outcome, schedule=schedule)
 
 
-@pytest.mark.parametrize("name", ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml"])
+EARLY_CLOSE_FAILS = {
+    "six_types.yaml": ["pointwise"],
+    "simple_worst.yaml": ["pointwise"],
+    # closing a profitable cell lowers the buyer's utility below the
+    # oracle's, which the oracle sees on a grid small enough to search
+    "tiny_oracle.yaml": ["pointwise", "oracle"],
+}
+
+
+@pytest.mark.parametrize("name", list(EARLY_CLOSE_FAILS))
 def test_pointwise_fails_on_early_close(scenario_dir, tmp_path, capsys, name):
-    # closing the last open cell leaves every open cell as it was, so only
-    # the check of the closed cells sees it
+    # closing the last open cell leaves every open cell as it was, so of
+    # the pointwise check only its check of the closed cells sees it
     assert "early_close" in CORRUPTIONS
     sc = load_scenario(scenario_dir / name)
     n = solve(sc.instance).schedule.n_open
@@ -334,7 +343,8 @@ def test_pointwise_fails_on_early_close(scenario_dir, tmp_path, capsys, name):
     pointwise = next(line for line in lines if line.startswith("check=pointwise "))
     assert " status=FAIL " in pointwise
     assert pointwise.endswith(f"witness=cell {n - 1}")
-    assert sum(" status=FAIL " in line for line in lines) == 1
+    failed = [line.split()[0][len("check="):] for line in lines if " status=FAIL " in line]
+    assert failed == EARLY_CLOSE_FAILS[name]
 
 
 @pytest.mark.parametrize(

@@ -190,66 +190,62 @@ class CostModel:
     def check_assumptions(
         self, space: TypeSpace, weather: WeatherModel, qs: np.ndarray
     ) -> np.ndarray:
-        """Hard checks of finite, convex expected costs and a weather-free
-        startup cost on a grid.
+        """Hard checks of valid parameters, a weather-free startup cost, and
+        finite, nondecreasing, convex expected costs on a grid qs from 0.
+        Returns the rows it checked, one per type on qs, for callers to use.
 
-        Returns the expected-cost rows it checked, one per type on qs, so
-        that callers need not compute them again.
-
-        The types are checked in order, each one's parameters before its
-        row, and the first failure raises. Where _worker_rows says so, a
-        worker thread computes the rows of the later types meanwhile, each
-        with the same expected_cost_grid call; an error it meets is raised
-        here in that type's turn, and it is joined before this returns.
+        First every type's parameters and its startup cost c0 at the lowest
+        and highest speeds, before any row is computed; then the rows, one
+        expected_cost_grid call each, a worker thread computing those that
+        _worker_rows names, each failure kept for its row; then, in type
+        order, each row's failure or checks: finite, c0 at q = 0 (c0 in
+        expectation), nondecreasing and convex. The first failure raises.
         """
-        w_lo, w_hi = weather.speeds[0], weather.speeds[-1]
-        ec = np.empty((len(space), len(qs)))
-        later = _worker_rows(self, space, weather, qs)
-        failed: dict = {}  # type index -> the exception the worker met on its row
+        def startup_check(x: SellerType, cost: float, where: str) -> None:
+            c0 = x.param("c0")
+            if abs(cost - c0) > 1e-9 * max(1.0, abs(c0)):
+                raise ConfigurationError(
+                    f"type {x.id!r}: startup cost {cost} {where} differs from c0={c0}"
+                )
 
-        def compute_later_rows() -> None:
-            for i in later:
+        for x in space:
+            self.validate_type(x)
+            for w in (weather.speeds[0], weather.speeds[-1]):
+                startup_check(x, self.realized_cost(x, 0.0, w), f"at w={w}")
+        ec = np.empty((len(space), len(qs)))
+        failed = [None] * len(space)  # the exception each row's computation raised
+
+        def compute_rows(rows: range) -> None:
+            for i in rows:
                 try:
                     ec[i] = self.expected_cost_grid(space.types[i], qs, weather)
-                except BaseException as exc:  # the calling thread raises it
+                except BaseException as exc:  # raised below in its type's turn
                     failed[i] = exc
                     return
 
-        worker = None
+        later = _worker_rows(self, space, weather, qs)
+        worker = threading.Thread(target=compute_rows, args=(later,), name="procure-ec-rows")
         if later:
-            worker = threading.Thread(target=compute_later_rows, name="procure-ec-rows")
             worker.start()
         try:
-            for i, x in enumerate(space):
-                self.validate_type(x)
-                c0 = x.param("c0")
-                for w in (w_lo, w_hi):
-                    v = self.realized_cost(x, 0.0, w)
-                    if abs(v - c0) > 1e-9 * max(1.0, abs(c0)):
-                        raise ConfigurationError(
-                            f"type {x.id!r}: startup cost {v} at w={w} differs from c0={c0}"
-                        )
-                if i in later:
-                    worker.join()
-                    if i in failed:
-                        raise failed[i]
-                else:
-                    ec[i] = self.expected_cost_grid(x, qs, weather)
-                row = ec[i]
-                bad = np.flatnonzero(~np.isfinite(row))
-                if bad.size:
-                    raise ConfigurationError(
-                        f"type {x.id!r}: expected cost {row[bad[0]]} at q={qs[bad[0]]} "
-                        "is not finite"
-                    )
-                d = np.diff(row)
-                if np.any(d < -1e-9 * max(1.0, float(np.max(np.abs(row))))):
-                    raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")
-                if np.any(np.diff(d) < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
-                    raise ConfigurationError(f"type {x.id!r}: expected cost not convex in q")
+            compute_rows(range(later.start))
         finally:
-            if worker is not None:
+            if later:
                 worker.join()
+        for x, row, exc in zip(space, ec, failed):
+            if exc is not None:
+                raise exc
+            bad = np.flatnonzero(~np.isfinite(row))
+            if bad.size:
+                raise ConfigurationError(
+                    f"type {x.id!r}: expected cost {row[bad[0]]} at q={qs[bad[0]]} is not finite"
+                )
+            startup_check(x, row[0], "expected over the weather")
+            d = np.diff(row)
+            if np.any(d < -1e-9 * max(1.0, float(np.max(np.abs(row))))):
+                raise ConfigurationError(f"type {x.id!r}: expected cost decreasing in q")
+            if np.any(np.diff(d) < -1e-9 * max(1.0, float(np.max(np.abs(d))))):
+                raise ConfigurationError(f"type {x.id!r}: expected cost not convex in q")
         return ec
 
 

@@ -228,8 +228,8 @@ class Instance:
         vprime: BuyerUtility,
     ) -> "Instance":
         """The expected costs are the rows CostModel.check_assumptions
-        checks on grid.points, so an instance never rests on a cost model
-        that breaks them."""
+        checks on grid.points, once every type's parameters pass, so an
+        instance never rests on a cost model that breaks them."""
         ec = model.check_assumptions(space, weather, grid.points)
         dominance = dominance_matrix(ec)
         cbar = np.diff(ec, axis=1)

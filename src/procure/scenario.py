@@ -225,8 +225,8 @@ def load_scenario(
     grid of n_cells cells over the same range when n_cells is given.
     admissible, when given, replaces options.admissible, and
     exclusion_search=True turns the search on whatever options say. Every
-    input is checked before the instance is built, so a bad one costs no
-    expected cost."""
+    input, each type's parameters too, is checked before the first
+    expected-cost row is computed, so a bad one costs no expected cost."""
     path = Path(path)
     try:
         raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)

@@ -310,7 +310,10 @@ def report_text(results: list[CheckResult]) -> str:
     lines = [r.line() for r in results]
     width = max(len(r.name) for r in results)
     lines.append("")
-    lines.append(f"{'check':<{width}}  result")
+    lines.append(f"{'check':<{width}}  result  worst/tol")
     for r in results:
-        lines.append(f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'}")
+        # with a zero tol: 0 at a worst of 0, else an infinity of worst's sign
+        zero_tol = 0.0 if r.worst == 0 else math.copysign(math.inf, r.worst)
+        margin = r.worst / r.tol if r.tol else zero_tol
+        lines.append(f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'}    {margin:.3g}")
     return "\n".join(lines)

@@ -402,6 +402,39 @@ def test_bad_scenarios_exit_2_with_message(tmp_path, capsys, mutation, fragment)
     assert fragment in err
 
 
+@pytest.mark.parametrize(
+    "replacements",
+    [
+        [("{id: lo,", "{prior: 0, id: lo,"), ("{id: hi,", "{prior: 1, id: hi,")],
+        [("{kind: weibull, shape: 3.0, mean: 5.0, n_points: 50}",
+          "{kind: empirical, samples: [6.0]}")],
+        [("c0: 3, theta_c: 1.4, gamma: 1", "c0: 2, theta_c: 1.0, gamma: 2")],
+        [("{kind: affine, intercept: 0.9, slope: 4.0e-3}",
+          "{kind: piecewise, breakpoints: "
+          "[[0, 0.9], [30, 0.9], [60, 0.5], [90, 0.5], [120, 0.2]]}")],
+        [("slope: 4.0e-3", "slope: 1.0")],
+    ],
+    ids=["zero-prior", "one-state-weather", "identical-types", "flat-piecewise-v", "closed"],
+)
+def test_odd_but_valid_inputs_run_cleanly(tmp_path, capsys, replacements):
+    # one-state weather gives ic, vp and monotone a zero tol, and the
+    # closed schedule opens no cell
+    text = TINY_YAML.format(extra="")
+    for old, new in replacements:
+        assert old in text
+        text = text.replace(old, new)
+    path = tmp_path / "odd.yaml"
+    path.write_text(text)
+    for argv in (["solve", "--out", str(tmp_path / "solve")], ["verify"],
+                 ["exclusion-search", "--out", str(tmp_path / "search")]):
+        assert main([argv[0], str(path), *argv[1:]]) == 0, argv[0]
+    out, err = capsys.readouterr()
+    assert err == ""
+    checks = [line for line in out.splitlines() if line.startswith("check=")]
+    assert len(checks) == 8 and all(" status=pass " in line for line in checks), out
+    assert "nan" not in out
+
+
 def test_missing_scenario_file_exits_2(tmp_path, capsys):
     rc = main(["solve", str(tmp_path / "nope.yaml"), "--out", str(tmp_path / "out")])
     assert rc == 2

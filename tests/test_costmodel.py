@@ -1,6 +1,7 @@
 import itertools
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -586,6 +587,35 @@ def test_non_finite_expected_cost_exits_2(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
+BUMP_PLUGIN = """\
+from procure.costmodel import CostModel
+
+
+class Bump(CostModel):
+    param_names = ("c0", "gamma")
+
+    def realized_cost(self, x, q, w):
+        bump = 0.5 * max(0.0, w - 5.0) * max(0.0, 7.0 - w)
+        return x.param("c0") + bump + 1.3 * max(q - x.param("gamma") * w, 0.0)
+"""
+
+
+def test_startup_cost_above_c0_in_expectation_exits_2(tmp_path, monkeypatch, capsys):
+    # the bump is 0 at the lowest and highest speeds, so only the expected
+    # cost at q = 0 shows that the startup cost is not c0; verify used to
+    # pass with type p1 at U = -0.118
+    from test_scenario import PLUGIN_YAML
+
+    (tmp_path / "bump_plugin.py").write_text(BUMP_PLUGIN)
+    monkeypatch.syspath_prepend(str(tmp_path))
+    path = tmp_path / "bump.yaml"
+    path.write_text(PLUGIN_YAML.format(target="bump_plugin:Bump"))
+    assert main(["verify", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: type 'p1': startup cost 1.1178")
+    assert err.endswith(" expected over the weather differs from c0=1.0\n")
+
+
 def test_plugin_marginal_cost_finite_difference(weather):
     # a plugin's marginal cost is the instance's per-cell finite difference
     # of its expected cost
@@ -779,8 +809,9 @@ def test_threaded_rows_are_bit_identical(threads):
 
 
 def test_an_earlier_types_error_comes_first_on_two_threads(two_cpus):
-    # a's EC is concave (theta_w > theta_c); b's parameters are invalid,
-    # and its row is computed on the worker while a is checked
+    # a's EC is concave (theta_w > theta_c) and b's parameters are invalid:
+    # every type's parameters are checked before any row is computed, so
+    # b's error comes first and no row costs anything
     model = WindConventionalCostModel()
     space = TypeSpace((
         wc_type("a", theta_w=2.0, theta_c=1.0, prior=0.5),
@@ -790,13 +821,19 @@ def test_an_earlier_types_error_comes_first_on_two_threads(two_cpus):
     qs = QuantityGrid(q_max=5500.0, n_cells=20_000).points
     calls = spy_on_rows(model)
     spy = model.expected_cost_grid
+    with pytest.raises(ParameterDomainError, match="^type 'b': gamma must be positive$"):
+        model.check_assumptions(space, weather, qs)
+    assert calls == []
 
+    # with b valid, a's row error comes first, once b's row, computed on
+    # the worker, is done
     def slow_worker(x, qs, weather):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(0.2)  # still running when type a fails, unless joined
         return spy(x, qs, weather)
 
     model.expected_cost_grid = slow_worker
+    space = TypeSpace((space.types[0], wc_type("b", prior=0.5)))
     before = threading.active_count()
     with pytest.raises(ConfigurationError, match="^type 'a': expected cost not convex in q$"):
         model.check_assumptions(space, weather, qs)
@@ -826,6 +863,21 @@ def test_a_worker_error_is_raised_in_its_types_turn(two_cpus):
     ))
     with pytest.raises(ConfigurationError, match="^type 'a': expected cost not convex in q$"):
         model.check_assumptions(concave_first, weather, qs)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("tid", ["a", "f"])
+def test_an_invalid_type_costs_no_row(monkeypatch, scenario_dir, tmp_path, ec_calls, tid, cpus):
+    # the worker used to start on the later types' rows before any type was
+    # checked, and the calling thread computed the rows before type f's check
+    monkeypatch.setattr(costmodel.os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    path = tmp_path / "six.yaml"
+    text = (scenario_dir / "six_types.yaml").read_text()
+    path.write_text(re.sub(rf"(id: {tid},.*gamma: )\d", r"\g<1>0", text))
+    with pytest.raises(ParameterDomainError, match=f"^type '{tid}': gamma must be positive$"):
+        load_scenario(path, n_cells=20_000)
+    assert not ec_calls
 
 
 @pytest.mark.parametrize(

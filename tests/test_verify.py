@@ -435,6 +435,24 @@ def test_report_text_format(tiny):
     assert "FAIL" not in text
 
 
+def test_report_table_shows_each_margin():
+    # with a zero tol the margin is 0 at a worst of 0, else an infinity
+    results = [
+        CheckResult("ic", True, 0.5, 2.0, "w"),
+        CheckResult("vp", True, 0.0, 0.0, "w"),
+        CheckResult("monotone", False, 3.0, 0.0, "w"),
+        CheckResult("identity", True, -1.0, 0.0, "w"),
+    ]
+    table = report_text(results).split("\n\n")[1]
+    assert table.splitlines() == [
+        "check     result  worst/tol",
+        "ic        pass    0.25",
+        "vp        pass    0",
+        "monotone  FAIL    inf",
+        "identity  pass    -inf",
+    ]
+
+
 def test_report_text_marks_failures(six_outcome):
     bad = _replace_type(six_outcome, "a", utility=-100.0)
     res = check_vp(bad)

@@ -32,7 +32,7 @@ from .mechanism import (
 )
 from .scenario import Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
-from .verify import grid_tolerance, report_text, run_checks
+from .verify import buyer_utility_survival, grid_tolerance, report_text, run_checks
 
 
 def _fmt(x: float) -> str:
@@ -176,7 +176,7 @@ def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> by
         "tol_grid": grid_tolerance(inst),
         "admissible": list(outcome.admissible_ids),
         "buyer_utility": outcome.buyer_utility,
-        "buyer_utility_survival": outcome.buyer_utility_survival,
+        "buyer_utility_survival": buyer_utility_survival(outcome),
         "t0": outcome.schedule.t0,
         "types": len(sc.space),
         "weather_states": len(inst.weather.states),
@@ -259,6 +259,9 @@ def cmd_exclusion_search(
     _write_outputs(scenario_path, out_dir, sc, outcome, sc.alpha)
     print(f"best admissible set (exhaustive): {','.join(ids)}")
     print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
+    if outcome.buyer_utility < 0.0:
+        # the search weighs non-empty sets only; buying nothing earns 0
+        print("buying nothing beats every admissible set (buyer utility 0)")
     return 0
 
 

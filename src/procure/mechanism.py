@@ -149,9 +149,8 @@ class BuyerUtility:
 def default_grid(vprime: BuyerUtility, n_cells: int = DEFAULT_N_CELLS) -> QuantityGrid:
     qz = vprime.q_zero()
     if qz is None or qz <= 0.0:
-        raise ConfigurationError(
-            "V' never reaches zero; q_max must be given explicitly in the grid spec"
-        )
+        reason = "never reaches zero" if qz is None else "is not positive at q = 0"
+        raise ConfigurationError(f"V' {reason}; q_max must be given explicitly in the grid spec")
     return QuantityGrid(q_max=qz, n_cells=n_cells)
 
 
@@ -273,9 +272,9 @@ class Instance:
 class ContractOutcome:
     """Solved contract as columns over the rows of instance (its admissible
     types, in order): k is every type's best-response grid index, and
-    payment, expected_cost and utility are the curves read there. The
-    buyer's utility is computed both directly and via the
-    survival-integral identity."""
+    payment, expected_cost and utility are the curves read there, and
+    buyer_utility the buyer's direct utility (verify derives its survival
+    form)."""
 
     schedule: PriceSchedule
     k: np.ndarray
@@ -283,7 +282,6 @@ class ContractOutcome:
     expected_cost: np.ndarray
     utility: np.ndarray
     buyer_utility: float
-    buyer_utility_survival: float
     instance: Instance = field(repr=False)
 
     @property
@@ -337,23 +335,18 @@ def build_price_schedule(inst: Instance) -> PriceSchedule:
     return PriceSchedule(grid=inst.grid, p=price_cells(inst.cbar, inst.priors, inst.vbar))
 
 
-def _best_points(
-    schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray, t0: float
-) -> np.ndarray:
+def _best_points(schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray) -> np.ndarray:
     """Best-response grid index of every type (rows of ec and cbar) under
-    the schedule's prices with anchor t0. Ties break to the largest
-    quantity.
-
-    Utilities accumulate per-cell margins rather than subtracting the cost
-    curve from the payment curve. When the cell price coincides with a
-    type's own cell cost the margin is exactly zero, so runs of
-    indifferent cells stay exact ties and the largest-quantity tie-break
-    resolves them deterministically.
+    the schedule's prices, ties to the largest quantity. As in the paper,
+    where t0 is set after the quantities, t0 plays no part: each row of
+    utilities starts at -EC(0) and accumulates per-cell margins. A cell
+    priced at a type's own cell cost has a margin of exactly zero, so runs
+    of indifferent cells stay exact ties, whatever t0 is.
     """
     last = schedule.n_open
     dq = schedule.grid.dq
     util = np.empty((len(ec), last + 1))
-    util[:, 0] = t0 - ec[:, 0]
+    util[:, 0] = -ec[:, 0]
     if last > 0:
         margins = (schedule.p[None, :last] - cbar[:, :last]) * dq
         util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
@@ -365,17 +358,14 @@ def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
 
     With a worst type the anchor is its startup cost C(0, worst). Without
     one it is found a posteriori as the largest per-type deficit
-    max_x [EC(q(x), x) - integral of p to q(x)], which makes every type's
-    utility nonnegative and at least one exactly zero. t0 shifts every
-    grid utility equally, so the quantities are found with t0 = 0.
+    max_x [EC(q(x), x) - integral of p to q(x)], read from evaluate at
+    t0 = 0 (best responses do not depend on t0), which makes every type's
+    utility nonnegative and at least one exactly zero.
     """
     if inst.worst_type is not None:
-        t0 = inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
-    else:
-        idx = _best_points(schedule, inst.ec, inst.cbar, 0.0)
-        t = replace(schedule, t0=0.0).payments()
-        t0 = float(np.max(inst.ec[np.arange(len(idx)), idx] - t[idx]))
-    return t0
+        return inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
+    unanchored = evaluate(inst, replace(schedule, t0=0.0))
+    return float(np.max(unanchored.expected_cost - unanchored.payment))
 
 
 def best_response(
@@ -387,36 +377,14 @@ def best_response(
     """Type x's best-response quantity: the global argmax of
     t(l) - EC(l, x) over deliverable grid points, ties to the largest."""
     ec = model.expected_cost_grid(x, schedule.grid.points, weather)[None, :]
-    k = _best_points(schedule, ec, np.diff(ec, axis=1) / schedule.grid.dq, schedule.t0)
+    k = _best_points(schedule, ec, np.diff(ec, axis=1) / schedule.grid.dq)
     return float(schedule.grid.points[k[0]])
 
 
-def _buyer_utility_survival(schedule: PriceSchedule, inst: Instance) -> float:
-    """Survival-integral form: -t0 * P[admissible] + sum over open cells of
-    P[p(l) >= c(l, x)] (V'(l) - p(l)) dq at the cells' left endpoints.
-
-    Every admissible type is paid t0, so the anchor is weighted by the
-    admissible prior mass (1 for the full type set). Participation is
-    tested against the cell-averaged costs that priced the schedule, so a
-    type indifferent in a cell (price equal to its own cost) counts as
-    producing there. Marginal utility stays pointwise at the left
-    endpoint; its discretization error vanishes with the cell width.
-    """
-    grid = schedule.grid
-    n = schedule.n_open
-    anchor = schedule.t0 * math.fsum(inst.priors)
-    if n == 0:
-        return -anchor
-    surv = inst.priors @ (schedule.p[None, :n] >= inst.cbar[:, :n])
-    vmarg = inst.vprime.marginal(grid.points[:n])
-    total = float(np.sum(surv * (vmarg - schedule.p[:n]) * grid.dq))
-    return total - anchor
-
-
 def evaluate(inst: Instance, schedule: PriceSchedule) -> ContractOutcome:
-    """Best responses of inst's types to the schedule under its own t0, and
-    the curves and buyer utilities read there."""
-    k = _best_points(schedule, inst.ec, inst.cbar, schedule.t0)
+    """Best responses of inst's types to the schedule's prices, and the
+    curves and the buyer's direct utility read there under its own t0."""
+    k = _best_points(schedule, inst.ec, inst.cbar)
     payment = schedule.payments()[k]
     expected_cost = inst.ec[np.arange(len(k)), k]
     value = inst.vprime.value(inst.grid.points[k])
@@ -427,7 +395,6 @@ def evaluate(inst: Instance, schedule: PriceSchedule) -> ContractOutcome:
         expected_cost=expected_cost,
         utility=payment - expected_cost,
         buyer_utility=math.fsum(inst.priors * (value - payment)),
-        buyer_utility_survival=_buyer_utility_survival(schedule, inst),
         instance=inst,
     )
 

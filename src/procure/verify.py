@@ -1,7 +1,8 @@
 """Independent certification: constraint checks and a brute-force oracle.
 
 Every check returns a CheckResult with the worst violation found, the
-tolerance applied, and a witness string. Each check sets its own gate:
+tolerance applied, and a witness string. identity derives the buyer's
+utility in survival form from the schedule here. Each check sets its own gate:
 ic, vp and monotone tol_grid = dq * max cbar (the largest cell-averaged
 expected marginal cost); identity max(0.5% * max(1, |U|), dq * max |V' - p|
 over the open cells); pointwise 1e-9 * max(1, max |vbar|); quasi_concavity
@@ -91,10 +92,34 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
 
 
+def buyer_utility_survival(outcome: ContractOutcome) -> float:
+    """Survival-integral form of the buyer's utility, from the schedule:
+    -t0 * P[admissible] + sum over open cells of
+    P[p(l) >= c(l, x)] (V'(l) - p(l)) dq at the cells' left endpoints.
+
+    Every admissible type is paid t0, so the anchor is weighted by the
+    admissible prior mass (1 for the full type set). Participation is
+    tested against the cell-averaged costs that priced the schedule, so a
+    type indifferent in a cell (price equal to its own cost) counts as
+    producing there. Marginal utility stays pointwise at the left
+    endpoint; its discretization error vanishes with the cell width.
+    """
+    schedule, inst = outcome.schedule, outcome.instance
+    n = schedule.n_open
+    anchor = schedule.t0 * math.fsum(inst.priors)
+    if n == 0:
+        return -anchor
+    surv = inst.priors @ (schedule.p[None, :n] >= inst.cbar[:, :n])
+    vmarg = inst.vprime.marginal(schedule.grid.points[:n])
+    total = float(np.sum(surv * (vmarg - schedule.p[:n]) * schedule.grid.dq))
+    return total - anchor
+
+
 def check_identity(outcome: ContractOutcome) -> CheckResult:
-    """Direct buyer utility vs the survival-integral form, within C*dq."""
+    """Direct buyer utility vs the survival form of the schedule under
+    test, within C*dq."""
     schedule = outcome.schedule
-    err = abs(outcome.buyer_utility - outcome.buyer_utility_survival)
+    err = abs(outcome.buyer_utility - buyer_utility_survival(outcome))
     scale = max(1.0, abs(outcome.buyer_utility))
     # The discretization error is first order in the cell width, so the
     # gate scales with dq (max per-cell margin as the constant), with a

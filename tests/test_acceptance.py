@@ -25,7 +25,13 @@ from procure.mechanism import (
     solve,
 )
 from procure.scenario import load_scenario
-from procure.verify import check_ic, check_vp, grid_tolerance, oracle_solve
+from procure.verify import (
+    buyer_utility_survival,
+    check_ic,
+    check_vp,
+    grid_tolerance,
+    oracle_solve,
+)
 from procure.weather import weibull_model
 
 BAND_TARGET = (0.33, 0.45)
@@ -273,7 +279,7 @@ def test_criterion_09_identity_convergence(six_scenario, capsys):
     for n_cells in (1000, 2000, 4000):
         grid = QuantityGrid(q_max=sc.grid.q_max, n_cells=n_cells)
         out = solve(Instance.build(sc.space, sc.model, sc.weather, grid, sc.vprime))
-        errs[n_cells] = abs(out.buyer_utility - out.buyer_utility_survival) / max(
+        errs[n_cells] = abs(out.buyer_utility - buyer_utility_survival(out)) / max(
             1.0, abs(out.buyer_utility)
         )
     failures = []

@@ -324,6 +324,7 @@ def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
     assert rc == 0
     text = capsys.readouterr().out
     assert "best admissible set" in text
+    assert "buying nothing" not in text
     assert (out / "outcome.csv").exists()
 
 
@@ -416,9 +417,10 @@ def test_bad_scenarios_exit_2_with_message(tmp_path, capsys, mutation, fragment)
     ],
     ids=["zero-prior", "one-state-weather", "identical-types", "flat-piecewise-v", "closed"],
 )
-def test_odd_but_valid_inputs_run_cleanly(tmp_path, capsys, replacements):
+def test_odd_but_valid_inputs_run_cleanly(request, tmp_path, capsys, replacements):
     # one-state weather gives ic, vp and monotone a zero tol, and the
-    # closed schedule opens no cell
+    # closed schedule opens no cell, so every admissible set pays t0 for
+    # nothing and buying nothing beats them all
     text = TINY_YAML.format(extra="")
     for old, new in replacements:
         assert old in text
@@ -433,6 +435,8 @@ def test_odd_but_valid_inputs_run_cleanly(tmp_path, capsys, replacements):
     checks = [line for line in out.splitlines() if line.startswith("check=")]
     assert len(checks) == 8 and all(" status=pass " in line for line in checks), out
     assert "nan" not in out
+    nothing = "\nbuying nothing beats every admissible set (buyer utility 0)\n"
+    assert (nothing in out) == (request.node.callspec.id == "closed"), out
 
 
 def test_missing_scenario_file_exits_2(tmp_path, capsys):

@@ -4,6 +4,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
+from procure import mechanism
 from procure.cli import main
 from procure.costmodel import (
     CostModel,
@@ -21,6 +22,7 @@ from procure.mechanism import (
     best_response,
     build_price_schedule,
     default_grid,
+    evaluate,
     exclusion_search,
     price_cells,
     solve,
@@ -118,8 +120,12 @@ def test_default_grid_uses_marginal_utility_root():
     grid = default_grid(v, n_cells=100)
     assert grid.q_max == pytest.approx(100.0)
     flat = BuyerUtility.affine(1.0, 0.0)
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(ConfigurationError, match="V' never reaches zero"):
         default_grid(flat)
+    # q_zero is 0 here: V' reaches zero at once, it does not stay positive
+    nonpositive = BuyerUtility.piecewise([(0.0, 0.0), (10.0, -1.0)])
+    with pytest.raises(ConfigurationError, match="V' is not positive at q = 0"):
+        default_grid(nonpositive)
 
 
 def one_cell_price(costs, priors, v_marg):
@@ -383,13 +389,48 @@ def test_exclusion_search_refuses_more_than_twelve_types(
     assert not ec_calls
 
 
-def test_anchor_shift_does_not_move_argmax(worst_scenario, worst_outcome):
+@pytest.mark.parametrize(
+    "scenario, outcome",
+    [("worst_scenario", "worst_outcome"), ("six_scenario", "six_outcome")],
+    ids=["simple_worst", "six_types"],
+)
+def test_anchor_shift_does_not_move_argmax(request, scenario, outcome):
     # re-solving with the anchor already applied must reproduce the same
-    # quantities: t0 is an additive constant in the seller's objective
-    sc = worst_scenario
-    schedule = worst_outcome.schedule
-    for x, q in zip(sc.space, worst_outcome.q):
+    # quantities: t0 is an additive constant in the seller's objective.
+    # simple_worst is anchored at its worst type, six_types a posteriori
+    sc, outcome = request.getfixturevalue(scenario), request.getfixturevalue(outcome)
+    schedule = outcome.schedule
+    for x, q in zip(sc.space, outcome.q):
         assert best_response(x, schedule, sc.model, sc.weather) == q
+
+
+@pytest.mark.parametrize("t0", [0.0, 1.0, 1e6])
+def test_best_response_does_not_depend_on_t0_in_a_tie(point_weather, t0):
+    # cell 2 is priced one ulp below the type's cost, so producing beyond
+    # q = 4 loses about 1e-16 against ties everywhere else. Added to a
+    # utility of 1e6 that loss would round away and the tie-break would
+    # pick q = 10; the type's quantity must come from the prices alone
+    model = LinearModel()
+    space = rate_space(0.5)
+    grid = QuantityGrid(q_max=10.0, n_cells=5)
+    inst = Instance.build(space, model, point_weather, grid, BuyerUtility.affine(1.0, 0.0))
+    p = inst.cbar[0].copy()
+    p[2] = np.nextafter(p[2], 0.0)
+    schedule = PriceSchedule(grid=grid, p=p, t0=t0)
+    assert evaluate(inst, schedule).k.tolist() == [2]
+    assert best_response(space.by_id("r0"), schedule, model, point_weather) == 4.0
+
+
+def test_solve_looks_up_anchor_payment_in_its_module(monkeypatch, six_scenario):
+    # the benchmark's self-test makes the solver raise by patching
+    # procure.mechanism.anchor_payment, so solve must call it through
+    # the module
+    def raising(*args, **kwargs):
+        raise RuntimeError("injected fault")
+
+    monkeypatch.setattr(mechanism, "anchor_payment", raising)
+    with pytest.raises(RuntimeError, match="injected fault"):
+        solve(six_scenario.instance)
 
 
 def test_schedule_payment_monotone_while_open(six_outcome):

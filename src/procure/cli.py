@@ -35,10 +35,6 @@ from .settlement import SettlementTable, settlement_table
 from .verify import buyer_utility_survival, grid_tolerance, report_text, run_checks
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
-
-
 def _csv_field(s: str) -> str:
     """s as csv.writer writes it among other fields of a row: quoted when
     it holds a comma, a quote or a line break."""
@@ -138,8 +134,8 @@ def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
     p = schedule.p.copy()
     if kind == "halve_prices":
         p[n // 2 : n] *= 0.5
-    elif kind == "early_close" and n > 0:
-        p[n - 1] = np.nan
+    elif kind == "early_close":
+        p[n - 1] = np.nan  # with n = 0, p[-1] is already closed
     return replace(schedule, p=p)
 
 
@@ -157,7 +153,7 @@ def _load(
 
 def _solve_scenario(sc: Scenario) -> ContractOutcome:
     if sc.exclusion_search:
-        return exclusion_search(sc.instance)[1]
+        return exclusion_search(sc.instance)
     return solve(sc.instance, admissible=sc.admissible)
 
 
@@ -255,10 +251,10 @@ def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
     sc = _load(scenario_path, grid_cells, exclusion_search=True)
-    ids, outcome = exclusion_search(sc.instance)
+    outcome = _solve_scenario(sc)
     _write_outputs(scenario_path, out_dir, sc, outcome, sc.alpha)
-    print(f"best admissible set (exhaustive): {','.join(ids)}")
-    print(f"buyer utility: {_fmt(outcome.buyer_utility)}")
+    print(f"best admissible set (exhaustive): {','.join(outcome.admissible_ids)}")
+    print(f"buyer utility: {outcome.buyer_utility:.12g}")
     if outcome.buyer_utility < 0.0:
         # the search weighs non-empty sets only; buying nothing earns 0
         print("buying nothing beats every admissible set (buyer utility 0)")

@@ -228,7 +228,14 @@ class Instance:
     ) -> "Instance":
         """The expected costs are the rows CostModel.check_assumptions
         checks on grid.points, once every type's parameters pass, so an
-        instance never rests on a cost model that breaks them."""
+        instance never rests on a cost model that breaks them. A buyer
+        value V that overflows on the grid is refused first."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            vbar = cell_marginal_utility(vprime, grid)
+        overflowed = np.flatnonzero(~np.isfinite(vbar))
+        if overflowed.size:
+            q = grid.points[overflowed[0]]
+            raise ConfigurationError(f"buyer: V(q) on the cell from q = {q:.12g} overflows")
         ec = model.check_assumptions(space, weather, grid.points)
         dominance = dominance_matrix(ec)
         cbar = np.diff(ec, axis=1)
@@ -242,7 +249,7 @@ class Instance:
             priors=np.array([x.prior_weight for x in space]),
             ec=ec,
             cbar=cbar,
-            vbar=cell_marginal_utility(vprime, grid),
+            vbar=vbar,
             dominance=dominance,
             worst=worst_index(dominance),
         )
@@ -347,9 +354,8 @@ def _best_points(schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray) -> n
     dq = schedule.grid.dq
     util = np.empty((len(ec), last + 1))
     util[:, 0] = -ec[:, 0]
-    if last > 0:
-        margins = (schedule.p[None, :last] - cbar[:, :last]) * dq
-        util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
+    margins = (schedule.p[None, :last] - cbar[:, :last]) * dq
+    util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
     return last - np.argmax(util[:, ::-1], axis=1)
 
 
@@ -438,19 +444,18 @@ def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     return out
 
 
-def exclusion_search(inst: Instance) -> tuple[tuple[str, ...], ContractOutcome]:
+def exclusion_search(inst: Instance) -> ContractOutcome:
     """Search every admissible subset for the best buyer utility.
 
-    Returns (subset ids, outcome). The full set is always a candidate and
-    wins ties. Every subset is solved on rows of inst, so no expected cost
-    is computed again.
+    Returns the winning outcome, whose admissible_ids name the subset. The
+    full set is always a candidate and wins ties. Every subset is solved on
+    rows of inst, so no expected cost is computed again.
     """
     check_exclusion_size(len(inst.space))
-    best_ids: Optional[tuple[str, ...]] = None
-    best_outcome: Optional[ContractOutcome] = None
+    best: Optional[ContractOutcome] = None
     for ids in _upward_closed_subsets(inst):
         outcome = solve(inst, admissible=ids)
-        if best_outcome is None or outcome.buyer_utility > best_outcome.buyer_utility:
-            best_ids, best_outcome = ids, outcome
-    assert best_ids is not None and best_outcome is not None
-    return best_ids, best_outcome
+        if best is None or outcome.buyer_utility > best.buyer_utility:
+            best = outcome
+    assert best is not None
+    return best

@@ -125,11 +125,8 @@ def check_identity(outcome: ContractOutcome) -> CheckResult:
     # gate scales with dq (max per-cell margin as the constant), with a
     # 0.5% relative floor for fine grids.
     n = schedule.n_open
-    if n > 0:
-        vmarg = outcome.instance.vprime.marginal(schedule.grid.points[:n])
-        c_gate = float(np.max(np.abs(vmarg - schedule.p[:n])))
-    else:
-        c_gate = 0.0
+    vmarg = outcome.instance.vprime.marginal(schedule.grid.points[:n])
+    c_gate = float(np.max(np.abs(vmarg - schedule.p[:n]), initial=0.0))
     tol = max(5e-3 * scale, c_gate * schedule.grid.dq)
     c_const = err / schedule.grid.dq
     return CheckResult(
@@ -281,11 +278,7 @@ def oracle_solve(
             rev = util[:, ::-1]
             q_idx[i] = n_cells - np.argmax(rev, axis=1)
         cum_at = np.take_along_axis(cum, q_idx.T, axis=1).T
-        ec_at = np.take_along_axis(
-            np.broadcast_to(ecs[:, None, :], (n_types, chunk.shape[0], n_cells + 1)),
-            q_idx[:, :, None],
-            axis=2,
-        )[:, :, 0]
+        ec_at = ecs[np.arange(n_types)[:, None], q_idx]
         if t0_fixed is not None:
             t0 = np.full(chunk.shape[0], t0_fixed)
         else:

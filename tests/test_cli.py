@@ -201,6 +201,19 @@ def test_overflowing_rated_speed_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "grid", ["{q_max: 1.0e+160, n_cells: 1}", "{q_max: 1.0e+200, n_cells: 4}"]
+)
+def test_overflowing_buyer_value_exits_2(scenario_dir, tmp_path, capsys, ec_calls, grid):
+    # verify passed the first grid with a pointwise gate of inf, and solve
+    # called the second a reopened cell: V(q)'s q * q overflows on both
+    path = tmp_path / "big.yaml"
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path.write_text(text.replace("grid: {q_max: 120, n_cells: 6}", f"grid: {grid}"))
+    _exits_2_with(path, tmp_path, capsys, "error: buyer: V(q) on the cell from q = 0 overflows")
+    assert not ec_calls
+
+
+@pytest.mark.parametrize(
     "weather",
     ["{kind: weibull, shape: 3.0, mean: 1.0e+300, n_points: 30}",
      "{kind: empirical, samples: [3.0, 2.0e+200]}"],
@@ -326,6 +339,10 @@ def test_exclusion_search_command(scenario_dir, tmp_path, capsys):
     assert "best admissible set" in text
     assert "buying nothing" not in text
     assert (out / "outcome.csv").exists()
+    # the printed set is the one the written outcome was solved on
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    first = text.splitlines()[0]
+    assert first == "best admissible set (exhaustive): " + ",".join(manifest["admissible"])
 
 
 def test_exclusion_search_command_writes_settlement_with_alpha(scenario_dir, tmp_path):

@@ -27,7 +27,7 @@ from procure.mechanism import (
     price_cells,
     solve,
 )
-from procure.verify import check_quasi_concavity
+from procure.verify import check_identity, check_quasi_concavity
 from procure.weather import WeatherModel, weibull_model
 
 
@@ -173,9 +173,16 @@ def test_closed_everywhere(point_weather):
     space = rate_space(0.9)
     v = BuyerUtility.affine(0.5, 1e-2)
     grid = QuantityGrid(q_max=50.0, n_cells=10)
-    schedule = build_price_schedule(Instance.build(space, model, point_weather, grid, v))
+    inst = Instance.build(space, model, point_weather, grid, v)
+    schedule = build_price_schedule(inst)
     assert schedule.closed_from == 0
     assert schedule.n_open == 0
+    # no cell is open: every type stays at q = 0, and the identity gate
+    # is its relative floor alone
+    outcome = evaluate(inst, schedule)
+    assert np.array_equal(outcome.k, np.zeros(len(space), dtype=int))
+    tol = check_identity(outcome).tol
+    assert tol == 5e-3 * max(1.0, abs(outcome.buyer_utility))
 
 
 def test_anchor_worst_type(weather):
@@ -329,9 +336,8 @@ def test_exclusion_search_drops_expensive_type(weather):
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
     inst = Instance.build(space, model, weather, grid, v)
-    ids, outcome = exclusion_search(inst)
-    assert ids == ("ok",)
-    assert outcome.admissible_ids == ids
+    outcome = exclusion_search(inst)
+    assert outcome.admissible_ids == ("ok",)
     full = solve(inst)
     assert outcome.buyer_utility > full.buyer_utility
 
@@ -346,8 +352,8 @@ def test_exclusion_search_keeps_full_set_without_startup_costs(weather):
     )
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=200)
-    ids, _outcome = exclusion_search(Instance.build(space, model, weather, grid, v))
-    assert set(ids) == {"g1", "g2"}
+    outcome = exclusion_search(Instance.build(space, model, weather, grid, v))
+    assert set(outcome.admissible_ids) == {"g1", "g2"}
 
 
 def test_exclusion_search_single_type(weather):
@@ -355,8 +361,8 @@ def test_exclusion_search_single_type(weather):
     space = TypeSpace((simple_type("only"),))
     v = BuyerUtility.affine(0.8, 2e-3)
     grid = QuantityGrid(q_max=400.0, n_cells=100)
-    ids, _ = exclusion_search(Instance.build(space, model, weather, grid, v))
-    assert ids == ("only",)
+    outcome = exclusion_search(Instance.build(space, model, weather, grid, v))
+    assert outcome.admissible_ids == ("only",)
 
 
 def test_exclusion_search_refuses_more_than_twelve_types(

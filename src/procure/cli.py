@@ -98,6 +98,9 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
         rows = list(csv.DictReader(fh))
     if len(rows) != grid.n_cells + 1:
         raise ProcureError(f"{path}: expected {grid.n_cells + 1} rows, got {len(rows)}")
+    for k, (row, q) in enumerate(zip(rows, grid.points.tolist())):
+        if row["q_MWh"] != "%.12g" % q:
+            raise ProcureError(f"{path}: row {k}: q_MWh {row['q_MWh']} is not grid point {q:.12g}")
     cells = [row["p_k$_per_MWh"] for row in rows[:-1]]
     p = [np.nan if cell == "closed" else float(cell) for cell in cells]
     return PriceSchedule(grid=grid, p=p, t0=float(rows[0]["t_k$"]))
@@ -129,13 +132,16 @@ def settlement_csv(table: SettlementTable) -> Iterator[bytes]:
 
 
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
-    """The schedule with its prices corrupted as kind says; t0 is kept."""
+    """The schedule with its prices corrupted as kind says; t0 is kept. A
+    corruption that changes no price is no negative control and is refused."""
     n = schedule.n_open
     p = schedule.p.copy()
     if kind == "halve_prices":
         p[n // 2 : n] *= 0.5
     elif kind == "early_close":
         p[n - 1] = np.nan  # with n = 0, p[-1] is already closed
+    if np.array_equal(p, schedule.p, equal_nan=True):
+        raise ConfigurationError(f"options.corruption: {kind!r} changes no price of the schedule")
     return replace(schedule, p=p)
 
 

@@ -21,12 +21,6 @@ from .weather import WeatherModel, cube
 
 EQUAL_COST_TOL = 1e-12
 
-# dominance codes of type i against type j (dominance_matrix): bit BETTER
-# when i is nowhere costlier than j, bit WORSE when nowhere cheaper, both
-# (EQUAL) or neither (INCOMPARABLE); DOMINANCE_NAMES[code] names each
-INCOMPARABLE, BETTER, WORSE, EQUAL = range(4)
-DOMINANCE_NAMES = ("incomparable", "better", "worse", "equal")
-
 # Bytes of one states x points block of the expected-cost kernel. The wind
 # model holds two such blocks (the integrand and a tile of theta_w*g), and
 # both stay in a core's L2 cache while the integrand makes its passes over
@@ -555,35 +549,28 @@ def make_model(kind: str) -> CostModel:
         raise ConfigurationError(f"unknown cost model kind {kind!r}") from None
 
 
-def dominance_matrix(ec: np.ndarray) -> np.ndarray:
-    """rel[i, j]: how type i's expected-cost row ec[i] compares with ec[j],
-    as an int8 code: BETTER when ec[i] is nowhere above ec[j] beyond the
-    tolerance, WORSE when nowhere below it, EQUAL when both, INCOMPARABLE
-    when neither. DOMINANCE_NAMES[code] is the name dominates() returns.
+def no_costlier(ec: np.ndarray) -> np.ndarray:
+    """le[i, j]: True when type i's expected-cost row ec[i] is nowhere above
+    ec[j] beyond EQUAL_COST_TOL times the larger of the two rows' scales.
 
     ec[j] - ec[i] is the exact negation of ec[i] - ec[j] and the tolerance
     is symmetric, so each unordered pair's largest and smallest difference
-    is computed once, and rel[j, i] swaps the two bits of rel[i, j].
+    is computed once and gives both le[i, j] and le[j, i].
     """
     n = len(ec)
     scale = np.maximum(1.0, np.max(np.abs(ec), axis=1))
-    below = np.ones((n, n), dtype=bool)
-    above = np.ones((n, n), dtype=bool)
+    le = np.ones((n, n), dtype=bool)
     for i in range(n - 1):
         d = ec[i] - ec[i + 1 :]
         tol = EQUAL_COST_TOL * np.maximum(scale[i], scale[i + 1 :])
-        below[i, i + 1 :] = np.max(d, axis=1) <= tol
-        above[i, i + 1 :] = np.min(d, axis=1) >= -tol
-    rows, cols = np.triu_indices(n, 1)
-    below[cols, rows] = above[rows, cols]
-    above[cols, rows] = below[rows, cols]
-    return (BETTER * below + WORSE * above).astype(np.int8)
+        le[i, i + 1 :] = np.max(d, axis=1) <= tol
+        le[i + 1 :, i] = np.min(d, axis=1) >= -tol
+    return le
 
 
-def worst_index(rel: np.ndarray) -> Optional[int]:
-    """First type that every other type dominates or equals, or None."""
-    covered = (rel & BETTER) != 0  # BETTER or EQUAL
-    hits = np.flatnonzero(covered.all(axis=0))
+def worst_index(le: np.ndarray) -> Optional[int]:
+    """First type that every type is no costlier than, or None."""
+    hits = np.flatnonzero(le.all(axis=0))
     return int(hits[0]) if hits.size else None
 
 
@@ -603,7 +590,8 @@ def dominates(
     ec = np.array(
         [model.expected_cost_grid(x, qs, weather), model.expected_cost_grid(y, qs, weather)]
     )
-    return DOMINANCE_NAMES[dominance_matrix(ec)[0, 1]]
+    le = no_costlier(ec)
+    return ("incomparable", "better", "worse", "equal")[le[0, 1] + 2 * le[1, 0]]
 
 
 def find_worst_type(
@@ -614,5 +602,5 @@ def find_worst_type(
 ) -> Optional[SellerType]:
     """The type every other type dominates (or equals), if one exists."""
     ec = np.array([model.expected_cost_grid(x, qs, weather) for x in space])
-    i = worst_index(dominance_matrix(ec))
+    i = worst_index(no_costlier(ec))
     return None if i is None else space.types[i]

@@ -26,14 +26,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .costmodel import (
-    BETTER,
-    CostModel,
-    SellerType,
-    TypeSpace,
-    dominance_matrix,
-    worst_index,
-)
+from .costmodel import CostModel, SellerType, TypeSpace, no_costlier, worst_index
 from .errors import CellReopenedError, ConfigurationError
 from .weather import WeatherModel
 
@@ -199,10 +192,11 @@ class Instance:
     ec[i, k] is type i's weather-expected cost at grid point k, computed
     with the cost model's own expected_cost_grid. cbar[i, j] is type i's
     average expected marginal cost on cell j and vbar[j] the buyer's
-    average marginal utility there. dominance[i, j] is dominance_matrix's
-    int8 code comparing type i with type j, and worst indexes the type
-    every other type dominates or equals, or is None. An admissible subset
-    is a row selection (restrict), so nothing is recomputed per subset.
+    average marginal utility there. le[i, j] is True when type i's
+    expected cost is nowhere above type j's (no_costlier), better is its
+    strict part, and worst indexes the first type that every type is no
+    costlier than, or is None. An admissible subset is a row selection
+    (restrict), so nothing is recomputed per subset.
     """
 
     space: TypeSpace
@@ -214,7 +208,7 @@ class Instance:
     ec: np.ndarray
     cbar: np.ndarray
     vbar: np.ndarray
-    dominance: np.ndarray
+    le: np.ndarray
     worst: Optional[int]
 
     @classmethod
@@ -237,7 +231,7 @@ class Instance:
             q = grid.points[overflowed[0]]
             raise ConfigurationError(f"buyer: V(q) on the cell from q = {q:.12g} overflows")
         ec = model.check_assumptions(space, weather, grid.points)
-        dominance = dominance_matrix(ec)
+        le = no_costlier(ec)
         cbar = np.diff(ec, axis=1)
         cbar /= grid.dq
         return cls(
@@ -250,8 +244,8 @@ class Instance:
             ec=ec,
             cbar=cbar,
             vbar=vbar,
-            dominance=dominance,
-            worst=worst_index(dominance),
+            le=le,
+            worst=worst_index(le),
         )
 
     def restrict(self, ids: Sequence[str]) -> "Instance":
@@ -259,16 +253,21 @@ class Instance:
         space = self.space.subset(ids)
         kept = {x.id for x in space}
         rows = np.array([i for i, x in enumerate(self.space) if x.id in kept])
-        dominance = self.dominance[np.ix_(rows, rows)]
+        le = self.le[np.ix_(rows, rows)]
         return replace(
             self,
             space=space,
             priors=self.priors[rows],
             ec=self.ec[rows],
             cbar=self.cbar[rows],
-            dominance=dominance,
-            worst=worst_index(dominance),
+            le=le,
+            worst=worst_index(le),
         )
+
+    @property
+    def better(self) -> np.ndarray:
+        """The strict order: better[i, j] when le[i, j] and not le[j, i]."""
+        return self.le & ~self.le.T
 
     @property
     def worst_type(self) -> Optional[SellerType]:
@@ -431,10 +430,8 @@ def _upward_closed_subsets(inst: Instance) -> list[tuple[str, ...]]:
     full power set."""
     ids = [t.id for t in inst.space]
     # better_than[y] = types better than y
-    better_than = {
-        y: {ids[i] for i in np.flatnonzero(inst.dominance[:, j] == BETTER)}
-        for j, y in enumerate(ids)
-    }
+    better = inst.better
+    better_than = {y: {ids[i] for i in np.flatnonzero(better[:, j])} for j, y in enumerate(ids)}
     out = [tuple(ids)]
     for r in range(1, len(ids)):
         for combo in itertools.combinations(ids, r):

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import BETTER, CostModel, TypeSpace, find_worst_type
+from .costmodel import CostModel, TypeSpace, find_worst_type
 from .errors import ConfigurationError
 from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
@@ -80,7 +80,7 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
     inst = outcome.instance
     tol = grid_tolerance(inst)
     ids, utility, q = outcome.admissible_ids, outcome.utility, outcome.q
-    better, worse = np.nonzero(inst.dominance == BETTER)
+    better, worse = np.nonzero(inst.better)
     # each ordered pair's U violation, then its q violation
     viol = np.column_stack([utility[worse] - utility[better], q[worse] - q[better]]).ravel()
     worst, witness = 0.0, "no ordered pairs"

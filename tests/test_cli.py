@@ -10,7 +10,7 @@ import pytest
 
 import procure
 from procure.cli import _write_atomic, main, read_schedule_csv
-from procure.errors import CellReopenedError
+from procure.errors import CellReopenedError, ProcureError
 from procure.mechanism import QuantityGrid
 from procure.scenario import load_scenario
 
@@ -90,6 +90,19 @@ def test_read_schedule_csv_rejects_a_price_after_closure(tmp_path):
         read_schedule_csv(path, QuantityGrid(q_max=4.0, n_cells=4))
 
 
+def test_read_schedule_csv_rejects_another_grid(scenario_dir, tmp_path):
+    # the rows of a grid of twice the q_max and as many cells loaded
+    # silently; only the q_MWh column tells the two grids apart
+    out = tmp_path / "out"
+    path = scenario_dir / "six_types.yaml"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    grid = load_scenario(path).grid
+    wide = QuantityGrid(q_max=2 * grid.q_max, n_cells=grid.n_cells)
+    message = r"schedule\.csv: row 1: q_MWh 2\.75 is not grid point 5\.5$"
+    with pytest.raises(ProcureError, match=message):
+        read_schedule_csv(out / "schedule.csv", wide)
+
+
 def test_write_atomic_streams_and_leaves_nothing_behind_on_error(tmp_path):
     path = tmp_path / "settlement.csv"
     _write_atomic(path, (bytes([65 + i]) * 3 for i in range(3)))
@@ -157,12 +170,16 @@ grid: {{n_cells: 50}}
 CALM = "{kind: weibull, shape: 3.0, mean: 5.0, n_points: 50}"
 
 
-def _exits_2_with(path, tmp_path, capsys, message):
+def _exits_2_with(path, tmp_path, capsys, message, end=" overflows\n", solve=True):
+    """verify, and solve unless solve is False, exit 2 with one stderr line
+    that starts with message and ends with end, and solve writes nothing."""
     out = tmp_path / "out"
-    for argv in (["verify", str(path)], ["solve", str(path), "--out", str(out)]):
+    commands = [["verify", str(path)], ["solve", str(path), "--out", str(out)]]
+    for argv in commands if solve else commands[:1]:
         assert main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith(message) and err.endswith(" overflows\n")
+        assert err.startswith(message) and err.endswith(end)
+        assert err.count("\n") == 1
         assert "Traceback" not in err
     assert not out.exists()
 
@@ -198,6 +215,18 @@ def test_overflowing_rated_speed_exits_2(tmp_path, capsys):
     path.write_text(WIND_YAML.format(weather=CALM, v_r="1.0e+200"))
     message = "error: type 'a': parameter v_r=1e+200 is too large, v_r**3 overflows\n"
     _exits_2_with(path, tmp_path, capsys, message)
+
+
+@pytest.mark.parametrize("kind", ["early_close", "halve_prices"])
+def test_corruption_that_changes_no_price_exits_2(scenario_dir, tmp_path, capsys, kind):
+    # at slope 1.0 every cell of tiny_oracle is closed, so neither kind has
+    # a price to change, and verify passed every check: no negative control
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path = tmp_path / "closed.yaml"
+    path.write_text(text.replace("slope: 4.0e-3", "slope: 1.0")
+                    + f"options: {{corruption: {kind}}}\n")
+    message = f"error: options.corruption: {kind!r} changes no price of the schedule\n"
+    _exits_2_with(path, tmp_path, capsys, message, end="\n", solve=False)
 
 
 @pytest.mark.parametrize(

@@ -11,18 +11,13 @@ from hypothesis import given, settings, strategies as st
 from procure import mechanism
 from procure.cli import cmd_solve, cmd_verify, main
 from procure.costmodel import (
-    BETTER,
-    DOMINANCE_NAMES,
-    EQUAL,
     EQUAL_COST_TOL,
-    INCOMPARABLE,
-    WORSE,
     CostModel,
     SellerType,
     TypeSpace,
-    dominance_matrix,
     dominates,
     find_worst_type,
+    no_costlier,
     worst_index,
 )
 from procure.errors import CellReopenedError, ConfigurationError, ProcureError
@@ -198,7 +193,7 @@ def test_instance_matches_pairwise_dominance(six_scenario, worst_scenario):
             assert np.array_equal(inst.ec[i], sc.model.expected_cost_grid(x, pts, sc.weather))
             for j, y in enumerate(sc.space):
                 if i != j:
-                    name = DOMINANCE_NAMES[inst.dominance[i, j]]
+                    name = NAMES[int(inst.le[i, j]), int(inst.le[j, i])]
                     assert name == dominates(x, y, sc.model, sc.weather, pts)
         assert inst.worst_type == find_worst_type(sc.space, sc.model, sc.weather, pts)
     assert six_scenario.instance.worst is None
@@ -210,7 +205,7 @@ def test_restrict_equals_fresh_build(six_scenario):
     ids = ("b", "d", "f")
     sub = sc.instance.restrict(ids)
     fresh = Instance.build(sc.space.subset(ids), sc.model, sc.weather, sc.grid, sc.vprime)
-    for name in ("priors", "ec", "cbar", "vbar", "dominance"):
+    for name in ("priors", "ec", "cbar", "vbar", "le", "better"):
         assert np.array_equal(getattr(sub, name), getattr(fresh, name)), name
     assert sub.worst == fresh.worst
     assert [x.id for x in sub.space] == list(ids)
@@ -234,15 +229,26 @@ def test_library_solve_checks_the_cost_model(worst_scenario):
 
 
 def test_worst_index_needs_every_other_type_covered():
-    rel = dominance_matrix(np.array([[1.0, 2.0], [1.0, 3.0], [0.5, 4.0]]))
-    assert rel[0, 1] == BETTER and rel[1, 0] == WORSE
-    assert rel[0, 2] == INCOMPARABLE
-    assert worst_index(rel) is None
-    assert worst_index(dominance_matrix(np.array([[1.0, 3.0], [1.0, 2.0]]))) == 0
+    le = no_costlier(np.array([[1.0, 2.0], [1.0, 3.0], [0.5, 4.0]]))
+    assert le[0, 1] and not le[1, 0]
+    assert not le[0, 2] and not le[2, 0]
+    assert worst_index(le) is None
+    assert worst_index(no_costlier(np.array([[1.0, 3.0], [1.0, 2.0]]))) == 0
+
+
+def test_worst_index_takes_the_first_of_tied_worst_rows():
+    # the anchor's tie rule: of two equal worst types, the first anchors
+    le = no_costlier(np.array([[1.0, 2.0], [2.0, 4.0], [0.5, 1.0], [2.0, 4.0]]))
+    assert le[1, 3] and le[3, 1]
+    assert worst_index(le) == 1
+
+
+# dominates()'s name for a pair (i, j), indexed by le[i, j] and le[j, i]
+NAMES = np.array([["incomparable", "worse"], ["better", "equal"]])
 
 
 def ref_dominance_matrix(ec: np.ndarray) -> np.ndarray:
-    """dominance_matrix as a loop over rows that names every pair."""
+    """The order as a loop over rows that names every pair."""
     scale = np.maximum(1.0, np.max(np.abs(ec), axis=1))
     rel = np.empty((len(ec), len(ec)), dtype="<U12")
     for i, row in enumerate(ec):
@@ -263,7 +269,7 @@ EC_VALUES = st.one_of(st.sampled_from([0.0, 1.0, 2.0, 1e3]), st.floats(-1e6, 1e6
 
 @settings(max_examples=200, deadline=None)
 @given(st.data())
-def test_dominance_codes_match_the_named_reference(data):
+def test_no_costlier_matches_the_named_reference(data):
     n_types = data.draw(st.integers(1, 6), label="types")
     n_points = data.draw(st.integers(1, 8), label="points")
     steps = st.lists(st.integers(-3, 3), min_size=n_points, max_size=n_points)
@@ -280,10 +286,12 @@ def test_dominance_codes_match_the_named_reference(data):
             row = np.array(data.draw(values, label=f"row_{i}"))
         rows.append(row)
     ec = np.array(rows)
-    codes = dominance_matrix(ec)
-    assert codes.dtype == np.int8
-    assert np.all(np.diagonal(codes) == EQUAL)
-    assert np.array_equal(np.array(DOMINANCE_NAMES)[codes], ref_dominance_matrix(ec))
+    le = no_costlier(ec)
+    assert le.dtype == bool
+    assert np.all(np.diagonal(le))
+    assert np.array_equal(NAMES[le.astype(int), le.T.astype(int)], ref_dominance_matrix(ec))
+    better = le & ~le.T
+    assert not np.any(better & better.T)
 
 
 def test_identity_holds_on_proper_admissible_set(six_scenario):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from procure.cli import _corrupt_schedule, main
-from procure.costmodel import BETTER, EQUAL, SellerType, SimpleCostModel, TypeSpace
+from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
@@ -87,7 +87,7 @@ def ref_check_monotone(outcome):
     worst = -math.inf
     witness = "no ordered pairs"
     for i, j in itertools.permutations(range(len(inst.space)), 2):
-        if inst.dominance[i, j] != BETTER:
+        if not inst.le[i, j] or inst.le[j, i]:
             continue
         a, b = inst.space.types[i], inst.space.types[j]
         for kindname, viol in (
@@ -242,20 +242,19 @@ def test_checks_equal_row_wise_references_on_drawn_instances(inst, data):
 @settings(max_examples=100, deadline=None)
 @given(small_instances(), st.data())
 def test_monotone_equals_reference_on_drawn_dominance(inst, data):
-    # dominance codes, bundles and utilities drawn from a few values, so that
-    # violations tie and some draws have no ordered pair; a type always
-    # equals itself, as in dominance_matrix
+    # the order, bundles and utilities drawn from a few values, so that
+    # violations tie and some draws have no ordered pair; a type is always
+    # no costlier than itself, as in no_costlier
     outcome = solve(inst)
     n = len(outcome.k)
-    dominance = np.array(data.draw(st.lists(st.integers(0, 3), min_size=n * n, max_size=n * n)),
-                         dtype=np.int8).reshape(n, n)
-    np.fill_diagonal(dominance, EQUAL)
+    le = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n))).reshape(n, n)
+    np.fill_diagonal(le, True)
     k = data.draw(st.lists(st.integers(0, inst.grid.n_cells), min_size=n, max_size=n))
     utility = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25]),
                                  min_size=n, max_size=n))
     drawn = dataclasses.replace(
         outcome,
-        instance=dataclasses.replace(inst, dominance=dominance),
+        instance=dataclasses.replace(inst, le=le),
         k=np.array(k),
         utility=np.array(utility),
     )

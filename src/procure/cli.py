@@ -93,17 +93,31 @@ def schedule_csv(schedule: PriceSchedule) -> str:
 
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
-    """Rebuild a PriceSchedule from schedule.csv (round-trip support)."""
+    """Rebuild a PriceSchedule from schedule.csv (round-trip support); a
+    missing column or a field that is no number raises ProcureError naming
+    the file, the row and the field."""
     with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        rows = list(reader)
+    for name in ("q_MWh", "p_k$_per_MWh", "t_k$"):
+        if name not in (reader.fieldnames or ()):
+            raise ProcureError(f"{path}: header: no {name} column")
     if len(rows) != grid.n_cells + 1:
         raise ProcureError(f"{path}: expected {grid.n_cells + 1} rows, got {len(rows)}")
     for k, (row, q) in enumerate(zip(rows, grid.points.tolist())):
         if row["q_MWh"] != "%.12g" % q:
             raise ProcureError(f"{path}: row {k}: q_MWh {row['q_MWh']} is not grid point {q:.12g}")
-    cells = [row["p_k$_per_MWh"] for row in rows[:-1]]
-    p = [np.nan if cell == "closed" else float(cell) for cell in cells]
-    return PriceSchedule(grid=grid, p=p, t0=float(rows[0]["t_k$"]))
+
+    def number(k: int, name: str) -> float:
+        text = rows[k][name]
+        try:
+            return float(text)
+        except (TypeError, ValueError):  # TypeError: None, from a short row
+            raise ProcureError(f"{path}: row {k}: {name} {text!r} is not a number") from None
+
+    price = "p_k$_per_MWh"
+    p = [np.nan if row[price] == "closed" else number(k, price) for k, row in enumerate(rows[:-1])]
+    return PriceSchedule(grid=grid, p=p, t0=number(0, "t_k$"))
 
 
 def outcome_csv(outcome: ContractOutcome) -> Iterator[bytes]:

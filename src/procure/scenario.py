@@ -20,7 +20,7 @@ from .mechanism import (
     check_exclusion_size,
     default_grid,
 )
-from .weather import WeatherModel, empirical_model, weibull_model
+from .weather import DEFAULT_N_POINTS, WeatherModel, empirical_model, weibull_model
 
 CORRUPTIONS = ("halve_prices", "early_close")
 
@@ -119,7 +119,7 @@ def _load_weather(spec) -> WeatherModel:
         return weibull_model(
             _as(float, _require(spec, "shape", "weather"), "weather.shape"),
             _as(float, _require(spec, "mean", "weather"), "weather.mean"),
-            _count(spec.get("n_points", 200), "weather.n_points"),
+            _count(spec.get("n_points", DEFAULT_N_POINTS), "weather.n_points"),
         )
     if kind == "empirical":
         _only(spec, {"kind", "samples"}, "weather")
@@ -146,7 +146,12 @@ def _load_model(spec) -> CostModel:
             ) from exc
         if not callable(factory):
             raise ConfigurationError(f"cost_model.import: {target!r} is not callable")
-        model = factory()
+        try:
+            model = factory()
+        except Exception as exc:
+            raise ConfigurationError(
+                f"cost_model.import: {target!r} raised {type(exc).__name__}: {exc}"
+            ) from exc
         if not isinstance(model, CostModel):
             raise ConfigurationError("cost_model.import: factory did not return a CostModel")
         return model

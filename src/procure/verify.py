@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, TypeSpace, find_worst_type
+from .costmodel import CostModel, TypeSpace, no_costlier, worst_index
 from .errors import ConfigurationError
 from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
@@ -239,8 +239,9 @@ def oracle_solve(
     cbar = np.diff(ecs, axis=1) / dq  # candidates per cell
     values = vprime.value(pts)
 
-    worst = find_worst_type(space, model, weather, pts)
-    t0_fixed = model.realized_cost(worst, 0.0, weather.speeds[0]) if worst else None
+    worst = worst_index(no_costlier(ecs))
+    if worst is not None:
+        t0_fixed = model.realized_cost(space.types[worst], 0.0, weather.speeds[0])
 
     n_types = len(space)
     n_choices = n_types + 1  # candidate per type, plus closed
@@ -279,7 +280,7 @@ def oracle_solve(
             q_idx[i] = n_cells - np.argmax(rev, axis=1)
         cum_at = np.take_along_axis(cum, q_idx.T, axis=1).T
         ec_at = ecs[np.arange(n_types)[:, None], q_idx]
-        if t0_fixed is not None:
+        if worst is not None:
             t0 = np.full(chunk.shape[0], t0_fixed)
         else:
             t0 = np.max(ec_at - cum_at, axis=0)

@@ -78,9 +78,6 @@ class WeatherModel:
         cubes.flags.writeable = False
         return cubes
 
-    def mean(self) -> float:
-        return math.fsum(p * w for w, p in self.states)
-
 
 def cube(w: float) -> float:
     """w**3 through Python's float power, as the built-in cost models cube

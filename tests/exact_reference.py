@@ -1,0 +1,88 @@
+"""The pricing inputs and per-cell decisions of an Instance with a built-in
+cost model, in exact rational arithmetic: every float input (the types'
+parameters and priors, the weather's speeds and probabilities, q_max and
+V') is taken as the exact rational it is, and grid point k is exactly
+k * q_max / n_cells. Nothing here calls the solver's code, so the float
+pipeline's rounding shows against it."""
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Optional, Sequence
+
+
+def points(q_max: float, n_cells: int) -> list[Fraction]:
+    return [Fraction(q_max) * k / n_cells for k in range(n_cells + 1)]
+
+
+def generation(kind: str, params: dict[str, Fraction], w: Fraction) -> Fraction:
+    """g(w): gamma*w^3 for the simple model; the power curve, zero below
+    cut-in and above cut-out and flat above rated speed, for the wind one."""
+    if kind == "simple":
+        return params["gamma"] * w**3
+    if w < params["v_ci"] or w > params["v_co"]:
+        return Fraction(0)
+    return params["gamma"] * min(w, params["v_r"]) ** 3
+
+
+def expected_cost_rows(inst) -> list[list[Fraction]]:
+    """EC(q_k, x) = sum over states of p * (c0 + theta_w*min(q, g) +
+    theta_c*max(q - g, 0)), one row per type."""
+    kind = inst.model.kind
+    states = [(Fraction(w), Fraction(p)) for w, p in inst.weather.states]
+    qs = points(inst.grid.q_max, inst.grid.n_cells)
+    rows = []
+    for x in inst.space:
+        params = {name: Fraction(v) for name, v in x.params.items()}
+        c0, theta_c = params["c0"], params["theta_c"]
+        theta_w = params["theta_w"] if kind == "wind_conventional" else Fraction(0)
+        gs = [(p, generation(kind, params, w)) for w, p in states]
+        rows.append([
+            sum(p * (c0 + theta_w * min(q, g) + theta_c * max(q - g, 0)) for p, g in gs)
+            for q in qs
+        ])
+    return rows
+
+
+def buyer_value(vprime, q: Fraction) -> Fraction:
+    """V(q), the integral of V' from 0: a*q - b*q^2/2 for the affine V';
+    the trapezoids under the breakpoints, V' held at its last value beyond
+    them, for the piecewise one."""
+    if vprime.kind == "affine":
+        a, b = Fraction(vprime.intercept), Fraction(vprime.slope)
+        return a * q - b * q * q / 2
+    bq = [Fraction(v) for v in vprime.break_q]
+    bv = [Fraction(v) for v in vprime.break_v]
+    total = Fraction(0)
+    for q0, q1, v0, v1 in zip(bq, bq[1:], bv, bv[1:]):
+        if q <= q0:
+            return total
+        end = min(q, q1)
+        v_end = v0 + (v1 - v0) * (end - q0) / (q1 - q0)
+        total += (v0 + v_end) / 2 * (end - q0)
+    return total + bv[-1] * max(q - bq[-1], 0)
+
+
+def cell_averages(inst) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """cbar[i][j] = (EC(q_{j+1}, x_i) - EC(q_j, x_i)) / dq and
+    vbar[j] = (V(q_{j+1}) - V(q_j)) / dq."""
+    qs = points(inst.grid.q_max, inst.grid.n_cells)
+    dq = qs[1]
+    cbar = [[(b - a) / dq for a, b in zip(row, row[1:])] for row in expected_cost_rows(inst)]
+    v = [buyer_value(inst.vprime, q) for q in qs]
+    return cbar, [(b - a) / dq for a, b in zip(v, v[1:])]
+
+
+def objective(costs: Sequence[Fraction], priors: Sequence[Fraction], v: Fraction,
+              price: Fraction) -> Fraction:
+    """survival(price) * (v - price): survival is the prior mass of the
+    types whose cost is at most the price."""
+    return sum(p for c, p in zip(costs, priors) if c <= price) * (v - price)
+
+
+def decision(costs: Sequence[Fraction], priors: Sequence[Fraction],
+             v: Fraction) -> Optional[Fraction]:
+    """A cell's price: None (closed) when v lies below every cost, else the
+    cost that maximizes the objective, ties to the smallest."""
+    if v < min(costs):
+        return None
+    return max(sorted(set(costs)), key=lambda c: objective(costs, priors, v, c))

@@ -103,6 +103,24 @@ def test_read_schedule_csv_rejects_another_grid(scenario_dir, tmp_path):
         read_schedule_csv(out / "schedule.csv", wide)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("p_k$_per_MWh,p_$_per_kWh,t_k$\n1,1,0\nclosed,closed,1\n",
+         r"schedule\.csv: header: no q_MWh column$"),
+        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,abc,abc,0\n1,closed,closed,1\n",
+         r"schedule\.csv: row 0: p_k\$_per_MWh 'abc' is not a number$"),
+    ],
+    ids=["no-q-column", "price-not-a-number"],
+)
+def test_read_schedule_csv_names_the_bad_field(tmp_path, text, message):
+    # unchecked, these escaped as KeyError and ValueError
+    path = tmp_path / "schedule.csv"
+    path.write_text(text)
+    with pytest.raises(ProcureError, match=message):
+        read_schedule_csv(path, QuantityGrid(q_max=1.0, n_cells=1))
+
+
 def test_write_atomic_streams_and_leaves_nothing_behind_on_error(tmp_path):
     path = tmp_path / "settlement.csv"
     _write_atomic(path, (bytes([65 + i]) * 3 for i in range(3)))

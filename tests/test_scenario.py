@@ -10,6 +10,7 @@ import yaml
 from procure.cli import main
 from procure.errors import ConfigurationError
 from procure.scenario import YAML_LOADER, Scenario, load_scenario
+from procure.weather import DEFAULT_N_POINTS
 from test_cli import TINY_YAML
 from test_csv_output import CLOSED, QUOTED
 
@@ -222,21 +223,33 @@ def test_subclass_plugin_runs_end_to_end(tmp_path, monkeypatch, capsys):
 
 
 @pytest.mark.parametrize(
-    "target",
-    ["no_such_mod:factory", "sqrt_wind_plugin:missing", "sqrt_wind_plugin:math"],
-    ids=["no-module", "no-factory", "not-callable"],
+    "target, detail",
+    [
+        ("no_such_mod:factory", "No module named 'no_such_mod'"),
+        ("sqrt_wind_plugin:missing", "has no attribute 'missing'"),
+        ("sqrt_wind_plugin:math", "is not callable"),
+        ("math:sqrt", "raised TypeError: math.sqrt() takes exactly one argument"),
+    ],
+    ids=["no-module", "no-factory", "not-callable", "factory-raises"],
 )
-def test_plugin_import_error_exits_2(tmp_path, monkeypatch, capsys, target):
+def test_plugin_import_error_exits_2(tmp_path, monkeypatch, capsys, target, detail):
     # unchecked, these escape as ModuleNotFoundError, AttributeError and
-    # TypeError (a module is not callable): a traceback and exit 1
+    # TypeError (a module is not callable; sqrt() needs an argument): a
+    # traceback and exit 1, the exit code of a failed certificate
     path = _plugin_scenario(tmp_path, monkeypatch, target)
     with pytest.raises(ConfigurationError, match="^cost_model.import: "):
         load_scenario(path)
     rc = main(["verify", str(path)])
     assert rc == 2
     err = capsys.readouterr().err
-    assert "error: cost_model.import: " in err and repr(target) in err
-    assert "Traceback" not in err
+    assert err.startswith("error: cost_model.import: ") and repr(target) in err
+    assert detail in err and err.count("\n") == 1
+
+
+def test_weibull_without_n_points_takes_the_default(tmp_path):
+    path = tmp_path / "tiny.yaml"
+    path.write_text(TINY_YAML.format(extra="").replace(", n_points: 50", ""))
+    assert len(load_scenario(path).weather.states) == DEFAULT_N_POINTS
 
 
 def test_scenario_reads_model_inputs_from_its_instance(scenario_dir):

@@ -418,6 +418,26 @@ def test_oracle_matches_solver_on_tiny(tiny):
     assert res.passed
 
 
+@pytest.mark.parametrize(
+    "hi, value",
+    [
+        ("{c0: 3, theta_c: 1.4, gamma: 1}", "0x1.43576eb20895ep+5"),  # hi is the worst type
+        ("{c0: 1, theta_c: 1.4, gamma: 2}", "0x1.a614999c9448cp+5"),  # the rows cross
+    ],
+    ids=["worst-type", "no-worst-type"],
+)
+def test_oracle_computes_each_expected_cost_row_once(scenario_dir, tmp_path, ec_calls, hi, value):
+    # the worst type comes from the rows the oracle already holds; the
+    # values are those the oracle returned when it computed every row twice
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path = tmp_path / "tiny.yaml"
+    path.write_text(text.replace("{c0: 3, theta_c: 1.4, gamma: 1}", hi))
+    sc = load_scenario(path)
+    ec_calls.clear()
+    assert oracle_solve(sc.space, sc.model, sc.weather, sc.vprime, sc.grid) == float.fromhex(value)
+    assert dict(ec_calls) == {("lo", 7): 1, ("hi", 7): 1}
+
+
 def test_oracle_rejects_large_instances(six_scenario):
     sc = six_scenario
     from procure.errors import ConfigurationError

@@ -12,10 +12,11 @@ from procure.weather import WeatherModel, empirical_model, weibull_model
 def test_weibull_mean_recovery():
     model = weibull_model(3.0, 5.0, 200)
     assert abs(math.fsum(model.prob_array) - 1.0) <= 1e-12
-    assert abs(model.mean() - 5.0) <= 0.05
+    mean = expect(model, lambda w: w)
+    assert abs(mean - 5.0) <= 0.05
     # closed-form Weibull mean is lambda * Gamma(1 + 1/shape)
     lam = 5.0 / math.gamma(1.0 + 1.0 / 3.0)
-    assert abs(model.mean() - lam * math.gamma(1.0 + 1.0 / 3.0)) <= 0.05
+    assert abs(mean - lam * math.gamma(1.0 + 1.0 / 3.0)) <= 0.05
 
 
 def test_weibull_shape_one_is_exponential():
@@ -34,7 +35,7 @@ def test_weibull_rejects_bad_parameters():
 
 
 def test_weibull_mean_error_shrinks_with_resolution():
-    errs = [abs(weibull_model(3.0, 5.0, n).mean() - 5.0) for n in (50, 200, 800)]
+    errs = [abs(expect(weibull_model(3.0, 5.0, n), lambda w: w) - 5.0) for n in (50, 200, 800)]
     assert errs[0] > errs[1] > errs[2]
 
 

@@ -11,6 +11,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import replace
@@ -94,8 +95,8 @@ def schedule_csv(schedule: PriceSchedule) -> str:
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     """Rebuild a PriceSchedule from schedule.csv (round-trip support); a
-    missing column or a field that is no number raises ProcureError naming
-    the file, the row and the field."""
+    missing column or a field that is no finite number (a price may read
+    "closed") raises ProcureError naming the file, the row and the field."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -111,9 +112,12 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     def number(k: int, name: str) -> float:
         text = rows[k][name]
         try:
-            return float(text)
+            value = float(text)
         except (TypeError, ValueError):  # TypeError: None, from a short row
             raise ProcureError(f"{path}: row {k}: {name} {text!r} is not a number") from None
+        if not math.isfinite(value):
+            raise ProcureError(f"{path}: row {k}: {name} {text!r} is not finite")
+        return value
 
     price = "p_k$_per_MWh"
     p = [np.nan if row[price] == "closed" else number(k, price) for k, row in enumerate(rows[:-1])]
@@ -157,18 +161,6 @@ def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
     if np.array_equal(p, schedule.p, equal_nan=True):
         raise ConfigurationError(f"options.corruption: {kind!r} changes no price of the schedule")
     return replace(schedule, p=p)
-
-
-def _load(
-    scenario_path: Path,
-    grid_cells: Optional[int] = None,
-    admissible: Optional[str] = None,
-    exclusion_search: bool = False,
-) -> Scenario:
-    """load_scenario with the command line's overrides; "" for admissible
-    is an empty set, rejected like options.admissible: []."""
-    ids = None if admissible is None else admissible.split(",")
-    return load_scenario(scenario_path, grid_cells, ids, exclusion_search)
 
 
 def _solve_scenario(sc: Scenario) -> ContractOutcome:
@@ -230,14 +222,16 @@ def cmd_solve(
 ) -> int:
     if alpha is not None and not (0.0 <= alpha <= 1.0):  # NaN fails too
         raise ConfigurationError(f"--alpha: {alpha} outside [0, 1]")
-    sc = _load(scenario_path, grid_cells, admissible)
+    # "" is an empty set, refused like options.admissible: []
+    ids = None if admissible is None else admissible.split(",")
+    sc = load_scenario(scenario_path, grid_cells, ids)
     alpha = sc.alpha if alpha is None else alpha
     _write_outputs(scenario_path, out_dir, sc, _solve_scenario(sc), alpha)
     return 0
 
 
 def cmd_verify(scenario_path: Path, grid_cells: Optional[int] = None) -> int:
-    sc = _load(scenario_path, grid_cells)
+    sc = load_scenario(scenario_path, grid_cells)
     outcome = _solve_scenario(sc)
     if sc.corruption is not None:
         # the corrupted schedule's own best responses, under its own t0
@@ -251,7 +245,7 @@ def cmd_verify(scenario_path: Path, grid_cells: Optional[int] = None) -> int:
 def cmd_plotdata(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
-    sc = _load(scenario_path, grid_cells)
+    sc = load_scenario(scenario_path, grid_cells)
     outcome = _solve_scenario(sc)
     out_dir.mkdir(parents=True, exist_ok=True)
     schedule = outcome.schedule
@@ -270,7 +264,7 @@ def cmd_plotdata(
 def cmd_exclusion_search(
     scenario_path: Path, out_dir: Path, grid_cells: Optional[int] = None
 ) -> int:
-    sc = _load(scenario_path, grid_cells, exclusion_search=True)
+    sc = load_scenario(scenario_path, grid_cells, exclusion_search=True)
     outcome = _solve_scenario(sc)
     _write_outputs(scenario_path, out_dir, sc, outcome, sc.alpha)
     print(f"best admissible set (exhaustive): {','.join(outcome.admissible_ids)}")

@@ -152,32 +152,30 @@ class PriceSchedule:
     """Marginal price per grid cell plus the payment anchor t(0).
 
     p[j] prices the cell [points[j], points[j+1]); NaN marks closed cells,
-    which must form a tail. p is a read-only copy of the prices given, and
-    closed_from is read from it: the first closed cell (procurement stops
-    there), or None.
+    which must form a tail. p is a read-only copy of the prices given, one
+    per cell, and n_open is read from it: the number of open cells, the
+    first closed one's index (procurement stops there).
     """
 
     grid: QuantityGrid
     p: np.ndarray
     t0: float = 0.0
-    closed_from: Optional[int] = field(init=False)
+    n_open: int = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.array(self.p, dtype=float)
+        if p.shape != (self.grid.n_cells,):
+            raise ConfigurationError(f"prices of shape {p.shape} for {self.grid.n_cells} cells")
         p.flags.writeable = False
         closed = np.isnan(p)
-        closed_from = int(np.argmax(closed)) if closed.any() else None
-        if closed_from is not None and not closed[closed_from:].all():
+        n_open = int(np.argmax(closed)) if closed.any() else len(p)
+        if not closed[n_open:].all():
             # V' is nonincreasing and costs nondecreasing, so closure is
             # permanent unless the inputs break those assumptions.
-            reopened = closed_from + int(np.argmin(closed[closed_from:]))
-            raise CellReopenedError(f"cell {reopened} reopened after closure at {closed_from}")
+            reopened = n_open + int(np.argmin(closed[n_open:]))
+            raise CellReopenedError(f"cell {reopened} reopened after closure at {n_open}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "closed_from", closed_from)
-
-    @property
-    def n_open(self) -> int:
-        return self.grid.n_cells if self.closed_from is None else self.closed_from
+        object.__setattr__(self, "n_open", n_open)
 
     def payments(self) -> np.ndarray:
         """t at every grid point; flat beyond the closed range."""
@@ -388,7 +386,10 @@ def best_response(
 
 def evaluate(inst: Instance, schedule: PriceSchedule) -> ContractOutcome:
     """Best responses of inst's types to the schedule's prices, and the
-    curves and the buyer's direct utility read there under its own t0."""
+    curves and the buyer's direct utility read there under its own t0. A
+    schedule on another grid than inst's is refused."""
+    if schedule.grid != inst.grid:
+        raise ConfigurationError(f"schedule on {schedule.grid}, instance on {inst.grid}")
     k = _best_points(schedule, inst.ec, inst.cbar)
     payment = schedule.payments()[k]
     expected_cost = inst.ec[np.arange(len(k)), k]

@@ -31,11 +31,11 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A loaded scenario: its description, its Instance and the run
-    options. The model inputs (types, cost model, weather, grid and the
-    buyer's V') are the Instance's own; the properties read them there."""
+    """A loaded scenario: its Instance and the run options. The model
+    inputs (types, cost model, weather, grid and the buyer's V') are the
+    Instance's own; the properties read them there. The file's
+    description is accepted and not kept: nothing reads it."""
 
-    description: str
     # expected costs, cell costs and dominance of the whole type set on grid
     instance: Instance
     alpha: Optional[float] = None
@@ -290,7 +290,6 @@ def load_scenario(
     # the build checks the cost model's invariants, so bad scenarios fail
     # before any solve
     return Scenario(
-        description=str(raw.get("description", "")),
         instance=Instance.build(space, model, weather, grid, vprime),
         alpha=alpha,
         admissible=admissible,

@@ -11,7 +11,6 @@ relative, 1e-9 * max(1, |oracle U|).
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -245,16 +244,18 @@ def oracle_solve(
 
     n_types = len(space)
     n_choices = n_types + 1  # candidate per type, plus closed
-    combos = np.array(
-        list(itertools.product(range(n_choices), repeat=n_cells)), dtype=np.int64
-    )
+    n_combos = n_choices**n_cells
+    # assignment idx gives cell j digit j of idx in base n_choices, the
+    # first cell most significant (itertools.product's order); each chunk
+    # is decoded from its indices, so no table of all assignments is held
+    place = n_choices ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
 
     cand = np.concatenate([cbar, np.zeros((1, n_cells))], axis=0)
     cell_ix = np.arange(n_cells)[None, :]
 
     best = -math.inf
-    for start in range(0, combos.shape[0], 50000):
-        chunk = combos[start : start + 50000]
+    for start in range(0, n_combos, 50000):
+        chunk = np.arange(start, min(start + 50000, n_combos))[:, None] // place % n_choices
         closed = chunk == n_types
         # price per (assignment, cell); closed cells contribute nothing but cap q
         prices = np.where(closed, 0.0, cand[chunk, cell_ix])

@@ -7,7 +7,7 @@ pipeline's rounding shows against it."""
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 def points(q_max: float, n_cells: int) -> list[Fraction]:
@@ -62,12 +62,13 @@ def buyer_value(vprime, q: Fraction) -> Fraction:
     return total + bv[-1] * max(q - bq[-1], 0)
 
 
-def cell_averages(inst) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """cbar[i][j] = (EC(q_{j+1}, x_i) - EC(q_j, x_i)) / dq and
-    vbar[j] = (V(q_{j+1}) - V(q_j)) / dq."""
+def cell_averages(inst, rows: Sequence[Sequence[Fraction]]
+                  ) -> tuple[list[list[Fraction]], list[Fraction]]:
+    """cbar[i][j] = (EC(q_{j+1}, x_i) - EC(q_j, x_i)) / dq, from the
+    expected-cost rows, and vbar[j] = (V(q_{j+1}) - V(q_j)) / dq."""
     qs = points(inst.grid.q_max, inst.grid.n_cells)
     dq = qs[1]
-    cbar = [[(b - a) / dq for a, b in zip(row, row[1:])] for row in expected_cost_rows(inst)]
+    cbar = [[(b - a) / dq for a, b in zip(row, row[1:])] for row in rows]
     v = [buyer_value(inst.vprime, q) for q in qs]
     return cbar, [(b - a) / dq for a, b in zip(v, v[1:])]
 
@@ -86,3 +87,77 @@ def decision(costs: Sequence[Fraction], priors: Sequence[Fraction],
     if v < min(costs):
         return None
     return max(sorted(set(costs)), key=lambda c: objective(costs, priors, v, c))
+
+
+# The solver's tolerance for "nowhere costlier" (le), restated: rows
+# within 1e-12 times the larger of the two rows' scales count as ordered.
+EQUAL_COST_TOL = Fraction(1e-12)
+
+
+class ExactOutcome(NamedTuple):
+    """The exact pipeline's inputs, decisions and value: the expected-cost
+    rows and cell costs, each cell's price (None when closed), the prices'
+    integral paid[k] up to each open point, each type's best-response grid
+    index, the worst type's index (or None), the anchor t0 and the buyer's
+    utility U."""
+
+    ec: list[list[Fraction]]
+    cbar: list[list[Fraction]]
+    prices: list[Optional[Fraction]]
+    paid: list[Fraction]
+    k: list[int]
+    worst: Optional[int]
+    t0: Fraction
+    buyer_utility: Fraction
+
+
+def worst_type(rows: Sequence[Sequence[Fraction]]) -> Optional[int]:
+    """The first type that every type is nowhere costlier than, within
+    EQUAL_COST_TOL times the larger row scale max(1, max |EC|), or None."""
+    scale = [max(1, max(abs(c) for c in row)) for row in rows]
+    for w, top in enumerate(rows):
+        if all(
+            max(c - t for c, t in zip(row, top)) <= EQUAL_COST_TOL * max(s, scale[w])
+            for row, s in zip(rows, scale)
+        ):
+            return w
+    return None
+
+
+def best_points(rows: Sequence[Sequence[Fraction]], paid: Sequence[Fraction]) -> list[int]:
+    """Each type's best-response grid index: the largest k among the open
+    points that maximizes paid[k] - EC(q_k), paid[k] being the prices'
+    integral up to q_k (t0 plays no part)."""
+    out = []
+    for row in rows:
+        util = [t - c for t, c in zip(paid, row)]
+        best = max(util)
+        out.append(max(k for k, u in enumerate(util) if u == best))
+    return out
+
+
+def solve(inst) -> ExactOutcome:
+    """Price every cell (decision), take the best responses, anchor t0 at
+    the worst type's c0, or else at the largest deficit EC(q(x), x) - paid,
+    and sum U = sum of prior * (V(q(x)) - t0 - paid at q(x)); closure is the
+    first closed cell on, as it is exact when V' is nonincreasing and the
+    costs convex."""
+    rows = expected_cost_rows(inst)
+    cbar, vbar = cell_averages(inst, rows)
+    priors = [Fraction(p) for p in inst.priors.tolist()]
+    prices = [decision([row[j] for row in cbar], priors, v) for j, v in enumerate(vbar)]
+    qs = points(inst.grid.q_max, inst.grid.n_cells)
+    dq = qs[1]
+    paid = [Fraction(0)]
+    for p in prices:
+        if p is None:
+            break
+        paid.append(paid[-1] + p * dq)
+    k = best_points(rows, paid)
+    worst = worst_type(rows)
+    if worst is not None:
+        t0 = Fraction(inst.space.types[worst].params["c0"])
+    else:
+        t0 = max(row[ki] - paid[ki] for row, ki in zip(rows, k))
+    u = sum(p * (buyer_value(inst.vprime, qs[ki]) - t0 - paid[ki]) for p, ki in zip(priors, k))
+    return ExactOutcome(rows, cbar, prices, paid, k, worst, t0, u)

@@ -110,8 +110,13 @@ def test_read_schedule_csv_rejects_another_grid(scenario_dir, tmp_path):
          r"schedule\.csv: header: no q_MWh column$"),
         ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,abc,abc,0\n1,closed,closed,1\n",
          r"schedule\.csv: row 0: p_k\$_per_MWh 'abc' is not a number$"),
+        # unchecked, a NaN t0 and an infinite price loaded silently
+        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,1,1,nan\n1,closed,closed,1\n",
+         r"schedule\.csv: row 0: t_k\$ 'nan' is not finite$"),
+        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,inf,inf,0\n1,closed,closed,1\n",
+         r"schedule\.csv: row 0: p_k\$_per_MWh 'inf' is not finite$"),
     ],
-    ids=["no-q-column", "price-not-a-number"],
+    ids=["no-q-column", "price-not-a-number", "t0-nan", "price-inf"],
 )
 def test_read_schedule_csv_names_the_bad_field(tmp_path, text, message):
     # unchecked, these escaped as KeyError and ValueError

@@ -13,10 +13,11 @@ import pytest
 from settlement_reference import expost_payment, risk_payment
 from procure import csvfmt
 from procure.cli import (
-    _csv_field, _load, _schedule_chunks, _solve_scenario, main, schedule_csv, settlement_csv,
+    _csv_field, _schedule_chunks, _solve_scenario, main, schedule_csv, settlement_csv,
 )
 from procure.csvfmt import FIELD, format_g12
 from procure.mechanism import PriceSchedule, QuantityGrid
+from procure.scenario import load_scenario
 from procure.settlement import SettlementRow, settlement_table
 
 SIMPLE_YAML = """\
@@ -185,7 +186,8 @@ def test_solve_outputs_equal_row_wise_reference(scenario_dir, tmp_path, name, ar
     out = tmp_path / "out"
     assert main(["solve", str(path), "--out", str(out), *args]) == 0
     opts = dict(zip(args[::2], args[1::2]))
-    sc = _load(path, int(opts.get("--grid-cells", 0)) or None, opts.get("--admissible"))
+    ids = opts["--admissible"].split(",") if "--admissible" in opts else None
+    sc = load_scenario(path, int(opts.get("--grid-cells", 0)) or None, ids)
     alpha = float(opts["--alpha"]) if "--alpha" in opts else sc.alpha
     outcome = _solve_scenario(sc)
     want = {
@@ -204,7 +206,7 @@ def test_plotdata_equals_row_wise_reference(scenario_dir, tmp_path, name):
     path = _scenario(name, scenario_dir, tmp_path)
     out = tmp_path / "plot"
     assert main(["plotdata", str(path), "--out", str(out)]) == 0
-    assert _read(out) == ref_plotdata(_solve_scenario(_load(path)))
+    assert _read(out) == ref_plotdata(_solve_scenario(load_scenario(path)))
 
 
 @pytest.mark.parametrize("name, args", SOLVE_CASES)
@@ -226,25 +228,24 @@ def test_plotdata_in_small_blocks_equals_row_wise_reference(
 def test_small_blocks_split_the_closed_tail_and_settlement(scenario_dir, monkeypatch):
     # the small-block comparisons above reach the cases they are here for
     monkeypatch.setattr(csvfmt, "SLAB_BYTES", SMALL_SLAB)
-    outcome = _solve_scenario(_load(scenario_dir / "six_types.yaml"))
+    outcome = _solve_scenario(load_scenario(scenario_dir / "six_types.yaml"))
     # header, open rows, first closed row, then the tail's blocks
     assert len(list(_schedule_chunks(outcome.schedule))) > 3 + 10
     assert len(list(settlement_csv(settlement_table(outcome, 0.5)))) > 1 + 10
 
 
 @pytest.mark.parametrize(
-    "n_cells, closed_from",
-    [(40, None), (40, 0), (40, 17), (40, 39), (1, None), (1, 0)],
+    "n_cells, n_open",
+    [(40, 40), (40, 0), (40, 17), (40, 39), (1, 1), (1, 0)],
     ids=["open", "closed-at-0", "mid-grid", "last-cell", "one-cell-open", "one-cell-closed"],
 )
-def test_schedule_csv_equals_row_wise_reference(n_cells, closed_from):
-    rng = np.random.default_rng(n_cells * 100 + (closed_from or 0))
+def test_schedule_csv_equals_row_wise_reference(n_cells, n_open):
+    rng = np.random.default_rng(n_cells * 100 + n_open)
     grid = QuantityGrid(q_max=123.4, n_cells=n_cells)
     p = rng.uniform(0.0, 2.0, n_cells)
-    if closed_from is not None:
-        p[closed_from:] = np.nan
+    p[n_open:] = np.nan
     schedule = PriceSchedule(grid=grid, p=p, t0=3.7)
-    assert schedule.closed_from == closed_from
+    assert schedule.n_open == n_open
     assert schedule_csv(schedule) == ref_schedule_csv(schedule)
 
 
@@ -266,7 +267,7 @@ def test_quoted_ids_and_closed_schedule_are_exercised(tmp_path):
     assert _csv_field("hi's") == "hi's"
     path = tmp_path / "closed.yaml"
     path.write_text(CLOSED)
-    assert _solve_scenario(_load(path)).schedule.n_open == 0
+    assert _solve_scenario(load_scenario(path)).schedule.n_open == 0
 
 
 def _texts(values):

@@ -101,7 +101,7 @@ def test_price_cells_matches_per_cell_reference(inputs):
         ):
             PriceSchedule(grid=grid, p=p)
         return
-    assert PriceSchedule(grid=grid, p=p).closed_from == (closed[0] if closed else None)
+    assert PriceSchedule(grid=grid, p=p).n_open == (closed[0] if closed else len(vbar))
 
 
 def test_schedule_rejects_reopened_cell():

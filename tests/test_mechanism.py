@@ -27,6 +27,7 @@ from procure.mechanism import (
     price_cells,
     solve,
 )
+from procure.scenario import load_scenario
 from procure.verify import check_identity, check_quasi_concavity
 from procure.weather import WeatherModel, weibull_model
 
@@ -160,7 +161,7 @@ def test_single_type_schedule_tracks_cost_then_closes(weather):
     inst = Instance.build(space, model, weather, grid, v)
     schedule = build_price_schedule(inst)
     cbar = inst.cbar[0]
-    assert schedule.closed_from is not None
+    assert schedule.n_open < grid.n_cells
     for j in range(schedule.n_open):
         assert schedule.p[j] == cbar[j]
     # payments flat after closure
@@ -175,7 +176,6 @@ def test_closed_everywhere(point_weather):
     grid = QuantityGrid(q_max=50.0, n_cells=10)
     inst = Instance.build(space, model, point_weather, grid, v)
     schedule = build_price_schedule(inst)
-    assert schedule.closed_from == 0
     assert schedule.n_open == 0
     # no cell is open: every type stays at q = 0, and the identity gate
     # is its relative floor alone
@@ -218,7 +218,7 @@ def test_pipeline_objects_are_immutable(six_scenario, six_outcome):
         schedule.p[0] = 1.0
     for obj, name in (
         (schedule, "t0"),
-        (schedule, "closed_from"),
+        (schedule, "n_open"),
         (six_outcome, "schedule"),
         (six_outcome, "buyer_utility"),
         (six_scenario, "alpha"),
@@ -228,14 +228,35 @@ def test_pipeline_objects_are_immutable(six_scenario, six_outcome):
             setattr(obj, name, getattr(obj, name))
 
 
+@pytest.mark.parametrize("p", [np.ones(3), np.ones(7), np.ones((6, 1)), 1.0],
+                         ids=["short", "long", "column", "scalar"])
+def test_schedule_refuses_prices_not_one_per_cell(p):
+    # unchecked, three prices on six cells made a schedule with n_open = 6
+    with pytest.raises(ConfigurationError, match=r"^prices of shape \(.*\) for 6 cells$"):
+        PriceSchedule(grid=QuantityGrid(q_max=6.0, n_cells=6), p=p)
+
+
+@pytest.mark.parametrize("q_scale, cell_scale", [(2, 1), (1, 2)],
+                         ids=["twice-q_max", "twice-n_cells"])
+def test_evaluate_refuses_a_schedule_on_another_grid(scenario_dir, q_scale, cell_scale):
+    # unchecked, the first evaluated silently and the second raised
+    # numpy's broadcast ValueError
+    inst = load_scenario(scenario_dir / "tiny_oracle.yaml").instance
+    schedule = solve(inst).schedule
+    grid = QuantityGrid(q_max=q_scale * inst.grid.q_max, n_cells=cell_scale * inst.grid.n_cells)
+    foreign = PriceSchedule(grid=grid, p=np.repeat(schedule.p, cell_scale), t0=schedule.t0)
+    with pytest.raises(ConfigurationError, match="^schedule on QuantityGrid"):
+        evaluate(inst, foreign)
+
+
 def test_schedule_keeps_its_own_copy_of_the_prices():
-    # a write to the caller's array would otherwise reach p behind closed_from
+    # a write to the caller's array would otherwise reach p behind n_open
     arr = np.array([1.0, 2.0, 3.0])
     s = PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=arr)
     payments = s.payments()
     arr[1] = np.nan
     assert s.p.tolist() == [1.0, 2.0, 3.0]
-    assert s.closed_from is None
+    assert s.n_open == 3
     assert np.array_equal(s.payments(), payments)
 
 

@@ -256,9 +256,7 @@ def test_scenario_reads_model_inputs_from_its_instance(scenario_dir):
     # the types, weather, cost model, grid and V' live in the instance
     # alone, so a scenario cannot hold a type space other than its own
     names = [f.name for f in dataclasses.fields(Scenario)]
-    assert names == [
-        "description", "instance", "alpha", "admissible", "exclusion_search", "corruption"
-    ]
+    assert names == ["instance", "alpha", "admissible", "exclusion_search", "corruption"]
     sc = load_scenario(scenario_dir / "six_types.yaml")
     for name in ("weather", "model", "space", "vprime", "grid"):
         assert getattr(sc, name) is getattr(sc.instance, name)

@@ -438,6 +438,20 @@ def test_oracle_computes_each_expected_cost_row_once(scenario_dir, tmp_path, ec_
     assert dict(ec_calls) == {("lo", 7): 1, ("hi", 7): 1}
 
 
+def test_oracle_at_its_limit_decodes_every_assignment():
+    # 4 types and 8 cells: 5**8 = 390,625 assignments, decoded in chunks;
+    # the value is the one the oracle returned when it built the whole
+    # assignment table with itertools.product
+    space = TypeSpace(tuple(
+        SellerType(id=f"t{i}", params={"c0": 4.0, "theta_c": 1.2, "gamma": 0.5 + 0.4 * i},
+                   prior_weight=0.25)
+        for i in range(4)
+    ))
+    value = oracle_solve(space, SimpleCostModel(), weibull_model(3.0, 5.0, 20),
+                         BuyerUtility.affine(1.0, 1.5e-3), QuantityGrid(q_max=400.0, n_cells=8))
+    assert value == 56.94230055833536
+
+
 def test_oracle_rejects_large_instances(six_scenario):
     sc = six_scenario
     from procure.errors import ConfigurationError

@@ -14,7 +14,6 @@ from .costmodel import (
     power_curve,
 )
 from .errors import (
-    CellReopenedError,
     ConfigurationError,
     ParameterDomainError,
     ProcureError,
@@ -36,7 +35,6 @@ from .weather import WeatherModel, empirical_model, weibull_model
 
 __all__ = [
     "BuyerUtility",
-    "CellReopenedError",
     "ConfigurationError",
     "ContractOutcome",
     "CostModel",

@@ -70,9 +70,8 @@ def _csv(header: bytes, columns: Sequence[np.ndarray]) -> Iterator[bytes]:
 
 
 def _schedule_chunks(schedule: PriceSchedule) -> Iterator[bytes]:
-    n = schedule.n_open
-    pts, t = schedule.grid.points, schedule.payments()
-    p = schedule.p[:n]
+    p, pts, t = schedule.p, schedule.grid.points, schedule.payments()
+    n = len(p)
     closed = np.array([b"closed"])
     # k$/MWh equals $/kWh numerically
     yield b"q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n"
@@ -95,8 +94,9 @@ def schedule_csv(schedule: PriceSchedule) -> str:
 
 def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
     """Rebuild a PriceSchedule from schedule.csv (round-trip support); a
-    missing column or a field that is no finite number (a price may read
-    "closed") raises ProcureError naming the file, the row and the field."""
+    missing column, a field that is no finite number (a price may read
+    "closed") or a price after a closed row raises ProcureError naming the
+    file and the row."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         rows = list(reader)
@@ -120,8 +120,12 @@ def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
         return value
 
     price = "p_k$_per_MWh"
-    p = [np.nan if row[price] == "closed" else number(k, price) for k, row in enumerate(rows[:-1])]
-    return PriceSchedule(grid=grid, p=p, t0=number(0, "t_k$"))
+    fields = [row[price] for row in rows[:-1]]
+    n = fields.index("closed") if "closed" in fields else len(fields)
+    for k in range(n + 1, len(fields)):
+        if fields[k] != "closed":
+            raise ProcureError(f"{path}: row {k}: {price} {fields[k]!r} after the closed row {n}")
+    return PriceSchedule(grid=grid, p=[number(k, price) for k in range(n)], t0=number(0, "t_k$"))
 
 
 def outcome_csv(outcome: ContractOutcome) -> Iterator[bytes]:
@@ -152,13 +156,13 @@ def settlement_csv(table: SettlementTable) -> Iterator[bytes]:
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
     """The schedule with its prices corrupted as kind says; t0 is kept. A
     corruption that changes no price is no negative control and is refused."""
-    n = schedule.n_open
-    p = schedule.p.copy()
+    p = schedule.p
     if kind == "halve_prices":
-        p[n // 2 : n] *= 0.5
+        p = p.copy()
+        p[len(p) // 2 :] *= 0.5
     elif kind == "early_close":
-        p[n - 1] = np.nan  # with n = 0, p[-1] is already closed
-    if np.array_equal(p, schedule.p, equal_nan=True):
+        p = p[:-1]  # with no open cell, p[:-1] is p
+    if np.array_equal(p, schedule.p):
         raise ConfigurationError(f"options.corruption: {kind!r} changes no price of the schedule")
     return replace(schedule, p=p)
 
@@ -254,7 +258,7 @@ def cmd_plotdata(
     if n == 0:
         series = [b"# schedule closed at q=0; no open quantity range\n", header]
     else:
-        series = _csv(header, [schedule.grid.points[:n], schedule.p[:n], schedule.payments()[:n]])
+        series = _csv(header, [schedule.grid.points[:n], schedule.p, schedule.payments()[:n]])
     _write_atomic(out_dir / "price_series.csv", series)
     markers = [_id_fields(outcome.admissible_ids), outcome.q, outcome.payment]
     _write_atomic(out_dir / "type_markers.csv", _csv(b"type_id,q_MWh,t_k$\n", markers))

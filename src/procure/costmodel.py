@@ -104,11 +104,12 @@ class TypeSpace:
         Excluded types decline the contract and contribute zero to the
         buyer's expectation, so the kept weights are not renormalized.
         """
-        kept = tuple(t for t in self.types if t.id in set(ids))
+        wanted = set(ids)
+        kept = tuple(t for t in self.types if t.id in wanted)
         if not kept:
             raise ConfigurationError("admissible subset is empty")
-        if len(kept) != len(set(ids)):
-            missing = set(ids) - {t.id for t in kept}
+        if len(kept) != len(wanted):
+            missing = wanted - {t.id for t in kept}
             raise ConfigurationError(f"unknown type ids in admissible set: {sorted(missing)}")
         space = object.__new__(TypeSpace)
         object.__setattr__(space, "types", kept)

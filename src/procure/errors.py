@@ -10,13 +10,6 @@ class ParameterDomainError(ProcureError, ValueError):
 
 
 class ConfigurationError(ProcureError, ValueError):
-    """Inputs are structurally invalid (bad counts, missing fields, bad priors)."""
+    """Inputs are structurally invalid (bad counts, missing fields, bad priors,
+    more prices than cells)."""
 
-
-class CellReopenedError(ProcureError, RuntimeError):
-    """A quantity cell priced open after an earlier cell closed.
-
-    With V' nonincreasing and convex expected costs a closed cell stays
-    closed, so this signals inputs that break those assumptions within
-    rounding (for example a cost curve that dips just past the closure).
-    """

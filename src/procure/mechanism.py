@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .costmodel import CostModel, SellerType, TypeSpace, no_costlier, worst_index
-from .errors import CellReopenedError, ConfigurationError
+from .errors import ConfigurationError
 from .weather import WeatherModel
 
 DEFAULT_N_CELLS = 2000
@@ -149,38 +149,37 @@ def default_grid(vprime: BuyerUtility, n_cells: int = DEFAULT_N_CELLS) -> Quanti
 
 @dataclass(frozen=True, eq=False)
 class PriceSchedule:
-    """Marginal price per grid cell plus the payment anchor t(0).
+    """Marginal prices of the open cells plus the payment anchor t(0).
 
-    p[j] prices the cell [points[j], points[j+1]); NaN marks closed cells,
-    which must form a tail. p is a read-only copy of the prices given, one
-    per cell, and n_open is read from it: the number of open cells, the
-    first closed one's index (procurement stops there).
+    p[j] prices the cell [points[j], points[j+1]) for j < n_open = len(p);
+    every later cell is closed, so procurement stops at point n_open. p is
+    a read-only copy of the finite prices given, at most one per cell.
     """
 
     grid: QuantityGrid
     p: np.ndarray
     t0: float = 0.0
-    n_open: int = field(init=False)
 
     def __post_init__(self) -> None:
         p = np.array(self.p, dtype=float)
-        if p.shape != (self.grid.n_cells,):
+        if p.ndim != 1 or len(p) > self.grid.n_cells:
             raise ConfigurationError(f"prices of shape {p.shape} for {self.grid.n_cells} cells")
+        if not np.isfinite(p).all():
+            raise ConfigurationError("prices must be finite")
         p.flags.writeable = False
-        closed = np.isnan(p)
-        n_open = int(np.argmax(closed)) if closed.any() else len(p)
-        if not closed[n_open:].all():
-            # V' is nonincreasing and costs nondecreasing, so closure is
-            # permanent unless the inputs break those assumptions.
-            reopened = n_open + int(np.argmin(closed[n_open:]))
-            raise CellReopenedError(f"cell {reopened} reopened after closure at {n_open}")
         object.__setattr__(self, "p", p)
-        object.__setattr__(self, "n_open", n_open)
+
+    @property
+    def n_open(self) -> int:
+        return len(self.p)
 
     def payments(self) -> np.ndarray:
-        """t at every grid point; flat beyond the closed range."""
-        contrib = np.where(np.isnan(self.p), 0.0, self.p) * self.grid.dq
-        return self.t0 + np.concatenate([[0.0], np.cumsum(contrib)])
+        """t at every grid point; flat beyond the open cells."""
+        n = self.n_open
+        t = np.zeros(self.grid.n_cells + 1)
+        np.cumsum(self.p * self.grid.dq, out=t[1 : n + 1])
+        t[n + 1 :] = t[n] + 0.0  # a closed cell adds 0.0, which turns -0.0 into 0.0
+        return self.t0 + t
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,22 +301,25 @@ def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarra
 
 
 def price_cells(cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray) -> np.ndarray:
-    """Pointwise-optimal price of every cell.
+    """Pointwise-optimal prices of the open cells, one per cell up to the
+    first closed one.
 
     In cell j the price maximizes survival(p) * (vbar[j] - p) over the
     candidates cbar[:, j]; survival is a step function jumping exactly at
     the candidates, so the maximum is attained at one. Survival at a
     candidate counts every type whose cost equals it, and ties break to
-    the smallest candidate. A cell is closed (NaN) when V' lies below
-    every candidate there: priors are nonnegative and costs finite, so no
-    margin is then profitable. Closure is decided for all cells at once,
-    and only the open cells are priced; every step works column by
-    column, so a price does not depend on the cells around it. That the
-    closed cells form a tail is PriceSchedule's check.
+    the smallest candidate. Procurement closes at the first cell where V'
+    lies below every candidate: priors are nonnegative and costs finite,
+    so no margin is profitable there. V' is nonincreasing and costs are
+    convex, so later cells stay closed; where rounding breaks a tie
+    unevenly, a later cell that would price open again is closed too.
+    Every step works column by column, so a price does not depend on the
+    cells around it.
     """
-    n_types, n_cells = cbar.shape
-    is_open = ~(vbar < cbar.min(axis=0))
-    open_cbar = cbar.compress(is_open, axis=1)  # a mask index is slower
+    n_types = len(cbar)
+    closed = np.flatnonzero(vbar < cbar.min(axis=0))
+    n = int(closed[0]) if closed.size else len(vbar)
+    open_cbar = cbar[:, :n]
     order = np.argsort(open_cbar, axis=0, kind="stable")
     cs = np.take_along_axis(open_cbar, order, axis=0)
     cum = np.cumsum(priors[order], axis=0)
@@ -326,11 +328,9 @@ def price_cells(cbar: np.ndarray, priors: np.ndarray, vbar: np.ndarray) -> np.nd
     run_end[:-1] = cs[1:] != cs[:-1]
     last = np.where(run_end, np.arange(n_types)[:, None], n_types)
     last = np.minimum.accumulate(last[::-1], axis=0)[::-1]
-    obj = np.take_along_axis(cum, last, axis=0) * (vbar[is_open] - cs)
+    obj = np.take_along_axis(cum, last, axis=0) * (vbar[:n] - cs)
     best = np.argmax(obj, axis=0)  # first maximum: the smallest candidate
-    p = np.full(n_cells, np.nan)
-    p[is_open] = cs[best, np.arange(cs.shape[1])]
-    return p
+    return cs[best, np.arange(n)]
 
 
 def build_price_schedule(inst: Instance) -> PriceSchedule:
@@ -351,7 +351,7 @@ def _best_points(schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray) -> n
     dq = schedule.grid.dq
     util = np.empty((len(ec), last + 1))
     util[:, 0] = -ec[:, 0]
-    margins = (schedule.p[None, :last] - cbar[:, :last]) * dq
+    margins = (schedule.p - cbar[:, :last]) * dq
     util[:, 1:] = util[:, :1] + np.cumsum(margins, axis=1)
     return last - np.argmax(util[:, ::-1], axis=1)
 

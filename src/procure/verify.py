@@ -108,9 +108,9 @@ def buyer_utility_survival(outcome: ContractOutcome) -> float:
     anchor = schedule.t0 * math.fsum(inst.priors)
     if n == 0:
         return -anchor
-    surv = inst.priors @ (schedule.p[None, :n] >= inst.cbar[:, :n])
+    surv = inst.priors @ (schedule.p >= inst.cbar[:, :n])
     vmarg = inst.vprime.marginal(schedule.grid.points[:n])
-    total = float(np.sum(surv * (vmarg - schedule.p[:n]) * schedule.grid.dq))
+    total = float(np.sum(surv * (vmarg - schedule.p) * schedule.grid.dq))
     return total - anchor
 
 
@@ -125,7 +125,7 @@ def check_identity(outcome: ContractOutcome) -> CheckResult:
     # 0.5% relative floor for fine grids.
     n = schedule.n_open
     vmarg = outcome.instance.vprime.marginal(schedule.grid.points[:n])
-    c_gate = float(np.max(np.abs(vmarg - schedule.p[:n]), initial=0.0))
+    c_gate = float(np.max(np.abs(vmarg - schedule.p), initial=0.0))
     tol = max(5e-3 * scale, c_gate * schedule.grid.dq)
     c_const = err / schedule.grid.dq
     return CheckResult(
@@ -145,8 +145,8 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     priced. Memory stays O(types x cells).
     """
     schedule, inst = outcome.schedule, outcome.instance
-    n = schedule.n_open
-    p = schedule.p[:n]
+    p = schedule.p
+    n = len(p)
     near = np.abs(inst.cbar[:, :n] - p) <= 1e-12 * np.maximum(1.0, np.abs(p))
     missing = np.flatnonzero(~near.any(axis=0))
     if missing.size:
@@ -180,7 +180,7 @@ def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
     schedule, cbar = outcome.schedule, outcome.instance.cbar
     pts, dq, last = schedule.grid.points, schedule.grid.dq, schedule.n_open
     scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
-    ok = schedule.p[None, :last] >= cbar[:, :last] - 1e-12 * scale[:, None]
+    ok = schedule.p >= cbar[:, :last] - 1e-12 * scale[:, None]
     thr = np.zeros(len(cbar), dtype=int)
     if last > 0:
         thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)

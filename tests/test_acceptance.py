@@ -47,8 +47,7 @@ def _emit(capsys, num, label, ok, detail=""):
 
 
 def _price_band(schedule):
-    n = schedule.n_open
-    return float(np.min(schedule.p[:n])), float(np.max(schedule.p[:n]))
+    return float(np.min(schedule.p)), float(np.max(schedule.p))
 
 
 def test_criterion_01_published_reproduction(six_scenario, capsys):
@@ -65,11 +64,11 @@ def test_criterion_01_published_reproduction(six_scenario, capsys):
         failures.append("some type produces nothing")
     sched = outcome.schedule
     n = sched.n_open
-    if float(np.ptp(sched.p[:n])) <= 0.0:
+    if float(np.ptp(sched.p)) <= 0.0:
         failures.append("price schedule is constant")
     cbar = inst.cbar
-    lo_ok = np.all(sched.p[:n] >= np.min(cbar[:, :n], axis=0) - 1e-12)
-    hi_ok = np.all(sched.p[:n] <= np.max(cbar[:, :n], axis=0) + 1e-12)
+    lo_ok = np.all(sched.p >= np.min(cbar[:, :n], axis=0) - 1e-12)
+    hi_ok = np.all(sched.p <= np.max(cbar[:, :n], axis=0) + 1e-12)
     if not (lo_ok and hi_ok):
         failures.append("price leaves the per-cell cost envelope")
     band = _price_band(sched)

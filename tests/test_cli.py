@@ -10,7 +10,7 @@ import pytest
 
 import procure
 from procure.cli import _write_atomic, main, read_schedule_csv
-from procure.errors import CellReopenedError, ProcureError
+from procure.errors import ProcureError
 from procure.mechanism import QuantityGrid
 from procure.scenario import load_scenario
 
@@ -60,6 +60,34 @@ def test_manifest_records_shape_and_branch(scenario_dir, tmp_path, name, shape):
     assert tuple(manifest[key] for key in keys) == shape
 
 
+# t3's cell cost equals V' = 0.4 in cells 1-3 up to rounding, which falls
+# below it in cell 1 only
+CLOSURE_TIE_YAML = """\
+weather: {kind: empirical, samples: [3.0, 8.0]}
+cost_model: {kind: simple}
+types:
+  - {id: t1, prior: 1, params: {c0: 0.5, theta_c: 2.0, gamma: 0.001}}
+  - {id: t3, prior: 0, params: {c0: 0.5, theta_c: 0.8, gamma: 0.027}}
+buyer: {marginal_utility: {kind: affine, intercept: 0.4, slope: 0}}
+grid: {q_max: 14.0, n_cells: 5}
+"""
+
+
+def test_a_closure_tie_that_rounding_breaks_unevenly_solves_and_verifies(tmp_path, capsys):
+    # solve exited 2 here with "cell 2 reopened after closure at 1"
+    path = tmp_path / "tie.yaml"
+    path.write_text(CLOSURE_TIE_YAML)
+    inst = load_scenario(path).instance
+    assert (inst.vbar < inst.cbar.min(axis=0)).tolist() == [False, True, False, True, True]
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    assert json.loads((out / "run_manifest.json").read_text())["n_open"] == 1
+    assert main(["verify", str(path)]) == 0
+    report = capsys.readouterr().out
+    assert report.count(" status=pass ") == 8
+    assert "witness=oracle=-0.5 solver=-0.5" in report
+
+
 def test_solve_is_byte_identical_across_runs(scenario_dir, tmp_path):
     outs = []
     for name in ("run1", "run2"):
@@ -86,7 +114,8 @@ def test_read_schedule_csv_rejects_a_price_after_closure(tmp_path):
         "q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,1,1,0\n1,closed,closed,1\n"
         "2,0.5,0.5,1\n3,closed,closed,1\n4,closed,closed,1\n"
     )
-    with pytest.raises(CellReopenedError, match="^cell 2 reopened after closure at 1$"):
+    message = r"schedule\.csv: row 2: p_k\$_per_MWh '0\.5' after the closed row 1$"
+    with pytest.raises(ProcureError, match=message):
         read_schedule_csv(path, QuantityGrid(q_max=4.0, n_cells=4))
 
 

@@ -2,6 +2,7 @@
 every stage, and priced in one vectorized pass that matches the per-cell
 construction."""
 import dataclasses
+import json
 from typing import Optional
 
 import numpy as np
@@ -20,7 +21,7 @@ from procure.costmodel import (
     no_costlier,
     worst_index,
 )
-from procure.errors import CellReopenedError, ConfigurationError, ProcureError
+from procure.errors import ConfigurationError
 from procure.mechanism import (
     Instance,
     PriceSchedule,
@@ -88,32 +89,23 @@ def pricing_inputs(draw):
 def test_price_cells_matches_per_cell_reference(inputs):
     cbar, priors, vbar = inputs
     ref = [_best_cell_price(cbar[:, j], priors, float(vbar[j])) for j in range(len(vbar))]
-    p = price_cells(cbar, priors, vbar)
-    want = np.array([np.nan if price is None else price for price in ref])
-    # the same bits, closed cells' NaN included, reopened cells or not
-    assert np.array_equal(p.view(np.int64), want.view(np.int64))
-    grid = QuantityGrid(q_max=1.0, n_cells=len(vbar))
-    closed = [j for j, price in enumerate(ref) if price is None]
-    if closed and closed != list(range(closed[0], len(vbar))):
-        reopened = next(j for j in range(closed[0], len(vbar)) if ref[j] is not None)
-        with pytest.raises(
-            CellReopenedError, match=f"^cell {reopened} reopened after closure at {closed[0]}$"
-        ):
-            PriceSchedule(grid=grid, p=p)
-        return
-    assert PriceSchedule(grid=grid, p=p).n_open == (closed[0] if closed else len(vbar))
+    n = ref.index(None) if None in ref else len(ref)
+    # the same bits up to the reference's first closed cell, where
+    # procurement stops, whether a later cell would price open or not
+    want = np.array(ref[:n], dtype=float)
+    assert np.array_equal(price_cells(cbar, priors, vbar).view(np.int64), want.view(np.int64))
 
 
-def test_schedule_rejects_reopened_cell():
+def test_price_cells_closes_from_the_first_closed_cell():
     # one type; its cost dips back under V' after the cell at 1 closed
     p = price_cells(np.array([[1.0, 5.0, 1.0]]), np.array([1.0]), np.array([2.0, 2.0, 2.0]))
-    assert np.array_equal(p, [1.0, np.nan, 1.0], equal_nan=True)
-    with pytest.raises(CellReopenedError, match="cell 2 reopened after closure at 1"):
-        PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=p)
-    assert issubclass(CellReopenedError, ProcureError)
+    assert p.tolist() == [1.0]
+    assert PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=p).n_open == 1
 
 
-def test_reopened_cell_exits_2_without_traceback(scenario_dir, tmp_path, monkeypatch, capsys):
+def test_reopening_marginal_utility_fails_pointwise_alone(
+    scenario_dir, tmp_path, monkeypatch, capsys
+):
     real = mechanism.cell_marginal_utility
 
     def rising_tail(vprime, grid):
@@ -123,11 +115,17 @@ def test_reopened_cell_exits_2_without_traceback(scenario_dir, tmp_path, monkeyp
 
     monkeypatch.setattr(mechanism, "cell_marginal_utility", rising_tail)
     path = scenario_dir / "six_types.yaml"
-    rc = main(["solve", str(path), "--out", str(tmp_path / "out")])
-    err = capsys.readouterr().err
-    assert rc == 2
-    assert "reopened after closure" in err
-    assert "Traceback" not in err
+    out = tmp_path / "out"
+    # the solver closes at the first closed cell and leaves the last closed
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    n_open = json.loads((out / "run_manifest.json").read_text())["n_open"]
+    assert n_open == solve(load_scenario(path).instance).schedule.n_open < 1999
+    capsys.readouterr()
+    # the certificate catches the broken assumption: closing the last cell
+    # forgoes its margin at V' = 10
+    assert main(["verify", str(path)]) == 1
+    failed = [line for line in capsys.readouterr().out.splitlines() if "status=FAIL" in line]
+    assert failed == ["check=pointwise status=FAIL worst=8.8 tol=1e-08 witness=cell 1999"]
 
 
 def _once_per_type(calls, n_points):
@@ -320,7 +318,7 @@ def test_pointwise_names_the_cell_priced_at_a_worse_candidate(six_scenario, six_
     p = outcome.schedule.p.copy()
     # the first open cell not priced at its cheapest candidate; ties go to
     # the smallest candidate, so that one is strictly worse there
-    j = int(np.flatnonzero(p[:n] != cheapest[:n])[0])
+    j = int(np.flatnonzero(p != cheapest[:n])[0])
     p[j] = cheapest[j]
     bad_sched = dataclasses.replace(outcome.schedule, p=p)
     bad = dataclasses.replace(outcome, schedule=bad_sched)

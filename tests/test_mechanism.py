@@ -133,7 +133,7 @@ def one_cell_price(costs, priors, v_marg):
     """Optimal price of one cell with the given per-type marginal costs;
     None when the cell is closed."""
     p = price_cells(np.array([[c] for c in costs]), np.array(priors), np.array([v_marg]))
-    return None if np.isnan(p[0]) else float(p[0])
+    return float(p[0]) if len(p) else None
 
 
 def test_optimal_price_single_type():
@@ -228,12 +228,25 @@ def test_pipeline_objects_are_immutable(six_scenario, six_outcome):
             setattr(obj, name, getattr(obj, name))
 
 
-@pytest.mark.parametrize("p", [np.ones(3), np.ones(7), np.ones((6, 1)), 1.0],
-                         ids=["short", "long", "column", "scalar"])
+@pytest.mark.parametrize("p", [np.ones(7), np.ones((6, 1)), 1.0],
+                         ids=["long", "column", "scalar"])
 def test_schedule_refuses_prices_not_one_per_cell(p):
-    # unchecked, three prices on six cells made a schedule with n_open = 6
+    # a schedule holds at most one price per cell, in a flat list
     with pytest.raises(ConfigurationError, match=r"^prices of shape \(.*\) for 6 cells$"):
         PriceSchedule(grid=QuantityGrid(q_max=6.0, n_cells=6), p=p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_schedule_refuses_a_non_finite_price(bad):
+    # closure is the end of p, so no price value stands for a closed cell
+    with pytest.raises(ConfigurationError, match="^prices must be finite$"):
+        PriceSchedule(grid=QuantityGrid(q_max=6.0, n_cells=6), p=[1.0, bad])
+
+
+def test_schedule_closes_after_its_prices():
+    schedule = PriceSchedule(grid=QuantityGrid(q_max=6.0, n_cells=6), p=[1.0, 2.0, 0.5], t0=1.0)
+    assert schedule.n_open == 3
+    assert schedule.payments().tolist() == [1.0, 2.0, 4.0, 4.5, 4.5, 4.5, 4.5]
 
 
 @pytest.mark.parametrize("q_scale, cell_scale", [(2, 1), (1, 2)],
@@ -254,7 +267,7 @@ def test_schedule_keeps_its_own_copy_of_the_prices():
     arr = np.array([1.0, 2.0, 3.0])
     s = PriceSchedule(grid=QuantityGrid(q_max=3.0, n_cells=3), p=arr)
     payments = s.payments()
-    arr[1] = np.nan
+    arr[1] = 7.0
     assert s.p.tolist() == [1.0, 2.0, 3.0]
     assert s.n_open == 3
     assert np.array_equal(s.payments(), payments)

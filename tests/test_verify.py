@@ -366,7 +366,7 @@ def test_pointwise_closing_against_candidates(six_outcome, cell_costs, priors, v
     schedule = dataclasses.replace(
         six_outcome.schedule,
         grid=QuantityGrid(q_max=2.0, n_cells=2),
-        p=np.array([1.0, np.nan]),
+        p=np.array([1.0]),
     )
     res = check_pointwise(dataclasses.replace(six_outcome, schedule=schedule, instance=inst))
     assert res.passed == passed
@@ -378,8 +378,7 @@ def test_pointwise_counts_closing_as_a_candidate(six_outcome):
     # candidate, but every candidate loses there and closing earns 0
     inst = six_outcome.instance
     n = six_outcome.schedule.n_open
-    p = six_outcome.schedule.p.copy()
-    p[n] = np.min(inst.cbar[:, n])
+    p = np.append(six_outcome.schedule.p, np.min(inst.cbar[:, n]))
     assert p[n] > inst.vbar[n]
     res = check_pointwise(_with_prices(six_outcome, p))
     assert not res.passed

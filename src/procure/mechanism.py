@@ -273,18 +273,15 @@ class Instance:
 
 @dataclass(frozen=True, eq=False)
 class ContractOutcome:
-    """Solved contract as columns over the rows of instance (its admissible
-    types, in order): k is every type's best-response grid index, and
-    payment, expected_cost and utility are the curves read there, and
+    """Solved contract over the rows of instance (its admissible types, in
+    order): k is every type's best-response grid index under the schedule.
+    payment, expected_cost and utility are the columns read there, and
     buyer_utility the buyer's direct utility (verify derives its survival
-    form)."""
+    form); each is computed from schedule, k and instance on first use, so
+    a copy with another schedule reads that schedule's columns."""
 
     schedule: PriceSchedule
     k: np.ndarray
-    payment: np.ndarray
-    expected_cost: np.ndarray
-    utility: np.ndarray
-    buyer_utility: float
     instance: Instance = field(repr=False)
 
     @property
@@ -294,6 +291,23 @@ class ContractOutcome:
     @property
     def admissible_ids(self) -> tuple[str, ...]:
         return tuple(x.id for x in self.instance.space)
+
+    @cached_property
+    def payment(self) -> np.ndarray:
+        return self.schedule.payments()[self.k]
+
+    @cached_property
+    def expected_cost(self) -> np.ndarray:
+        return self.instance.ec[np.arange(len(self.k)), self.k]
+
+    @cached_property
+    def utility(self) -> np.ndarray:
+        return self.payment - self.expected_cost
+
+    @cached_property
+    def buyer_utility(self) -> float:
+        inst = self.instance
+        return math.fsum(inst.priors * (inst.vprime.value(self.q) - self.payment))
 
 
 def cell_marginal_utility(vprime: BuyerUtility, grid: QuantityGrid) -> np.ndarray:
@@ -356,19 +370,21 @@ def _best_points(schedule: PriceSchedule, ec: np.ndarray, cbar: np.ndarray) -> n
     return last - np.argmax(util[:, ::-1], axis=1)
 
 
-def anchor_payment(schedule: PriceSchedule, inst: Instance) -> float:
-    """t(0) for the schedule's prices; the schedule is left as it is.
+def anchor_payment(outcome: ContractOutcome) -> float:
+    """t(0) for the outcome's prices and quantities; its own t0 plays no
+    part.
 
     With a worst type the anchor is its startup cost C(0, worst). Without
     one it is found a posteriori as the largest per-type deficit
-    max_x [EC(q(x), x) - integral of p to q(x)], read from evaluate at
-    t0 = 0 (best responses do not depend on t0), which makes every type's
-    utility nonnegative and at least one exactly zero.
+    max_x [EC(q(x), x) - integral of p to q(x)], read at the outcome's k
+    under t0 = 0, which makes every type's utility nonnegative and at
+    least one exactly zero.
     """
+    inst = outcome.instance
     if inst.worst_type is not None:
         return inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
-    unanchored = evaluate(inst, replace(schedule, t0=0.0))
-    return float(np.max(unanchored.expected_cost - unanchored.payment))
+    unanchored = replace(outcome.schedule, t0=0.0).payments()[outcome.k]
+    return float(np.max(outcome.expected_cost - unanchored))
 
 
 def best_response(
@@ -385,32 +401,23 @@ def best_response(
 
 
 def evaluate(inst: Instance, schedule: PriceSchedule) -> ContractOutcome:
-    """Best responses of inst's types to the schedule's prices, and the
-    curves and the buyer's direct utility read there under its own t0. A
+    """Best responses of inst's types to the schedule's prices; the
+    outcome reads its columns there under the schedule's own t0. A
     schedule on another grid than inst's is refused."""
     if schedule.grid != inst.grid:
         raise ConfigurationError(f"schedule on {schedule.grid}, instance on {inst.grid}")
     k = _best_points(schedule, inst.ec, inst.cbar)
-    payment = schedule.payments()[k]
-    expected_cost = inst.ec[np.arange(len(k)), k]
-    value = inst.vprime.value(inst.grid.points[k])
-    return ContractOutcome(
-        schedule=schedule,
-        k=k,
-        payment=payment,
-        expected_cost=expected_cost,
-        utility=payment - expected_cost,
-        buyer_utility=math.fsum(inst.priors * (value - payment)),
-        instance=inst,
-    )
+    return ContractOutcome(schedule=schedule, k=k, instance=inst)
 
 
 def solve(inst: Instance, admissible: Optional[Sequence[str]] = None) -> ContractOutcome:
-    """Price, anchor, evaluate, on inst or on the admissible subset's rows."""
+    """Price, find the best responses, anchor, on inst or on the admissible
+    subset's rows. The quantities do not depend on t0, so they are found
+    once and the anchored outcome is a copy with the anchored schedule."""
     if admissible is not None:
         inst = inst.restrict(admissible)
-    schedule = build_price_schedule(inst)
-    return evaluate(inst, replace(schedule, t0=anchor_payment(schedule, inst)))
+    outcome = evaluate(inst, build_price_schedule(inst))
+    return replace(outcome, schedule=replace(outcome.schedule, t0=anchor_payment(outcome)))
 
 
 MAX_EXCLUSION_TYPES = 12

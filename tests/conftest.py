@@ -1,5 +1,7 @@
 """Shared fixtures: bundled scenario paths, a cached six-type solve and a
-counter of expected-cost calls; test helpers over a weather model's states."""
+counter of expected-cost calls; test helpers over a weather model's states
+and one that forges an outcome's columns."""
+import dataclasses
 import math
 from collections import Counter
 from pathlib import Path
@@ -21,6 +23,16 @@ def expect(weather, f):
 def cdf(weather, w):
     """P(W <= w) of the discrete weather model."""
     return math.fsum(p for wi, p in weather.states if wi <= w)
+
+
+def forged(outcome, **columns):
+    """A copy of outcome whose named fields or derived columns (payment,
+    expected_cost, utility, buyer_utility) read the values given, whatever
+    its schedule gives: a tampered outcome for a negative control."""
+    copy = dataclasses.replace(outcome)
+    for name, value in columns.items():
+        object.__setattr__(copy, name, value)
+    return copy
 
 
 @pytest.fixture(scope="session")

@@ -7,13 +7,12 @@ certification checks, settlement, oracle concordance on random small
 instances, the closed-form marginal cost, discretization convergence, and
 output determinism.
 """
-import dataclasses
 import time
 
 import numpy as np
 import pytest
 
-from conftest import cdf
+from conftest import cdf, forged
 from settlement_reference import expost_payment, risk_payment
 from procure.cli import cmd_solve
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace, dominates, find_worst_type
@@ -118,7 +117,7 @@ def test_criterion_03_incentive_compatibility(six_outcome, capsys):
     # negative control: deflating one reported utility must trip the check
     utility = six_outcome.utility.copy()
     utility[six_outcome.instance.space.index("a")] -= 10 * res.tol
-    tampered = dataclasses.replace(six_outcome, utility=utility)
+    tampered = forged(six_outcome, utility=utility)
     control = check_ic(tampered)
     ok = res.passed and not control.passed
     _emit(

@@ -8,10 +8,11 @@ from pathlib import Path
 
 import pytest
 
+from conftest import SCENARIO_DIR
 import procure
 from procure.cli import _write_atomic, main, read_schedule_csv
 from procure.errors import ProcureError
-from procure.mechanism import QuantityGrid
+from procure.mechanism import QuantityGrid, solve
 from procure.scenario import load_scenario
 
 TINY_YAML = """\
@@ -153,6 +154,42 @@ def test_read_schedule_csv_names_the_bad_field(tmp_path, text, message):
     path.write_text(text)
     with pytest.raises(ProcureError, match=message):
         read_schedule_csv(path, QuantityGrid(q_max=1.0, n_cells=1))
+
+
+@pytest.mark.parametrize(
+    "column, text, message",
+    [
+        # unchecked, both loaded as the schedule the prices give
+        (3, "999", r"schedule\.csv: row 2: t_k\$ '999' is not the payment 8\.92077888548 "
+                   r"the prices give$"),
+        (2, "0.3457869168", r"schedule\.csv: row 2: p_\$_per_kWh '0\.3457869168' is not "
+                            r"p_k\$_per_MWh '0\.3457869167'$"),
+    ],
+    ids=["payment", "price-per-kWh"],
+)
+def test_read_schedule_csv_rejects_an_edited_field(scenario_dir, tmp_path, column, text, message):
+    out = tmp_path / "out"
+    path = scenario_dir / "tiny_oracle.yaml"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    lines = (out / "schedule.csv").read_text().split("\n")
+    fields = lines[3].split(",")  # row 2, after the header
+    fields[column] = text
+    lines[3] = ",".join(fields)
+    (out / "schedule.csv").write_text("\n".join(lines))
+    with pytest.raises(ProcureError, match=message):
+        read_schedule_csv(out / "schedule.csv", load_scenario(path).grid)
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
+def test_read_schedule_csv_loads_every_bundled_solve(tmp_path, name):
+    # every payment written lies within 2.5e-12 of the gate's scale, which
+    # is 1e-11: 12-digit rounding of the fields and the prices' running sum
+    out = tmp_path / "out"
+    path = SCENARIO_DIR / name
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    sc = load_scenario(path)
+    schedule = read_schedule_csv(out / "schedule.csv", sc.grid)
+    assert schedule.n_open == solve(sc.instance, admissible=sc.admissible).schedule.n_open
 
 
 def test_write_atomic_streams_and_leaves_nothing_behind_on_error(tmp_path):

@@ -1,5 +1,5 @@
 import math
-from dataclasses import FrozenInstanceError, replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
@@ -15,6 +15,7 @@ from procure.costmodel import (
 from procure.errors import ConfigurationError, ParameterDomainError
 from procure.mechanism import (
     BuyerUtility,
+    ContractOutcome,
     Instance,
     PriceSchedule,
     QuantityGrid,
@@ -193,8 +194,7 @@ def test_anchor_worst_type(weather):
     v = BuyerUtility.affine(1.0, 1.5e-3)
     grid = QuantityGrid(q_max=1.0 / 1.5e-3, n_cells=500)
     inst = Instance.build(space, model, weather, grid, v)
-    schedule = build_price_schedule(inst)
-    t0 = anchor_payment(schedule, inst)
+    t0 = anchor_payment(evaluate(inst, build_price_schedule(inst)))
     assert t0 == 4.0
 
 
@@ -275,13 +275,14 @@ def test_schedule_keeps_its_own_copy_of_the_prices():
 
 @pytest.mark.parametrize("fixture", ["six_scenario", "worst_scenario"])
 def test_anchor_payment_leaves_the_schedule_as_it_is(request, fixture):
-    # six_types is anchored a posteriori, simple_worst at its worst type
+    # six_types is anchored a posteriori, simple_worst at its worst type;
+    # the outcome's own t0 plays no part in the anchor
     inst = request.getfixturevalue(fixture).instance
-    schedule = replace(build_price_schedule(inst), t0=-1.5)
-    bits = schedule.p.tobytes()
-    t0 = anchor_payment(schedule, inst)
-    assert schedule.t0 == -1.5
-    assert schedule.p.tobytes() == bits
+    outcome = evaluate(inst, replace(build_price_schedule(inst), t0=-1.5))
+    bits = outcome.schedule.p.tobytes()
+    t0 = anchor_payment(outcome)
+    assert outcome.schedule.t0 == -1.5
+    assert outcome.schedule.p.tobytes() == bits
     assert t0 == solve(inst).schedule.t0
 
 
@@ -292,7 +293,7 @@ def test_best_response_unprofitable_schedule(point_weather):
     inst = Instance.build(space, model, point_weather, grid, BuyerUtility.affine(0.3, 0.0))
     schedule = build_price_schedule(inst)
     # everything closed; seller stays at zero and collects the anchor
-    schedule = replace(schedule, t0=anchor_payment(schedule, inst))
+    schedule = replace(schedule, t0=anchor_payment(evaluate(inst, schedule)))
     assert best_response(space.by_id("r0"), schedule, model, point_weather) == 0.0
     out = solve(inst)
     assert out.q[0] == 0.0
@@ -308,7 +309,7 @@ def test_best_response_tie_breaks_to_largest(point_weather):
     grid = QuantityGrid(q_max=10.0, n_cells=5)
     inst = Instance.build(space, model, point_weather, grid, v)
     schedule = build_price_schedule(inst)
-    schedule = replace(schedule, t0=anchor_payment(schedule, inst))
+    schedule = replace(schedule, t0=anchor_payment(evaluate(inst, schedule)))
     assert best_response(space.by_id("r0"), schedule, model, point_weather) == 10.0
     out = solve(inst)
     assert out.q[0] == 10.0
@@ -471,6 +472,35 @@ def test_solve_looks_up_anchor_payment_in_its_module(monkeypatch, six_scenario):
     monkeypatch.setattr(mechanism, "anchor_payment", raising)
     with pytest.raises(RuntimeError, match="injected fault"):
         solve(six_scenario.instance)
+
+
+@pytest.mark.parametrize("fixture", ["six_scenario", "worst_scenario"])
+def test_solve_finds_the_best_responses_once(monkeypatch, request, fixture):
+    # six_types is anchored a posteriori, simple_worst at its worst type;
+    # the quantities do not depend on t0, so neither anchor needs a second pass
+    calls = []
+
+    def counted(*args, _original=mechanism._best_points):
+        calls.append(1)
+        return _original(*args)
+
+    monkeypatch.setattr(mechanism, "_best_points", counted)
+    solve(request.getfixturevalue(fixture).instance)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("t0", [-2.5, 0.0, 7.0])
+def test_an_outcome_reads_its_columns_from_its_schedule(six_outcome, t0):
+    # the outcome holds only its schedule, quantities and instance, so a
+    # copy re-anchored with replace reads the new t0's columns
+    schedule = replace(six_outcome.schedule, t0=t0)
+    moved = replace(six_outcome, schedule=schedule)
+    again = evaluate(six_outcome.instance, schedule)
+    for name in ("payment", "expected_cost", "utility"):
+        assert getattr(moved, name).tobytes() == getattr(again, name).tobytes(), name
+    assert moved.buyer_utility.hex() == again.buyer_utility.hex()
+    assert moved.payment.tobytes() != six_outcome.payment.tobytes()
+    assert [f.name for f in fields(ContractOutcome)] == ["schedule", "k", "instance"]
 
 
 def test_schedule_payment_monotone_while_open(six_outcome):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import forged
 from procure.cli import _corrupt_schedule, main
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, solve
@@ -39,7 +40,7 @@ def _replace_type(outcome, type_id, **changes):
     for name, value in changes.items():
         columns[name] = getattr(outcome, name).copy()
         columns[name][i] = value
-    return dataclasses.replace(outcome, **columns)
+    return forged(outcome, **columns)
 
 
 def _row(outcome, type_id):
@@ -107,7 +108,7 @@ def _deflated(outcome, i):
     tol = grid_tolerance(outcome.instance)
     utility = outcome.utility.copy()
     utility[i] -= 10 * tol
-    return dataclasses.replace(outcome, utility=utility)
+    return forged(outcome, utility=utility)
 
 
 def _swapped(outcome, i, j):
@@ -115,7 +116,7 @@ def _swapped(outcome, i, j):
     k, utility = outcome.k.copy(), outcome.utility.copy()
     k[[i, j]] = k[[j, i]]
     utility[[i, j]] = utility[[j, i]]
-    return dataclasses.replace(outcome, k=k, utility=utility)
+    return forged(outcome, k=k, utility=utility)
 
 
 def _assert_checks_equal_references(outcome):
@@ -252,7 +253,7 @@ def test_monotone_equals_reference_on_drawn_dominance(inst, data):
     k = data.draw(st.lists(st.integers(0, inst.grid.n_cells), min_size=n, max_size=n))
     utility = data.draw(st.lists(st.sampled_from([0.0, -0.0, 1.5, -2.0, 3.25]),
                                  min_size=n, max_size=n))
-    drawn = dataclasses.replace(
+    drawn = forged(
         outcome,
         instance=dataclasses.replace(inst, le=le),
         k=np.array(k),
@@ -283,7 +284,7 @@ def test_vp_fails_when_min_utility_positive(six_scenario, six_outcome):
     # leaving slack to the binding type is also a violation: min U must be 0
     sc = six_scenario
     tol = grid_tolerance(sc.instance)
-    bad = dataclasses.replace(six_outcome, utility=six_outcome.utility + 10 * tol)
+    bad = forged(six_outcome, utility=six_outcome.utility + 10 * tol)
     res = check_vp(bad)
     assert not res.passed
 
@@ -299,7 +300,7 @@ def test_monotone_fails_on_swapped_bundles(worst_outcome):
 def test_identity_fails_on_tampered_survival_value(six_outcome):
     # the survival form is derived from the schedule, so the stored direct
     # utility is what a tampered outcome can carry
-    bad = dataclasses.replace(six_outcome, buyer_utility=six_outcome.buyer_utility + 1.0)
+    bad = forged(six_outcome, buyer_utility=six_outcome.buyer_utility + 1.0)
     res = check_identity(bad)
     assert not res.passed
 

@@ -11,7 +11,6 @@ import csv
 import hashlib
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import replace
@@ -26,7 +25,6 @@ from .errors import ConfigurationError, ProcureError
 from .mechanism import (
     ContractOutcome,
     PriceSchedule,
-    QuantityGrid,
     evaluate,
     exclusion_search,
     solve,
@@ -90,57 +88,6 @@ def schedule_csv(schedule: PriceSchedule) -> str:
     and the last point read "closed". Text rather than bytes, unlike the
     other outputs: perfbench/selftest.py edits it to inject a fault."""
     return b"".join(_schedule_chunks(schedule)).decode("utf-8")
-
-
-def read_schedule_csv(path: Path, grid: QuantityGrid) -> PriceSchedule:
-    """Rebuild a PriceSchedule from schedule.csv (round-trip support); a
-    missing column, a field that is no finite number (a price may read
-    "closed"), a price after a closed row, a p_$_per_kWh that is not its
-    row's p_k$_per_MWh, or a t_k$ that is not the payment the prices give
-    raises ProcureError naming the file and the row."""
-    price, kwh, pay = "p_k$_per_MWh", "p_$_per_kWh", "t_k$"
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        rows = list(reader)
-    for name in ("q_MWh", price, kwh, pay):
-        if name not in (reader.fieldnames or ()):
-            raise ProcureError(f"{path}: header: no {name} column")
-    if len(rows) != grid.n_cells + 1:
-        raise ProcureError(f"{path}: expected {grid.n_cells + 1} rows, got {len(rows)}")
-    for k, (row, q) in enumerate(zip(rows, grid.points.tolist())):
-        if row["q_MWh"] != "%.12g" % q:
-            raise ProcureError(f"{path}: row {k}: q_MWh {row['q_MWh']} is not grid point {q:.12g}")
-        if row[kwh] != row[price]:
-            raise ProcureError(f"{path}: row {k}: {kwh} {row[kwh]!r} is not {price} {row[price]!r}")
-
-    def number(k: int, name: str) -> float:
-        text = rows[k][name]
-        try:
-            value = float(text)
-        except (TypeError, ValueError):  # TypeError: None, from a short row
-            raise ProcureError(f"{path}: row {k}: {name} {text!r} is not a number") from None
-        if not math.isfinite(value):
-            raise ProcureError(f"{path}: row {k}: {name} {text!r} is not finite")
-        return value
-
-    fields = [row[price] for row in rows[:-1]]
-    n = fields.index("closed") if "closed" in fields else len(fields)
-    for k in range(n + 1, len(fields)):
-        if fields[k] != "closed":
-            raise ProcureError(f"{path}: row {k}: {price} {fields[k]!r} after the closed row {n}")
-    schedule = PriceSchedule(grid=grid, p=[number(k, price) for k in range(n)], t0=number(0, pay))
-    # Each field was rounded to 12 digits, 5e-12 of its size at most; t_k
-    # rests on t0, the prices before k and its own field, and the sum's
-    # round-off stays far below the rest of the 1e-11 gate.
-    t = schedule.payments()
-    scale = replace(schedule, p=np.abs(schedule.p), t0=abs(schedule.t0)).payments() + np.abs(t)
-    for k in range(len(rows)):
-        if abs(number(k, pay) - t[k]) > 1e-11 * scale[k]:
-            raise ProcureError(
-                f"{path}: row {k}: {pay} {rows[k][pay]!r} is not the payment {t[k]:.12g}"
-                " the prices give"
-            )
-    return schedule
 
 
 def outcome_csv(outcome: ContractOutcome) -> Iterator[bytes]:

@@ -8,11 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from conftest import SCENARIO_DIR
 import procure
-from procure.cli import _write_atomic, main, read_schedule_csv
-from procure.errors import ProcureError
-from procure.mechanism import QuantityGrid, solve
+from procure.cli import _write_atomic, main
 from procure.scenario import load_scenario
 
 TINY_YAML = """\
@@ -96,100 +93,6 @@ def test_solve_is_byte_identical_across_runs(scenario_dir, tmp_path):
         assert main(["solve", str(scenario_dir / "six_types.yaml"), "--out", str(out)]) == 0
         outs.append(_read_all(out))
     assert outs[0] == outs[1]
-
-
-def test_schedule_csv_roundtrip(scenario_dir, tmp_path):
-    out = tmp_path / "out"
-    path = scenario_dir / "simple_worst.yaml"
-    assert main(["solve", str(path), "--out", str(out)]) == 0
-    sc = load_scenario(path)
-    schedule = read_schedule_csv(out / "schedule.csv", sc.grid)
-    assert schedule.grid.n_cells == sc.grid.n_cells
-    assert schedule.t0 == pytest.approx(4.0, abs=1e-9)
-    assert schedule.n_open > 0
-
-
-def test_read_schedule_csv_rejects_a_price_after_closure(tmp_path):
-    path = tmp_path / "schedule.csv"
-    path.write_text(
-        "q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,1,1,0\n1,closed,closed,1\n"
-        "2,0.5,0.5,1\n3,closed,closed,1\n4,closed,closed,1\n"
-    )
-    message = r"schedule\.csv: row 2: p_k\$_per_MWh '0\.5' after the closed row 1$"
-    with pytest.raises(ProcureError, match=message):
-        read_schedule_csv(path, QuantityGrid(q_max=4.0, n_cells=4))
-
-
-def test_read_schedule_csv_rejects_another_grid(scenario_dir, tmp_path):
-    # the rows of a grid of twice the q_max and as many cells loaded
-    # silently; only the q_MWh column tells the two grids apart
-    out = tmp_path / "out"
-    path = scenario_dir / "six_types.yaml"
-    assert main(["solve", str(path), "--out", str(out)]) == 0
-    grid = load_scenario(path).grid
-    wide = QuantityGrid(q_max=2 * grid.q_max, n_cells=grid.n_cells)
-    message = r"schedule\.csv: row 1: q_MWh 2\.75 is not grid point 5\.5$"
-    with pytest.raises(ProcureError, match=message):
-        read_schedule_csv(out / "schedule.csv", wide)
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("p_k$_per_MWh,p_$_per_kWh,t_k$\n1,1,0\nclosed,closed,1\n",
-         r"schedule\.csv: header: no q_MWh column$"),
-        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,abc,abc,0\n1,closed,closed,1\n",
-         r"schedule\.csv: row 0: p_k\$_per_MWh 'abc' is not a number$"),
-        # unchecked, a NaN t0 and an infinite price loaded silently
-        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,1,1,nan\n1,closed,closed,1\n",
-         r"schedule\.csv: row 0: t_k\$ 'nan' is not finite$"),
-        ("q_MWh,p_k$_per_MWh,p_$_per_kWh,t_k$\n0,inf,inf,0\n1,closed,closed,1\n",
-         r"schedule\.csv: row 0: p_k\$_per_MWh 'inf' is not finite$"),
-    ],
-    ids=["no-q-column", "price-not-a-number", "t0-nan", "price-inf"],
-)
-def test_read_schedule_csv_names_the_bad_field(tmp_path, text, message):
-    # unchecked, these escaped as KeyError and ValueError
-    path = tmp_path / "schedule.csv"
-    path.write_text(text)
-    with pytest.raises(ProcureError, match=message):
-        read_schedule_csv(path, QuantityGrid(q_max=1.0, n_cells=1))
-
-
-@pytest.mark.parametrize(
-    "column, text, message",
-    [
-        # unchecked, both loaded as the schedule the prices give
-        (3, "999", r"schedule\.csv: row 2: t_k\$ '999' is not the payment 8\.92077888548 "
-                   r"the prices give$"),
-        (2, "0.3457869168", r"schedule\.csv: row 2: p_\$_per_kWh '0\.3457869168' is not "
-                            r"p_k\$_per_MWh '0\.3457869167'$"),
-    ],
-    ids=["payment", "price-per-kWh"],
-)
-def test_read_schedule_csv_rejects_an_edited_field(scenario_dir, tmp_path, column, text, message):
-    out = tmp_path / "out"
-    path = scenario_dir / "tiny_oracle.yaml"
-    assert main(["solve", str(path), "--out", str(out)]) == 0
-    lines = (out / "schedule.csv").read_text().split("\n")
-    fields = lines[3].split(",")  # row 2, after the header
-    fields[column] = text
-    lines[3] = ",".join(fields)
-    (out / "schedule.csv").write_text("\n".join(lines))
-    with pytest.raises(ProcureError, match=message):
-        read_schedule_csv(out / "schedule.csv", load_scenario(path).grid)
-
-
-@pytest.mark.parametrize("name", sorted(p.name for p in SCENARIO_DIR.glob("*.yaml")))
-def test_read_schedule_csv_loads_every_bundled_solve(tmp_path, name):
-    # every payment written lies within 2.5e-12 of the gate's scale, which
-    # is 1e-11: 12-digit rounding of the fields and the prices' running sum
-    out = tmp_path / "out"
-    path = SCENARIO_DIR / name
-    assert main(["solve", str(path), "--out", str(out)]) == 0
-    sc = load_scenario(path)
-    schedule = read_schedule_csv(out / "schedule.csv", sc.grid)
-    assert schedule.n_open == solve(sc.instance, admissible=sc.admissible).schedule.n_open
 
 
 def test_write_atomic_streams_and_leaves_nothing_behind_on_error(tmp_path):

@@ -7,7 +7,9 @@ ic, vp and monotone tol_grid = dq * max cbar (the largest cell-averaged
 expected marginal cost); identity max(0.5% * max(1, |U|), dq * max |V' - p|
 over the open cells); pointwise 1e-9 * max(1, max |vbar|); quasi_concavity
 one cell, dq; worst_type_pricing 1e-9 * max(1, max |cbar|); oracle 1e-9
-relative, 1e-9 * max(1, |oracle U|).
+relative, 1e-9 * max(1, |oracle U|). As in the solver, a price is a pointwise
+candidate when it equals a cell cost, and a type survives it when its cell
+cost is at most that price.
 """
 from __future__ import annotations
 
@@ -137,18 +139,16 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     """Every open cell's price is a candidate and earns at least every
     candidate and closing; every closed cell earns closing's 0 at least.
 
-    A cell's candidates are the types' cell costs; a price earns
-    survival * (vbar - price), survival counting the types whose cell cost
-    is within 1e-15 of the price or below. Closing earns what pricing at
-    vbar earns, exactly 0. Closing a cell is beaten only where a type with
-    a positive prior costs less than vbar, so only such closed cells are
-    priced. Memory stays O(types x cells).
+    As in the solver, a price is a candidate when it equals a type's cell
+    cost, and a type survives a price when its cell cost is at most that
+    price; a price earns survival * (vbar - price). Closing earns what
+    pricing at vbar earns, exactly 0. Closing a cell is beaten only where a
+    type with a positive prior costs less than vbar, so only such closed
+    cells are priced. Memory stays O(types x cells).
     """
-    schedule, inst = outcome.schedule, outcome.instance
-    p = schedule.p
+    inst, p = outcome.instance, outcome.schedule.p
     n = len(p)
-    near = np.abs(inst.cbar[:, :n] - p) <= 1e-12 * np.maximum(1.0, np.abs(p))
-    missing = np.flatnonzero(~near.any(axis=0))
+    missing = np.flatnonzero(~(inst.cbar[:, :n] == p).any(axis=0))
     if missing.size:
         return CheckResult(
             "pointwise", False, math.inf, 0.0, f"cell {missing[0]}: p not a candidate"
@@ -160,11 +160,10 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     cbar, vbar = inst.cbar[:, cells], inst.vbar[cells]
     # rows: each candidate, closing, then the schedule's choice
     prices = np.vstack([cbar, vbar, np.concatenate([p, vbar[n:]])])
-    limit = prices + 1e-15
     # survival at every price, adding the types' priors in type order
-    surv = inst.priors[0] * (cbar[0] <= limit)
+    surv = inst.priors[0] * (cbar[0] <= prices)
     for prior, costs in zip(inst.priors[1:], cbar[1:]):
-        surv += prior * (costs <= limit)
+        surv += prior * (costs <= prices)
     obj = surv * (vbar - prices)
     gap = np.max(obj[:-1] - obj[-1], axis=0, initial=0.0)
     worst = float(np.max(gap, initial=0.0))

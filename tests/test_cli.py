@@ -126,6 +126,9 @@ def test_verify_fails_on_corrupted_scenario(scenario_dir, capsys):
     lines = capsys.readouterr().out.splitlines()
     failed = {line.split()[0] for line in lines if " status=FAIL " in line}
     assert failed == {"check=pointwise"}
+    # six_types has 82 open cells, and halve_prices halves p[41:]
+    pointwise = next(line for line in lines if line.startswith("check=pointwise "))
+    assert pointwise.endswith("witness=cell 41: p not a candidate")
 
 
 @pytest.mark.parametrize(

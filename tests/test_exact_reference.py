@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 import exact_reference as ref
 from procure.costmodel import SellerType, TypeSpace, make_model
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, price_cells, solve
-from procure.verify import oracle_solve
+from procure.verify import check_pointwise, oracle_solve
 from procure.weather import WeatherModel
 
 # Round-off bound relative to a magnitude over a cell width. A float cell
@@ -191,6 +191,10 @@ def compare_solve(inst):
 def test_float_solve_matches_exact_reference(inst):
     ties, wrong, err, terms = compare_solve(inst)
     assert not wrong, f"decisions that differ: {wrong}; ties: {ties}"
+    # coarse draws make exact cost ties, which check_pointwise must read as
+    # the solver does
+    pointwise = check_pointwise(solve(inst))
+    assert pointwise.passed, pointwise.line()
     if err is not None:
         assert err <= C * EPS * terms, f"|U_float - U_exact| {float(err):.3g}, terms {terms:.3g}"
 

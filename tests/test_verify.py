@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import forged
 from procure.cli import _corrupt_schedule, main
 from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
-from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, solve
+from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, price_cells, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
     CheckResult,
@@ -372,6 +372,40 @@ def test_pointwise_closing_against_candidates(six_outcome, cell_costs, priors, v
     res = check_pointwise(dataclasses.replace(six_outcome, schedule=schedule, instance=inst))
     assert res.passed == passed
     assert res.witness == ("none" if passed else "cell 1")
+
+
+@pytest.mark.parametrize(
+    "cell_costs, price, worst, witness",
+    [
+        # at 1.0 only the cheaper type survives: 0.5 * (3 - 1) against the
+        # 2 - 2^-52 that pricing one ulp above 1.0 earns with both types
+        ([1.0, np.nextafter(1.0, 2.0)], 1.0, 1.0 - 2.0**-52, "cell 0"),
+        ([1.0, np.nextafter(1.0, 2.0)], None, 0.0, "none"),  # price_cells' own price
+        ([1.0, 2.0], np.nextafter(1.0, 0.0), math.inf, "cell 0: p not a candidate"),
+    ],
+    ids=["cheaper_cost", "solver_price", "ulp_below_cost"],
+)
+def test_pointwise_compares_prices_with_costs_exactly(
+    six_outcome, cell_costs, price, worst, witness
+):
+    # as price_cells does: a candidate equals a cost, and a type survives
+    # every price at or above its cost; cell 1 is closed below every cost
+    inst = dataclasses.replace(
+        six_outcome.instance,
+        cbar=np.array([[cell_costs[0], 2.0], [cell_costs[1], 2.0]]),
+        priors=np.array([0.5, 0.5]),
+        vbar=np.array([3.0, 1.0]),
+    )
+    if price is None:  # price_cells prices one ulp above 1.0
+        p = price_cells(inst.cbar, inst.priors, inst.vbar)
+        assert p.tolist() == [cell_costs[1]]
+    else:
+        p = np.array([price])
+    schedule = dataclasses.replace(
+        six_outcome.schedule, grid=QuantityGrid(q_max=2.0, n_cells=2), p=p
+    )
+    res = check_pointwise(dataclasses.replace(six_outcome, schedule=schedule, instance=inst))
+    assert (res.passed, res.worst, res.witness) == (witness == "none", worst, witness)
 
 
 def test_pointwise_counts_closing_as_a_candidate(six_outcome):

@@ -1,15 +1,15 @@
 """Independent certification: constraint checks and a brute-force oracle.
 
-Every check returns a CheckResult with the worst violation found, the
-tolerance applied, and a witness string. identity derives the buyer's
-utility in survival form from the schedule here. Each check sets its own gate:
-ic, vp and monotone tol_grid = dq * max cbar (the largest cell-averaged
-expected marginal cost); identity max(0.5% * max(1, |U|), dq * max |V' - p|
-over the open cells); pointwise 1e-9 * max(1, max |vbar|); quasi_concavity
-one cell, dq; worst_type_pricing 1e-9 * max(1, max |cbar|); oracle 1e-9
-relative, 1e-9 * max(1, |oracle U|). As in the solver, a price is a pointwise
-candidate when it equals a cell cost, and a type survives it when its cell
-cost is at most that price.
+Every check returns a CheckResult with its worst violation, tolerance and
+witness. From the schedule under test, ic compares each type with every grid
+quantity up to the closure point and identity derives the buyer's utility in
+survival form. Each check sets its own gate: ic, vp and monotone tol_grid =
+dq * max cbar (the largest cell-averaged expected marginal cost); identity
+max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells); pointwise
+1e-9 * max(1, max |vbar|); quasi_concavity one cell, dq; worst_type_pricing
+1e-9 * max(1, max |cbar|); oracle 1e-9 relative, 1e-9 * max(1, |oracle U|).
+As in the solver, a price is a pointwise candidate when it equals a cell
+cost, and a type survives it when its cell cost is at most that price.
 """
 from __future__ import annotations
 
@@ -50,19 +50,18 @@ def grid_tolerance(inst: Instance) -> float:
 
 
 def check_ic(outcome: ContractOutcome) -> CheckResult:
-    """No type gains more than tol_grid by taking another type's bundle."""
-    inst, k = outcome.instance, outcome.k
+    """No type gains more than tol_grid over its own bundle by delivering
+    any grid quantity up to the schedule's closure point."""
+    schedule, inst = outcome.schedule, outcome.instance
     tol = grid_tolerance(inst)
-    if len(k) == 1:
-        return CheckResult("ic", 0.0 <= tol, 0.0, tol, "single type")
-    t = outcome.schedule.payments()
-    # gain[i, j]: type i's utility at type j's bundle over its own
-    gain = (t[k] - inst.ec[:, k]) - outcome.utility[:, None]
-    np.fill_diagonal(gain, -np.inf)
-    i, j = np.unravel_index(np.argmax(gain), gain.shape)
-    worst = float(gain[i, j])
-    ids = outcome.admissible_ids
-    return CheckResult("ic", worst <= tol, worst, tol, f"{ids[i]}->{ids[j]}")
+    n = schedule.n_open
+    surplus = schedule.payments()[: n + 1] - inst.ec[:, : n + 1]
+    gain = surplus.max(axis=1) - outcome.utility
+    i = int(np.argmax(gain))
+    worst = float(gain[i])
+    q = schedule.grid.points[int(np.argmax(surplus[i]))]
+    witness = f"{outcome.admissible_ids[i]}->q={q:.12g}"
+    return CheckResult("ic", worst <= tol, worst, tol, witness)
 
 
 def check_vp(outcome: ContractOutcome) -> CheckResult:

@@ -1,6 +1,7 @@
 """Certification checks: each check passes on a clean solve and trips on a
-targeted tampering of the outcome. The per-pair loops that check_ic,
-check_vp and check_monotone replaced are kept here as references."""
+targeted tampering of the outcome. Scalar loops for check_ic (over types
+and grid points), check_vp and check_monotone (over ordered pairs of
+types) are kept here as references."""
 import dataclasses
 import itertools
 import math
@@ -48,26 +49,23 @@ def _row(outcome, type_id):
 
 
 def ref_check_ic(outcome):
-    """check_ic as a loop over ordered pairs of types."""
+    """check_ic as a loop over the types and over grid points 0..n_open:
+    each type's largest surplus first, then less its utility."""
     schedule, inst = outcome.schedule, outcome.instance
     tol = grid_tolerance(inst)
     t = schedule.payments()
-    q, utility = outcome.q.tolist(), outcome.utility.tolist()
+    utility = outcome.utility.tolist()
     worst_gain = -math.inf
-    witness = "none"
     for i, x in enumerate(inst.space):
-        for j, y in enumerate(inst.space):
-            if y.id == x.id:
-                continue
-            k = int(round(q[j] / schedule.grid.dq))
-            deviation = float(t[k]) - float(inst.ec[i, k])
-            gain = deviation - utility[i]
-            if gain > worst_gain:
-                worst_gain = gain
-                witness = f"{x.id}->{y.id}"
-    if worst_gain == -math.inf:
-        worst_gain = 0.0
-        witness = "single type"
+        best, best_l = -math.inf, 0
+        for l in range(schedule.n_open + 1):
+            surplus = float(t[l]) - float(inst.ec[i, l])
+            if surplus > best:
+                best, best_l = surplus, l
+        gain = best - utility[i]
+        if gain > worst_gain:
+            worst_gain = gain
+            witness = f"{x.id}->q={schedule.grid.points[best_l]:.12g}"
     return CheckResult("ic", worst_gain <= tol, worst_gain, tol, witness)
 
 
@@ -272,6 +270,33 @@ def test_ic_fails_on_deflated_utility(six_outcome):
     res = check_ic(_deflated(six_outcome, _row(six_outcome, "a")))
     assert not res.passed
     assert res.witness.startswith("a->")
+
+
+@pytest.mark.parametrize(
+    "case, type_id, k, gain",
+    [
+        # the other types' bundles give a at most 3.21, under the 3.3 gate
+        ("six_types", "a", 28, 4.3184),
+        # a alone has no other type's bundle to take
+        ("a alone", "a", 82, 50.8844),
+        # hi moved onto lo's bundle: the only other bundle is its own
+        ("tiny_oracle", "hi", 6, 19.9698),
+    ],
+)
+def test_ic_fails_off_every_bundle(six_outcome, tiny, case, type_id, k, gain):
+    # a type moved off its best response gains by delivering a grid
+    # quantity that no other type's bundle holds
+    outcome = tiny[1] if case == "tiny_oracle" else six_outcome
+    if case == "a alone":  # under six_types' schedule
+        outcome = dataclasses.replace(
+            outcome, k=outcome.k[[_row(outcome, "a")]], instance=outcome.instance.restrict(["a"])
+        )
+    ks = outcome.k.copy()
+    ks[_row(outcome, type_id)] = k
+    res = check_ic(dataclasses.replace(outcome, k=ks))
+    assert not res.passed
+    assert res.worst == pytest.approx(gain, abs=1e-4)
+    assert res.witness.startswith(f"{type_id}->q=")
 
 
 def test_vp_fails_on_negative_utility(six_outcome):

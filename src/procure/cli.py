@@ -29,7 +29,7 @@ from .mechanism import (
     exclusion_search,
     solve,
 )
-from .scenario import Scenario, load_scenario
+from .scenario import CORRUPTIONS, Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
 from .verify import buyer_utility_survival, grid_tolerance, report_text, run_checks
 
@@ -118,12 +118,7 @@ def settlement_csv(table: SettlementTable) -> Iterator[bytes]:
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
     """The schedule with its prices corrupted as kind says; t0 is kept. A
     corruption that changes no price is no negative control and is refused."""
-    p = schedule.p
-    if kind == "halve_prices":
-        p = p.copy()
-        p[len(p) // 2 :] *= 0.5
-    elif kind == "early_close":
-        p = p[:-1]  # with no open cell, p[:-1] is p
+    p = CORRUPTIONS[kind](schedule.p)
     if np.array_equal(p, schedule.p):
         raise ConfigurationError(f"options.corruption: {kind!r} changes no price of the schedule")
     return replace(schedule, p=p)

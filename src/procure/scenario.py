@@ -8,6 +8,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
 import yaml
 
 from .costmodel import CostModel, SellerType, TypeSpace, make_model
@@ -22,7 +23,11 @@ from .mechanism import (
 )
 from .weather import DEFAULT_N_POINTS, WeatherModel, empirical_model, weibull_model
 
-CORRUPTIONS = ("halve_prices", "early_close")
+# name -> the open cells' prices as the corruption leaves them
+CORRUPTIONS = {
+    "halve_prices": lambda p: np.concatenate([p[: len(p) // 2], p[len(p) // 2 :] * 0.5]),
+    "early_close": lambda p: p[:-1],  # with no open cell, p[:-1] is p
+}
 
 # libyaml's parser where PyYAML was built with it (several times faster than
 # the pure-Python one); both build the same objects from a scenario.

@@ -3,11 +3,11 @@
 Every check returns a CheckResult with its worst violation, tolerance and
 witness. From the schedule under test, ic compares each type with every grid
 quantity up to the closure point and identity derives the buyer's utility in
-survival form. Each check sets its own gate: ic, vp and monotone tol_grid =
-dq * max cbar (the largest cell-averaged expected marginal cost); identity
-max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells); pointwise
-1e-9 * max(1, max |vbar|); quasi_concavity one cell, dq; worst_type_pricing
-1e-9 * max(1, max |cbar|); oracle 1e-9 relative, 1e-9 * max(1, |oracle U|).
+survival form. Gates (_roundoff derives the first three): ic and vp the
+round-off of a utility; monotone's U half that plus the type order's slack;
+pointwise the round-off of its sums; monotone's q half no cell, quasi_concavity
+one; identity max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells);
+worst_type_pricing 1e-9 * max(1, max |cbar|); oracle 1e-9 * max(1, |oracle U|).
 As in the solver, a price is a pointwise candidate when it equals a cell
 cost, and a type survives it when its cell cost is at most that price.
 """
@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import CostModel, TypeSpace, no_costlier, worst_index
+from .costmodel import EQUAL_COST_TOL, CostModel, TypeSpace, no_costlier, worst_index
 from .errors import ConfigurationError
 from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
@@ -49,11 +49,30 @@ def grid_tolerance(inst: Instance) -> float:
     return inst.grid.dq * float(np.max(inst.cbar))
 
 
+def _roundoff(n_terms: int, magnitude: float) -> float:
+    """The round-off of n_terms float terms of at most magnitude each.
+
+    ic and vp read a utility two ways, as t0 plus the payment cumsum of p * dq
+    less EC at k, and as -EC(0) plus _best_points' cumsum of (p - cbar) * dq:
+    each n_open + 2 terms within |t0| + dq * sum |p| + max |EC[:, :n_open + 1]|,
+    through about six roundings each. monotone's U half adds EQUAL_COST_TOL
+    times the largest row scale, no_costlier's slack in the type order.
+    pointwise sums priors (at most 1 in all) over the types, times vbar - price:
+    2 * (n_types + 2) terms over max(|vbar| + |price|)."""
+    return n_terms * 2.0**-52 * magnitude
+
+
+def _utility_roundoff(outcome: ContractOutcome) -> float:
+    schedule, n = outcome.schedule, outcome.schedule.n_open
+    paid = abs(schedule.t0) + schedule.grid.dq * float(np.sum(np.abs(schedule.p)))
+    return _roundoff(6 * (n + 2), paid + float(np.max(np.abs(outcome.instance.ec[:, : n + 1]))))
+
+
 def check_ic(outcome: ContractOutcome) -> CheckResult:
-    """No type gains more than tol_grid over its own bundle by delivering
+    """No type gains more than round-off over its own bundle by delivering
     any grid quantity up to the schedule's closure point."""
     schedule, inst = outcome.schedule, outcome.instance
-    tol = grid_tolerance(inst)
+    tol = _utility_roundoff(outcome)
     n = schedule.n_open
     surplus = schedule.payments()[: n + 1] - inst.ec[:, : n + 1]
     gain = surplus.max(axis=1) - outcome.utility
@@ -66,7 +85,7 @@ def check_ic(outcome: ContractOutcome) -> CheckResult:
 
 def check_vp(outcome: ContractOutcome) -> CheckResult:
     """All utilities >= -tol and the minimum utility is 0 within tol."""
-    tol = grid_tolerance(outcome.instance)
+    tol = _utility_roundoff(outcome)
     i = int(np.argmin(outcome.utility))
     worst = abs(float(outcome.utility[i]))
     return CheckResult(
@@ -75,20 +94,20 @@ def check_vp(outcome: ContractOutcome) -> CheckResult:
 
 
 def check_monotone(outcome: ContractOutcome) -> CheckResult:
-    """Dominance-ordered pairs: the better type gets more utility and
-    produces more."""
-    inst = outcome.instance
-    tol = grid_tolerance(inst)
-    ids, utility, q = outcome.admissible_ids, outcome.utility, outcome.q
+    """Dominance-ordered pairs: the better type delivers no fewer cells (tol
+    0, worst in MWh) and its utility is within tol of the worse type's."""
+    inst, ids = outcome.instance, outcome.admissible_ids
     better, worse = np.nonzero(inst.better)
-    # each ordered pair's U violation, then its q violation
-    viol = np.column_stack([utility[worse] - utility[better], q[worse] - q[better]]).ravel()
+    cells = outcome.k[worse] - outcome.k[better]
+    kind, viol = "U", outcome.utility[worse] - outcome.utility[better]
+    tol = _utility_roundoff(outcome) + EQUAL_COST_TOL * max(1.0, float(np.max(np.abs(inst.ec))))
+    if np.any(cells > 0):
+        kind, viol, tol = "q", cells * inst.grid.dq, 0.0
     worst, witness = 0.0, "no ordered pairs"
     if viol.size:
-        k = int(np.argmax(viol))  # the first largest, as a scan in this order finds it
-        worst = float(viol[k])
-        i, j = better[k // 2], worse[k // 2]
-        witness = f"{'Uq'[k % 2]}({ids[i]} better than {ids[j]})"
+        m = int(np.argmax(viol))  # the first largest, as a scan in this order finds it
+        worst = float(viol[m])
+        witness = f"{kind}({ids[better[m]]} better than {ids[worse[m]]})"
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
 
 
@@ -167,26 +186,25 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     gap = np.max(obj[:-1] - obj[-1], axis=0, initial=0.0)
     worst = float(np.max(gap, initial=0.0))
     witness = f"cell {cells[int(np.argmax(gap))]}" if worst > 0.0 else "none"
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(inst.vbar))))
+    tol = _roundoff(2 * (len(cbar) + 2), float(np.max(np.abs(vbar) + np.abs(prices), initial=0.0)))
     return CheckResult("pointwise", worst <= tol, worst, tol, witness)
 
 
 def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
-    """Each type's quantity against the threshold rule on the schedule
-    under test, within one grid cell: produce through the last open cell
-    whose price covers the type's average marginal cost there."""
+    """Each type's grid index against the threshold rule on the schedule
+    under test, within one cell (worst is cells * dq): produce through the
+    last open cell whose price covers the type's average marginal cost."""
     schedule, cbar = outcome.schedule, outcome.instance.cbar
-    pts, dq, last = schedule.grid.points, schedule.grid.dq, schedule.n_open
+    dq, last = schedule.grid.dq, schedule.n_open
     scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
     ok = schedule.p >= cbar[:, :last] - 1e-12 * scale[:, None]
     thr = np.zeros(len(cbar), dtype=int)
     if last > 0:
         thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
-    gap = np.abs(outcome.q - pts[thr])
-    i = int(np.argmax(gap))
-    worst = float(gap[i])
-    witness = outcome.admissible_ids[i] if worst > 0.0 else "none"
-    return CheckResult("quasi_concavity", worst <= dq * (1 + 1e-9), worst, dq, witness)
+    cells = np.abs(outcome.k - thr)
+    i = int(np.argmax(cells))
+    witness = outcome.admissible_ids[i] if cells[i] > 0 else "none"
+    return CheckResult("quasi_concavity", bool(cells[i] <= 1), float(cells[i]) * dq, dq, witness)
 
 
 def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:

@@ -126,9 +126,6 @@ def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
     samples = list(samples)
     if not samples:
         raise ConfigurationError("empirical model needs at least one sample")
-    for s in samples:
-        if s < 0.0:
-            raise ParameterDomainError(f"negative wind speed {s}")
     counts = Counter(samples)
     n = len(samples)
     states = tuple((float(w), counts[w] / n) for w in sorted(counts))

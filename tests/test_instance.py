@@ -125,7 +125,9 @@ def test_reopening_marginal_utility_fails_pointwise_alone(
     # forgoes its margin at V' = 10
     assert main(["verify", str(path)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "status=FAIL" in line]
-    assert failed == ["check=pointwise status=FAIL worst=8.8 tol=1e-08 witness=cell 1999"]
+    assert failed == [
+        "check=pointwise status=FAIL worst=8.8 tol=7.1054273576e-14 witness=cell 1999"
+    ]
 
 
 def _once_per_type(calls, n_points):

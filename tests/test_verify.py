@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import forged
 from procure.cli import _corrupt_schedule, main
-from procure.costmodel import SellerType, SimpleCostModel, TypeSpace
+from procure.costmodel import EQUAL_COST_TOL, SellerType, SimpleCostModel, TypeSpace
 from procure.mechanism import BuyerUtility, Instance, QuantityGrid, evaluate, price_cells, solve
 from procure.scenario import CORRUPTIONS, load_scenario
 from procure.verify import (
@@ -48,11 +48,21 @@ def _row(outcome, type_id):
     return outcome.instance.space.index(type_id)
 
 
+def ref_utility_tol(outcome):
+    """ic's and vp's gate: 6 * (n_open + 2) units of 2^-52 times |t0| +
+    dq * sum |p| + the largest |EC| at points 0..n_open."""
+    schedule, ec = outcome.schedule, outcome.instance.ec
+    n = schedule.n_open
+    size = abs(schedule.t0) + schedule.grid.dq * float(np.sum(np.abs(schedule.p)))
+    size += max(abs(v) for v in ec[:, : n + 1].ravel().tolist())
+    return 6 * (n + 2) * 2.0**-52 * size
+
+
 def ref_check_ic(outcome):
     """check_ic as a loop over the types and over grid points 0..n_open:
     each type's largest surplus first, then less its utility."""
     schedule, inst = outcome.schedule, outcome.instance
-    tol = grid_tolerance(inst)
+    tol = ref_utility_tol(outcome)
     t = schedule.payments()
     utility = outcome.utility.tolist()
     worst_gain = -math.inf
@@ -71,7 +81,7 @@ def ref_check_ic(outcome):
 
 def ref_check_vp(outcome):
     """check_vp over a dict of utilities by type id."""
-    tol = grid_tolerance(outcome.instance)
+    tol = ref_utility_tol(outcome)
     utils = dict(zip(outcome.admissible_ids, outcome.utility.tolist()))
     min_id = min(utils, key=utils.get)
     worst = abs(utils[min_id])
@@ -79,23 +89,27 @@ def ref_check_vp(outcome):
 
 
 def ref_check_monotone(outcome):
-    """check_monotone as a loop over ordered pairs of types."""
-    inst = outcome.instance
-    tol = grid_tolerance(inst)
-    q, utility = outcome.q.tolist(), outcome.utility.tolist()
-    worst = -math.inf
-    witness = "no ordered pairs"
-    for i, j in itertools.permutations(range(len(inst.space)), 2):
-        if not inst.le[i, j] or inst.le[j, i]:
-            continue
-        a, b = inst.space.types[i], inst.space.types[j]
-        for kindname, viol in (
-            ("U", utility[j] - utility[i]),
-            ("q", q[j] - q[i]),
-        ):
-            if viol > worst:
-                worst = viol
-                witness = f"{kindname}({a.id} better than {b.id})"
+    """check_monotone as loops over ordered pairs of types: a pair whose
+    worse type delivers more cells fails at tol 0; else the largest utility
+    violation, gated on ic's round-off plus the type order's slack."""
+    inst, ids = outcome.instance, outcome.admissible_ids
+    k, utility = outcome.k.tolist(), outcome.utility.tolist()
+    pairs = [
+        (i, j) for i, j in itertools.permutations(range(len(ids)), 2)
+        if inst.le[i, j] and not inst.le[j, i]
+    ]
+    cells, witness = 0, None
+    for i, j in pairs:
+        if k[j] - k[i] > cells:
+            cells, witness = k[j] - k[i], f"q({ids[i]} better than {ids[j]})"
+    if witness is not None:
+        return CheckResult("monotone", False, cells * inst.grid.dq, 0.0, witness)
+    scale = max(1.0, max(abs(v) for v in inst.ec.ravel().tolist()))
+    tol = ref_utility_tol(outcome) + EQUAL_COST_TOL * scale
+    worst, witness = -math.inf, "no ordered pairs"
+    for i, j in pairs:
+        if utility[j] - utility[i] > worst:
+            worst, witness = utility[j] - utility[i], f"U({ids[i]} better than {ids[j]})"
     if worst == -math.inf:
         worst = 0.0
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
@@ -260,6 +274,16 @@ def test_monotone_equals_reference_on_drawn_dominance(inst, data):
     assert check_monotone(drawn) == ref_check_monotone(drawn)
 
 
+@settings(max_examples=100, deadline=None)
+@given(small_instances())
+def test_ic_and_pointwise_pass_on_drawn_solves(inst):
+    # their gates are round-off bounds, derived and not fitted: the solver's
+    # own outcome never comes near them
+    outcome = solve(inst)
+    for res in (check_ic(outcome), check_pointwise(outcome)):
+        assert res.passed, res.line()
+
+
 @settings(max_examples=60, deadline=None)
 @given(small_instances())
 def test_evaluate_reproduces_solve_on_drawn_instances(inst):
@@ -275,12 +299,14 @@ def test_ic_fails_on_deflated_utility(six_outcome):
 @pytest.mark.parametrize(
     "case, type_id, k, gain",
     [
-        # the other types' bundles give a at most 3.21, under the 3.3 gate
+        # a gains 4.32 at q = 0, more than any other type's bundle gives it (3.21)
         ("six_types", "a", 28, 4.3184),
         # a alone has no other type's bundle to take
         ("a alone", "a", 82, 50.8844),
         # hi moved onto lo's bundle: the only other bundle is its own
         ("tiny_oracle", "hi", 6, 19.9698),
+        # one cell past c's best response, whose margin there is -0.0448 / MWh
+        ("six_types", "c", 20, 0.1232),
     ],
 )
 def test_ic_fails_off_every_bundle(six_outcome, tiny, case, type_id, k, gain):
@@ -306,12 +332,25 @@ def test_vp_fails_on_negative_utility(six_outcome):
 
 
 def test_vp_fails_when_min_utility_positive(six_scenario, six_outcome):
-    # leaving slack to the binding type is also a violation: min U must be 0
+    # leaving slack to the binding type is also a violation: min U must be 0,
+    # within round-off, not within a grid cell's cost
     sc = six_scenario
     tol = grid_tolerance(sc.instance)
-    bad = forged(six_outcome, utility=six_outcome.utility + 10 * tol)
+    bad = forged(six_outcome, utility=six_outcome.utility + 0.5 * tol)
     res = check_vp(bad)
     assert not res.passed
+
+
+def test_vp_fails_on_a_type_that_would_decline(six_scenario, six_outcome):
+    # six_types' schedule where the wind is Weibull(2, 5): c's utility is -1,
+    # so c would not join; the prices are no candidates there either
+    inst = six_scenario.instance
+    other = Instance.build(inst.space, inst.model, weibull_model(2.0, 5.0), inst.grid, inst.vprime)
+    results = run_checks(evaluate(other, six_outcome.schedule))
+    failed = {r.name: r for r in results if not r.passed}
+    assert list(failed) == ["vp", "pointwise"], report_text(results)
+    assert (failed["vp"].worst, failed["vp"].witness) == (1.0, "min U at c")
+    assert failed["pointwise"].witness == "cell 0: p not a candidate"
 
 
 def test_monotone_fails_on_swapped_bundles(worst_outcome):
@@ -320,6 +359,17 @@ def test_monotone_fails_on_swapped_bundles(worst_outcome):
     assert worst_outcome.q[i2] > worst_outcome.q[i1]
     res = check_monotone(_swapped(worst_outcome, i1, i2))
     assert not res.passed
+
+
+def test_monotone_fails_on_one_more_cell(six_outcome):
+    # b is better than a, and a delivers one cell (2.75 MWh) more than b: a
+    # quantity is compared in cells, not against a gate in k$
+    k = six_outcome.k.copy()
+    k[_row(six_outcome, "a")] = k[_row(six_outcome, "b")] + 1
+    assert k[_row(six_outcome, "a")] == 37
+    res = check_monotone(dataclasses.replace(six_outcome, k=k))
+    assert (res.passed, res.worst, res.tol) == (False, 2.75, 0.0)
+    assert res.witness == "q(b better than a)"
 
 
 def test_identity_fails_on_tampered_survival_value(six_outcome):
@@ -449,6 +499,10 @@ def test_quasi_concavity_fails_on_shifted_quantity(six_outcome):
     # the threshold comes from the schedule; c's quantity moves 5 cells off it
     assert check_quasi_concavity(six_outcome).passed
     k = six_outcome.k[_row(six_outcome, "c")]
+    # grid indices compare exactly: one cell off passes, two cells fail
+    assert check_quasi_concavity(_replace_type(six_outcome, "c", k=k + 1)).passed
+    res = check_quasi_concavity(_replace_type(six_outcome, "c", k=k - 2))
+    assert (res.passed, res.worst, res.tol) == (False, 5.5, 2.75)
     bad = _replace_type(six_outcome, "c", k=k + 5)
     res = check_quasi_concavity(bad)
     assert not res.passed

@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Optional, Sequence
 import numpy as np
 
 from . import __version__
-from .csvfmt import csv_chunks, format_g12
+from .csvfmt import SLAB_BYTES, block_rows, csv_chunks, format_g12
 from .errors import ConfigurationError, ProcureError
 from .mechanism import (
     ContractOutcome,
@@ -97,22 +97,39 @@ def outcome_csv(outcome: ContractOutcome) -> Iterator[bytes]:
 
 
 def settlement_csv(table: SettlementTable) -> Iterator[bytes]:
-    """Type by type, one row per weather state; w and payment_base are
-    formatted once."""
+    """Type by type, one row per weather state. The type ids, w and
+    payment_base are formatted once; csv_chunks takes the rows of as many
+    whole types as fill one block, or of one type when its states fill
+    more, so that no column is repeated over the whole table."""
     n_types, n_states = table.generation.shape
+    ids = _id_fields(table.type_ids)
+    w = format_g12(table.w)
+    base = format_g12(table.payment_base)
     expost = table.payment_expost
-    columns = [
-        np.repeat(_id_fields(table.type_ids), n_states),
-        np.tile(format_g12(table.w), (n_types, 1)),
-        table.generation.ravel(),
-        table.realized_cost.ravel(),
-        np.repeat(format_g12(table.payment_base), n_states, axis=0),
-        np.array([b""]) if expost is None else expost.ravel(),
-        table.payment_risk.ravel(),
-        table.profit.ravel(),
-    ]
-    header = b"type_id,w,g_w,realized_cost,payment_base,payment_expost,payment_risk_alpha,profit\n"
-    return _csv(header, columns)
+
+    def columns(i: int, j: int) -> list[np.ndarray]:
+        """The columns of the rows of types i to j - 1."""
+        if j - i == 1:  # a column of one field repeats it on every line
+            type_id, w_rows, base_rows = ids[i:j], w, base[i:j]
+        else:
+            type_id = np.repeat(ids[i:j], n_states)
+            w_rows = np.tile(w, (j - i, 1))
+            base_rows = np.repeat(base[i:j], n_states, axis=0)
+        return [
+            type_id,
+            w_rows,
+            table.generation[i:j].ravel(),
+            table.realized_cost[i:j].ravel(),
+            base_rows,
+            np.array([b""]) if expost is None else expost[i:j].ravel(),
+            table.payment_risk[i:j].ravel(),
+            table.profit[i:j].ravel(),
+        ]
+
+    types = max(1, block_rows(columns(0, 1)) // n_states)
+    yield b"type_id,w,g_w,realized_cost,payment_base,payment_expost,payment_risk_alpha,profit\n"
+    for i in range(0, n_types, types):
+        yield from csv_chunks(columns(i, min(i + types, n_types)))
 
 
 def _corrupt_schedule(schedule: PriceSchedule, kind: str) -> PriceSchedule:
@@ -166,7 +183,10 @@ def _write_outputs(
     """schedule.csv, outcome.csv, settlement.csv when alpha is given, and
     run_manifest.json, written in that order into out_dir."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_atomic(out_dir / "schedule.csv", [schedule_csv(outcome.schedule).encode("utf-8")])
+    text = schedule_csv(outcome.schedule)
+    # encoded a slab at a time, never as one copy of the whole file
+    slabs = range(0, len(text), SLAB_BYTES)
+    _write_atomic(out_dir / "schedule.csv", (text[i : i + SLAB_BYTES].encode("utf-8") for i in slabs))
     _write_atomic(out_dir / "outcome.csv", outcome_csv(outcome))
     if alpha is not None:
         table = settlement_table(outcome, alpha)

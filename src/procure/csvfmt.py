@@ -17,8 +17,9 @@ scientific notation, NaN and +-inf.
 
 csv_lines lays the fields of a block of rows side by side in NUL-padded
 rows, all the block's floats formatted in one format_g12 call. csv_chunks
-cuts a table into blocks of as many rows as fit in SLAB_BYTES padded bytes
-and yields each as bytes, its padding removed with one bytes.translate.
+cuts a table into blocks of block_rows rows, as many as fit in SLAB_BYTES
+padded bytes, and yields each as bytes, its padding removed with one
+bytes.translate.
 """
 from __future__ import annotations
 
@@ -33,7 +34,10 @@ FIELD = 24
 
 # padded bytes of the lines csv_chunks lays out at once, which bounds the
 # padded buffer and the formatter's temporaries: 1,024 settlement.csv rows
-# of 176 bytes (an ex-post column and type ids of up to 7 bytes)
+# of 176 bytes (an ex-post column and type ids of up to 7 bytes). Writing a
+# CSV holds one slab beyond the table it writes; settlement.csv hands
+# csv_chunks as many whole types as fill a slab, or one type at a time
+# when its weather states alone exceed one.
 SLAB_BYTES = 180_224
 
 _ZERO = 416  # row keys after the 2 x 16 x 13 fixed-notation ones: 0, -0
@@ -212,7 +216,7 @@ def csv_lines(columns: Sequence[np.ndarray]) -> np.ndarray:
 
     A float column's fields read as '%.12g' % v. A uint8 column holds
     fields format_g12 has already written, one row each. A bytes ('S')
-    column's fields are its elements, and a bytes column of one field
+    column's fields are its elements. A bytes or uint8 column of one field
     repeats it on every line. Fields are separated by ',' and each line
     ends in '\\n'.
     """
@@ -235,12 +239,17 @@ def csv_lines(columns: Sequence[np.ndarray]) -> np.ndarray:
     return lines
 
 
+def block_rows(columns: Sequence[np.ndarray]) -> int:
+    """How many lines of the columns fit in SLAB_BYTES padded bytes, at
+    least one; only the columns' dtypes are read."""
+    return max(1, SLAB_BYTES // sum(_widths(columns)))
+
+
 def csv_chunks(columns: Sequence[np.ndarray]) -> Iterator[bytes]:
     """csv_lines of the columns as bytes, the NUL padding removed, in
-    blocks of as many lines as fit in SLAB_BYTES padded bytes (at least
-    one), laid out one at a time."""
+    blocks of block_rows lines, laid out one at a time."""
     n = max(len(c) for c in columns)
-    rows = max(1, SLAB_BYTES // sum(_widths(columns)))
+    rows = block_rows(columns)
     for i in range(0, n, rows):
         block = [c if len(c) == 1 else c[i : i + rows] for c in columns]
         yield csv_lines(block).tobytes().translate(None, b"\0")

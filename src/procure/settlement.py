@@ -89,17 +89,16 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
         raise ParameterDomainError(f"alpha {alpha} outside [0, 1]")
     inst = outcome.instance
     space, model, weather = inst.space, inst.model, inst.weather
-    q = outcome.q.tolist()
     base = outcome.payment
-    generation = [model.generation_array(x, weather) for x in space]
-    cost = np.array(
-        [
-            model.realized_cost_array(x, q_x, weather, g)
-            for x, q_x, g in zip(space, q, generation)
-        ]
-    )
-    # t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x))
-    risk = base[:, None] + alpha * (cost - outcome.expected_cost[:, None])
+    generation = np.empty((len(space), len(weather.speed_array)))
+    cost = np.empty_like(generation)
+    for i, (x, q_x) in enumerate(zip(space, outcome.q.tolist())):
+        generation[i] = model.generation_array(x, weather)
+        cost[i] = model.realized_cost_array(x, q_x, weather, generation[i])
+    # t(q(x)) + alpha*(C(q(x), w, x) - EC(q(x), x)), built in place
+    risk = cost - outcome.expected_cost[:, None]
+    risk *= alpha
+    risk += base[:, None]
     expost = None
     if inst.worst is not None:
         # t(q) - t(q_worst) + C(q_worst, w, worst), the worst type's cost
@@ -110,7 +109,7 @@ def settlement_table(outcome: ContractOutcome, alpha: float) -> SettlementTable:
         type_ids=tuple(x.id for x in space),
         w=weather.speed_array,
         payment_base=base,
-        generation=np.array(generation),
+        generation=generation,
         realized_cost=cost,
         payment_expost=expost,
         payment_risk=risk,

@@ -6,19 +6,20 @@ import csv
 import io
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from settlement_reference import expost_payment, risk_payment
-from procure import csvfmt
+from procure import cli, csvfmt
 from procure.cli import (
     _csv_field, _schedule_chunks, _solve_scenario, main, schedule_csv, settlement_csv,
 )
 from procure.csvfmt import FIELD, format_g12
 from procure.mechanism import PriceSchedule, QuantityGrid
 from procure.scenario import load_scenario
-from procure.settlement import SettlementRow, settlement_table
+from procure.settlement import SettlementRow, SettlementTable, settlement_table
 
 SIMPLE_YAML = """\
 description: simple pair whose ids need CSV quoting
@@ -38,6 +39,38 @@ options: {{alpha: 0.4}}
 QUOTED = SIMPLE_YAML.format(worse='lo,"x', better="hi''s", intercept=1.0)
 # the buyer values no unit above any seller's cost: every cell is closed
 CLOSED = SIMPLE_YAML.format(worse="a", better="b", intercept=1e-4)
+
+MANY_YAML = """\
+description: {description}
+weather: {{kind: empirical, samples: {samples}}}
+cost_model: {{kind: simple}}
+types:
+{types}buyer:
+  marginal_utility: {{kind: affine, intercept: 1.0, slope: 1.5e-3}}
+grid: {{q_max: 300, n_cells: 150}}
+"""
+# 40 types in a dominance chain over 3 states: several types share a block
+# of settlement.csv (all 40 in one, or 3 at a time and 1 last in SMALL_SLAB
+# blocks), and the ex-post column is written
+MANY_TYPES = MANY_YAML.format(
+    description="many types, few weather states",
+    samples="[3.0, 8.0, 11.0]",
+    types="".join(
+        f"  - {{id: t{i}, params: {{c0: 4, theta_c: 1.2, gamma: {0.5 + 0.05 * i:.2f}}}}}\n"
+        for i in range(40)
+    ),
+)
+# 13 types whose costs cross over one weather state: no worst type, so no
+# ex-post column; SMALL_SLAB blocks take 12 types and then 1
+ONE_STATE = MANY_YAML.format(
+    description="one-state weather",
+    samples="[6.0]",
+    types="".join(
+        f"  - {{id: u{i}, params: {{c0: {4 + 0.1 * i:.1f}, theta_c: {1.3 - 0.02 * i:.2f}, gamma: 1}}}}\n"
+        for i in range(13)
+    ),
+)
+GENERATED = {"quoted": QUOTED, "closed": CLOSED, "many_types": MANY_TYPES, "one_state": ONE_STATE}
 
 
 def _fmt(x):
@@ -150,9 +183,9 @@ def ref_plotdata(outcome):
 
 
 def _scenario(name, scenario_dir, tmp_path):
-    if name in ("quoted", "closed"):
+    if name in GENERATED:
         path = tmp_path / f"{name}.yaml"
-        path.write_text(QUOTED if name == "quoted" else CLOSED)
+        path.write_text(GENERATED[name])
         return path
     return scenario_dir / name
 
@@ -173,6 +206,8 @@ SOLVE_CASES = [
     ("quoted", []),
     ("quoted", ["--admissible", "hi's", "--alpha", "0.9"]),
     ("closed", []),
+    ("many_types", ["--alpha", "0.6"]),
+    ("one_state", ["--alpha", "0.6"]),
 ]
 PLOT_CASES = ["six_types.yaml", "simple_worst.yaml", "tiny_oracle.yaml", "quoted", "closed"]
 # padded bytes per CSV block small enough that schedule.csv's closed tail
@@ -232,6 +267,76 @@ def test_small_blocks_split_the_closed_tail_and_settlement(scenario_dir, monkeyp
     # header, open rows, first closed row, then the tail's blocks
     assert len(list(_schedule_chunks(outcome.schedule))) > 3 + 10
     assert len(list(settlement_csv(settlement_table(outcome, 0.5)))) > 1 + 10
+
+
+@pytest.mark.parametrize(
+    "name, slab, lines",
+    [
+        ("many_types", csvfmt.SLAB_BYTES, [120]),
+        ("many_types", SMALL_SLAB, [9] * 13 + [3]),
+        ("one_state", SMALL_SLAB, [12, 1]),
+        ("simple_worst.yaml", SMALL_SLAB, ([11] * 18 + [2]) * 2),
+    ],
+    ids=["many-types-one-block", "many-types-3-a-block", "one-state", "one-type-in-blocks"],
+)
+def test_settlement_blocks_hold_whole_types_or_part_of_one(
+    scenario_dir, tmp_path, monkeypatch, name, slab, lines
+):
+    # a settlement.csv line takes 176 padded bytes with an ex-post column and
+    # 160 without, so SMALL_SLAB holds 11 or 12 lines: 3 types of 3 states,
+    # 12 types of one state, or 11 of one type's 200 states
+    monkeypatch.setattr(csvfmt, "SLAB_BYTES", slab)
+    outcome = _solve_scenario(load_scenario(_scenario(name, scenario_dir, tmp_path)))
+    chunks = list(settlement_csv(settlement_table(outcome, 0.5)))
+    assert [c.count(b"\n") for c in chunks[1:]] == lines
+
+
+@pytest.mark.parametrize("n_types, n_states", [(200, 2000), (20, 2000), (2000, 5)])
+def test_settlement_csv_peak_memory(n_types, n_states):
+    # Repeating w, payment_base and the type ids over every row would hold
+    # 22 MB at 200 x 2000, whatever the slab. format_g12 peaks at about 82
+    # bytes a value (its 24-byte fields and the 8-byte temporaries), so a
+    # block's floats, 6 a line, cost under 3 slabs, and its lines, their
+    # bytes and the previous chunk 3 more; 8 leave room. The per-state and
+    # per-type fields are formatted once, at the same cost a value.
+    rng = np.random.default_rng(n_types)
+
+    def column():
+        return rng.uniform(-100.0, 100.0, (n_types, n_states))
+
+    table = SettlementTable(
+        type_ids=tuple(f"t{i}" for i in range(n_types)),
+        w=rng.uniform(0.0, 20.0, n_states),
+        payment_base=rng.uniform(0.0, 100.0, n_types),
+        generation=column(),
+        realized_cost=column(),
+        payment_expost=column(),
+        payment_risk=column(),
+        profit=column(),
+    )
+    tracemalloc.start()
+    try:
+        for _ in settlement_csv(table):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * csvfmt.SLAB_BYTES + 128 * (n_states + n_types)
+
+
+def test_solve_writes_the_text_schedule_csv_returns(scenario_dir, tmp_path, monkeypatch):
+    # perfbench/selftest.py injects its fault by replacing cli.schedule_csv;
+    # its text, here over two slabs and not ASCII, is what schedule.csv holds
+    original = cli.schedule_csv
+
+    def altered(schedule):
+        return "é," * csvfmt.SLAB_BYTES + original(schedule)
+
+    monkeypatch.setattr(cli, "schedule_csv", altered)
+    path, out = scenario_dir / "tiny_oracle.yaml", tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 0
+    outcome = _solve_scenario(load_scenario(path))
+    assert (out / "schedule.csv").read_bytes() == altered(outcome.schedule).encode("utf-8")
 
 
 @pytest.mark.parametrize(

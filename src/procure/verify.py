@@ -3,11 +3,12 @@
 Every check returns a CheckResult with its worst violation, tolerance and
 witness. From the schedule under test, ic compares each type with every grid
 quantity up to the closure point and identity derives the buyer's utility in
-survival form. Gates (_roundoff derives the first three): ic and vp the
+survival form. Gates (_roundoff derives the first four): ic and vp the
 round-off of a utility; monotone's U half that plus the type order's slack;
-pointwise the round-off of its sums; monotone's q half no cell, quasi_concavity
-one; identity max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells);
-worst_type_pricing 1e-9 * max(1, max |cbar|); oracle 1e-9 * max(1, |oracle U|).
+pointwise the round-off of its sums; oracle the round-off of one menu's
+utility read as the solver's and as the oracle's; monotone's q half no cell,
+quasi_concavity one; identity max(0.5% * max(1, |U|), dq * max |V' - p| over
+the open cells); worst_type_pricing 1e-9 * max(1, max |cbar|).
 As in the solver, a price is a pointwise candidate when it equals a cell
 cost, and a type survives it when its cell cost is at most that price.
 """
@@ -19,14 +20,13 @@ from typing import Optional
 
 import numpy as np
 
-from .costmodel import EQUAL_COST_TOL, CostModel, TypeSpace, no_costlier, worst_index
+from .costmodel import EQUAL_COST_TOL, CostModel, TypeSpace
 from .errors import ConfigurationError
 from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
 from .weather import WeatherModel
 
 ORACLE_MAX_TYPES = 4
 ORACLE_MAX_CELLS = 8
-ORACLE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,20 @@ def _roundoff(n_terms: int, magnitude: float) -> float:
     through about six roundings each. monotone's U half adds EQUAL_COST_TOL
     times the largest row scale, no_costlier's slack in the type order.
     pointwise sums priors (at most 1 in all) over the types, times vbar - price:
-    2 * (n_types + 2) terms over max(|vbar| + |price|)."""
+    2 * (n_types + 2) terms over max(|vbar| + |price|).
+
+    The oracle's cycle test: a gain EC_y(k_y) - EC_x(k_y) is one rounded
+    difference of entries of at most max |EC|, so within one unit of it, and
+    a rent, at most n_types gains along a path, is at most 2 * n_types *
+    max |EC|: one relaxation rounds within n_types units, and a rent after
+    n_types rounds within n_types**2. Without a positive cycle the extra
+    round rises by at most two rents' errors, one relaxation's and the
+    cycle's n_types gains': 2 * n_types * (n_types + 1) units of max |EC|.
+    oracle reads one menu's utility two ways: the solver's payments within
+    ic's gate, and the oracle's rents within the cycle test's terms; each
+    side then sums prior * (V - payment) over the types, where a payment,
+    EC plus a rent, is at most (2 * n_types + 1) * max |EC|: ic's gate plus
+    2 * (n_types + 1)**2 terms over max |V| + (2 * n_types + 1) * max |EC|."""
     return n_terms * 2.0**-52 * magnitude
 
 
@@ -225,6 +238,15 @@ def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
     )
 
 
+def _oracle_refusal(n_types: int, n_cells: int) -> Optional[str]:
+    """Why the oracle will not enumerate an instance this size, or None."""
+    if n_types > ORACLE_MAX_TYPES:
+        return f"oracle limited to {ORACLE_MAX_TYPES} types"
+    if n_cells > ORACLE_MAX_CELLS:
+        return f"oracle limited to {ORACLE_MAX_CELLS} grid cells"
+    return None
+
+
 def oracle_solve(
     space: TypeSpace,
     model: CostModel,
@@ -232,92 +254,55 @@ def oracle_solve(
     vprime: BuyerUtility,
     grid: QuantityGrid,
 ) -> float:
-    """Brute-force optimum over all per-cell price assignments.
+    """Brute-force optimum over every menu of grid bundles.
 
-    Enumerates every assignment of each cell's price from that cell's
-    candidate set (the per-type average marginal costs) plus "closed",
-    computes each induced schedule's best responses, anchors the payment
-    the same way the solver does, and returns the best direct buyer
-    utility. Deliberately shares no schedule-construction code with the
-    solver.
+    Enumerates every allocation of a grid point k_x to each type x. The
+    least rents that make an allocation incentive compatible and
+    participating are longest-path potentials (Rochet 1987), U_x = max(0,
+    max_y [U_y + EC_y(k_y) - EC_x(k_y)]): n_types rounds of Bellman-Ford
+    find them, and an extra round that still raises a rent past round-off
+    marks a positive cycle, an allocation no payments support. Returns the
+    best sum of prior * (V(k_x) - EC_x(k_x) - U_x). It reads only expected
+    costs at the grid points, so it shares no pricing, best-response or
+    anchor code with the solver; every posted tariff's outcome is one of
+    its menus.
     """
-    if len(space) > ORACLE_MAX_TYPES:
-        raise ConfigurationError(f"oracle limited to {ORACLE_MAX_TYPES} types")
-    if grid.n_cells > ORACLE_MAX_CELLS:
-        raise ConfigurationError(f"oracle limited to {ORACLE_MAX_CELLS} grid cells")
-
-    pts = grid.points
-    dq = grid.dq
-    n_cells = grid.n_cells
-    ecs = np.array([model.expected_cost_grid(x, pts, weather) for x in space])
-    priors = np.array([x.prior_weight for x in space])
-    cbar = np.diff(ecs, axis=1) / dq  # candidates per cell
-    values = vprime.value(pts)
-
-    worst = worst_index(no_costlier(ecs))
-    if worst is not None:
-        t0_fixed = model.realized_cost(space.types[worst], 0.0, weather.speeds[0])
-
     n_types = len(space)
-    n_choices = n_types + 1  # candidate per type, plus closed
-    n_combos = n_choices**n_cells
-    # assignment idx gives cell j digit j of idx in base n_choices, the
-    # first cell most significant (itertools.product's order); each chunk
-    # is decoded from its indices, so no table of all assignments is held
-    place = n_choices ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
-
-    cand = np.concatenate([cbar, np.zeros((1, n_cells))], axis=0)
-    cell_ix = np.arange(n_cells)[None, :]
-
-    best = -math.inf
-    for start in range(0, n_combos, 50000):
-        chunk = np.arange(start, min(start + 50000, n_combos))[:, None] // place % n_choices
-        closed = chunk == n_types
-        # price per (assignment, cell); closed cells contribute nothing but cap q
-        prices = np.where(closed, 0.0, cand[chunk, cell_ix])
-        cum = np.concatenate(
-            [np.zeros((chunk.shape[0], 1)), np.cumsum(prices * dq, axis=1)], axis=1
-        )
-        # point k is deliverable iff no closed cell before it
-        blocked = np.concatenate(
-            [np.zeros((chunk.shape[0], 1), dtype=bool), np.cumsum(closed, axis=1) > 0],
-            axis=1,
-        )
-        q_idx = np.empty((n_types, chunk.shape[0]), dtype=np.int64)
-        for i in range(n_types):
-            # Per-cell margins keep indifference ties exact (a cell priced
-            # at this type's own cost has margin exactly zero), so the
-            # largest-quantity tie-break matches the solver's.
-            margins = np.cumsum((prices - cbar[i][None, :]) * dq, axis=1)
-            util = np.concatenate(
-                [np.zeros((chunk.shape[0], 1)), margins], axis=1
-            ) - ecs[i, 0]
-            util = np.where(blocked, -np.inf, util)
-            rev = util[:, ::-1]
-            q_idx[i] = n_cells - np.argmax(rev, axis=1)
-        cum_at = np.take_along_axis(cum, q_idx.T, axis=1).T
-        ec_at = ecs[np.arange(n_types)[:, None], q_idx]
-        if worst is not None:
-            t0 = np.full(chunk.shape[0], t0_fixed)
-        else:
-            t0 = np.max(ec_at - cum_at, axis=0)
-        v_at = values[q_idx]
-        buyer = priors @ (v_at - (t0[None, :] + cum_at))
-        m = float(np.max(buyer))
-        if m > best:
-            best = m
-    return best
+    refusal = _oracle_refusal(n_types, grid.n_cells)
+    if refusal is not None:
+        raise ConfigurationError(refusal)
+    ecs = np.array([model.expected_cost_grid(x, grid.points, weather) for x in space])
+    priors = np.array([x.prior_weight for x in space])
+    # every allocation, one row each: k[a, x] is type x's grid index
+    k = np.indices((grid.n_cells + 1,) * n_types).reshape(n_types, -1).T
+    own = ecs[np.arange(n_types), k]  # EC_x(k_x)
+    # gain[a, x, y] = EC_y(k_y) - EC_x(k_y): x's rent over y's from y's bundle
+    gain = own[:, None, :] - ecs[:, k].transpose(1, 0, 2)
+    rent = np.zeros_like(own)
+    for _ in range(n_types):
+        rent = np.max(rent[:, None, :] + gain, axis=2)
+    rise = np.max(rent[:, None, :] + gain, axis=2) - rent
+    gate = _roundoff(2 * n_types * (n_types + 1), float(np.max(np.abs(ecs))))
+    feasible = np.all(rise <= gate, axis=1)
+    score = (vprime.value(grid.points)[k] - own - rent) @ priors
+    return float(np.max(score, initial=-math.inf, where=feasible))
 
 
 def check_oracle(outcome: ContractOutcome) -> CheckResult:
-    inst = outcome.instance
-    oracle = oracle_solve(
-        inst.space, inst.model, inst.weather, inst.vprime, outcome.schedule.grid
-    )
+    """The buyer's utility against the best menu's (oracle_solve), within
+    the round-off of one menu's utility read both ways. The solver's
+    outcome is a menu, so a gap above the solver is utility its prices or
+    its anchor leave on the table."""
+    schedule, inst = outcome.schedule, outcome.instance
+    oracle = oracle_solve(inst.space, inst.model, inst.weather, inst.vprime, schedule.grid)
     gap = abs(oracle - outcome.buyer_utility)
-    scale = max(1.0, abs(oracle))
+    n_types = len(inst.space)
+    value = float(np.max(np.abs(inst.vprime.value(schedule.grid.points))))
+    tol = _utility_roundoff(outcome) + _roundoff(
+        2 * (n_types + 1) ** 2, value + (2 * n_types + 1) * float(np.max(np.abs(inst.ec)))
+    )
     return CheckResult(
-        "oracle", gap <= ORACLE_TOL * scale, gap, ORACLE_TOL * scale,
+        "oracle", gap <= tol, gap, tol,
         f"oracle={oracle:.12g} solver={outcome.buyer_utility:.12g}",
     )
 
@@ -336,8 +321,7 @@ def run_checks(outcome: ContractOutcome) -> list[CheckResult]:
     wt = check_worst_type_pricing(outcome)
     if wt is not None:
         results.append(wt)
-    n_types, n_cells = len(outcome.instance.space), outcome.schedule.grid.n_cells
-    if n_types <= ORACLE_MAX_TYPES and n_cells <= ORACLE_MAX_CELLS:
+    if _oracle_refusal(len(outcome.instance.space), outcome.schedule.grid.n_cells) is None:
         results.append(check_oracle(outcome))
     return results
 

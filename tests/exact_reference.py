@@ -1,11 +1,13 @@
 """The pricing inputs and per-cell decisions of an Instance with a built-in
-cost model, in exact rational arithmetic: every float input (the types'
-parameters and priors, the weather's speeds and probabilities, q_max and
-V') is taken as the exact rational it is, and grid point k is exactly
-k * q_max / n_cells. Nothing here calls the solver's code, so the float
-pipeline's rounding shows against it."""
+cost model, and its best menu, in exact rational arithmetic: every float
+input (the types' parameters and priors, the weather's speeds and
+probabilities, q_max and V') is taken as the exact rational it is, and
+grid point k is exactly k * q_max / n_cells. Nothing here calls the
+solver's code, so the float pipeline's rounding shows against it."""
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
@@ -161,3 +163,35 @@ def solve(inst) -> ExactOutcome:
         t0 = max(row[ki] - paid[ki] for row, ki in zip(rows, k))
     u = sum(p * (buyer_value(inst.vprime, qs[ki]) - t0 - paid[ki]) for p, ki in zip(priors, k))
     return ExactOutcome(rows, cbar, prices, paid, k, worst, t0, u)
+
+
+def menu_optimum(inst) -> Fraction:
+    """The buyer's best deterministic menu of grid bundles: over every
+    allocation of a grid index k[x] to each type x, the least rents that
+    make it incentive compatible and participating, U[x] = max(0, max over
+    y of U[y] + EC(q_k[y], y) - EC(q_k[y], x)), by Bellman-Ford. An
+    allocation whose rents still rise after n_types rounds has a positive
+    cycle, and no payments support it. The value is the best sum of
+    prior * (V(q_k[x]) - EC(q_k[x], x) - U[x]). The rents are found in
+    integers, the expected costs times their common denominator."""
+    rows = expected_cost_rows(inst)
+    scale = math.lcm(*(c.denominator for row in rows for c in row))
+    ec = [[int(c * scale) for c in row] for row in rows]
+    priors = [Fraction(p) for p in inst.priors.tolist()]
+    values = [buyer_value(inst.vprime, q) for q in points(inst.grid.q_max, inst.grid.n_cells)]
+    n = len(rows)
+    best = None
+    for k in itertools.product(range(inst.grid.n_cells + 1), repeat=n):
+        rent = [0] * n
+        for _ in range(n + 1):
+            last = rent
+            rent = [max(last[y] + ec[y][k[y]] - row[k[y]] for y in range(n)) for row in ec]
+        if rent != last:
+            continue
+        score = sum(
+            p * (values[kx] - row[kx] - Fraction(u, scale))
+            for p, kx, row, u in zip(priors, k, rows, rent)
+        )
+        if best is None or score > best:
+            best = score
+    return best

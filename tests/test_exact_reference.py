@@ -3,8 +3,9 @@ instances: Instance.build's cell costs agree within a stated round-off
 bound; price_cells makes the reference's decision in every cell, closure
 and price owner, except where the two decisions' exact objectives are
 within that bound of each other (a tie that rounding may break either
-way); and where every decision agrees, solve's buyer utility U is the
-exact one within a stated round-off bound."""
+way); where every decision agrees, solve's buyer utility U is the exact
+one within a stated round-off bound; and the oracle finds the exact best
+menu's value."""
 from fractions import Fraction
 
 import numpy as np
@@ -36,11 +37,13 @@ C = 8
 
 
 @st.composite
-def tiny_instances(draw):
-    """2-4 types of either built-in model, 1-5 weather states, 3-12 cells.
-    Coarse draws take every number on a decimal step, so that exact ties
-    between types' costs occur; the others take any float in range."""
-    coarse = draw(st.booleans())
+def tiny_instances(draw, coarse=None, max_cells=12):
+    """2-4 types of either built-in model, 1-5 weather states, 3 to
+    max_cells cells. Coarse draws take every number on a decimal step, so
+    that exact ties between types' costs occur; the others take any float
+    in range. coarse None draws which."""
+    if coarse is None:
+        coarse = draw(st.booleans())
 
     def num(lo, hi, step):
         if coarse:
@@ -73,7 +76,7 @@ def tiny_instances(draw):
         q1 = num(1.0, 20.0, 1.0)
         vprime = BuyerUtility.piecewise([(0.0, v0), (q1, v0 - num(0.0, 0.5, 0.1)),
                                          (q1 + num(1.0, 20.0, 1.0), num(-1.0, 0.0, 0.1))])
-    grid = QuantityGrid(q_max=num(1.0, 40.0, 1.0), n_cells=draw(st.integers(3, 12)))
+    grid = QuantityGrid(q_max=num(1.0, 40.0, 1.0), n_cells=draw(st.integers(3, max_cells)))
     return Instance.build(TypeSpace(types=tuple(types)), make_model(kind), weather, grid, vprime)
 
 
@@ -197,6 +200,21 @@ def test_float_solve_matches_exact_reference(inst):
     assert pointwise.passed, pointwise.line()
     if err is not None:
         assert err <= C * EPS * terms, f"|U_float - U_exact| {float(err):.3g}, terms {terms:.3g}"
+
+
+@settings(max_examples=60, deadline=None)
+@given(tiny_instances(coarse=True, max_cells=8))
+def test_oracle_matches_exact_menu_optimum(inst):
+    # The float oracle's score reads V and at most 2 * n_types + 1 expected
+    # costs (a type's own, and two per gain on its rent's path), each within
+    # REL of its magnitude. Coarse draws lie on decimal steps, so an
+    # allocation's exact cycle weights are 0 or far above round-off, and the
+    # float cycle test must keep or drop it as exact arithmetic does.
+    costs, value = _magnitudes(inst)
+    exact = ref.menu_optimum(inst)
+    oracle = oracle_solve(inst.space, inst.model, inst.weather, inst.vprime, inst.grid)
+    bound = REL * (value + (2 * len(costs) + 1) * max(costs))
+    assert abs(Fraction(oracle) - exact) <= bound, (oracle, float(exact), bound)
 
 
 def test_reference_closes_below_every_cost_and_ties_to_the_smallest_price():

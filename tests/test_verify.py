@@ -31,7 +31,7 @@ from procure.verify import (
     report_text,
     run_checks,
 )
-from procure.weather import weibull_model
+from procure.weather import WeatherModel, weibull_model
 
 
 def _replace_type(outcome, type_id, **changes):
@@ -540,8 +540,8 @@ def test_oracle_matches_solver_on_tiny(tiny):
     ids=["worst-type", "no-worst-type"],
 )
 def test_oracle_computes_each_expected_cost_row_once(scenario_dir, tmp_path, ec_calls, hi, value):
-    # the worst type comes from the rows the oracle already holds; the
-    # values are those the oracle returned when it computed every row twice
+    # the values are those the per-cell oracle, which enumerated price
+    # assignments, returned when it computed every row twice
     text = (scenario_dir / "tiny_oracle.yaml").read_text()
     path = tmp_path / "tiny.yaml"
     path.write_text(text.replace("{c0: 3, theta_c: 1.4, gamma: 1}", hi))
@@ -551,10 +551,9 @@ def test_oracle_computes_each_expected_cost_row_once(scenario_dir, tmp_path, ec_
     assert dict(ec_calls) == {("lo", 7): 1, ("hi", 7): 1}
 
 
-def test_oracle_at_its_limit_decodes_every_assignment():
-    # 4 types and 8 cells: 5**8 = 390,625 assignments, decoded in chunks;
-    # the value is the one the oracle returned when it built the whole
-    # assignment table with itertools.product
+def test_oracle_at_its_limit_enumerates_every_allocation():
+    # 4 types and 8 cells: 9**4 = 6,561 allocations in one pass; the value
+    # is the one the per-cell oracle returned over all 5**8 price assignments
     space = TypeSpace(tuple(
         SellerType(id=f"t{i}", params={"c0": 4.0, "theta_c": 1.2, "gamma": 0.5 + 0.4 * i},
                    prior_weight=0.25)
@@ -563,6 +562,64 @@ def test_oracle_at_its_limit_decodes_every_assignment():
     value = oracle_solve(space, SimpleCostModel(), weibull_model(3.0, 5.0, 20),
                          BuyerUtility.affine(1.0, 1.5e-3), QuantityGrid(q_max=400.0, n_cells=8))
     assert value == 56.94230055833536
+
+
+# t1 sets the prices of cells 3 and 4, above the worst type t0's cell
+# costs there, so the worst-type anchor t0 = C(0, t0) leaves t0 rent.
+RENT_YAML = """\
+weather: {kind: empirical, samples: [4.0, 6.0]}
+cost_model: {kind: simple}
+types:
+  - {id: t0, params: {c0: 3, theta_c: 0.6, gamma: 0.12}}
+  - {id: t1, params: {c0: 1, theta_c: 0.9, gamma: 0.12}}
+buyer: {marginal_utility: {kind: affine, intercept: 2.2, slope: 0}}
+grid: {q_max: 12, n_cells: 5}
+"""
+
+
+def test_oracle_finds_the_rent_the_worst_type_anchor_leaves(tmp_path):
+    # the oracle takes least payments, not the solver's anchor: the menu
+    # that charges the solver's quantities without t0's rent is worth that
+    # rent more, as much as vp finds the worst type earns
+    path = tmp_path / "rent.yaml"
+    path.write_text(RENT_YAML)
+    outcome = solve(load_scenario(path).instance)
+    assert outcome.instance.worst_type.id == "t0"
+    res, vp = check_oracle(outcome), check_vp(outcome)
+    assert not res.passed and not vp.passed
+    assert res.worst == pytest.approx(0.648, abs=1e-12)
+    assert res.worst == pytest.approx(vp.worst, abs=res.tol)
+    assert res.witness == "oracle=22.104 solver=21.456"
+
+
+def test_oracle_keeps_an_allocation_whose_zero_cycle_rounds_above_zero():
+    # buying nothing is always a menu: each type's rent is then the largest
+    # c0 less its own, and around a cycle the rents' float sums round above
+    # 0, so without the cycle test's round-off gate the oracle read -6.5719
+    params = [
+        (3.390722133185895, 2.2400844275721736, 0.02487420705907185),
+        (3.285489918054191, 1.4950424433101506, 0.015682869509122892),
+        (0.293194521753698, 2.009816237940556, 0.0325069068866454),
+    ]
+    space = TypeSpace(tuple(
+        SellerType(f"t{i}", {"c0": c0, "theta_c": theta_c, "gamma": gamma}, weight / 6)
+        for i, ((c0, theta_c, gamma), weight) in enumerate(zip(params, (3, 2, 1)))
+    ))
+    weather = WeatherModel(states=((2.423955736583757, 1.0),))
+    vprime = BuyerUtility.affine(1.216991809180434, 0.16584889150602206)
+    grid = QuantityGrid(q_max=37.46189858502649, n_cells=4)
+    outcome = solve(Instance.build(space, SimpleCostModel(), weather, grid, vprime))
+    value = oracle_solve(space, SimpleCostModel(), weather, vprime, grid)
+    assert value == pytest.approx(-3.3907221331858954, abs=check_oracle(outcome).tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_instances())
+def test_oracle_is_at_least_the_solvers_utility_on_drawn_instances(inst):
+    # every posted tariff's outcome is a menu, and the oracle finds the best
+    outcome = solve(inst)
+    value = oracle_solve(inst.space, inst.model, inst.weather, inst.vprime, inst.grid)
+    assert value >= outcome.buyer_utility - check_oracle(outcome).tol
 
 
 def test_oracle_rejects_large_instances(six_scenario):

@@ -45,6 +45,10 @@ class QuantityGrid:
             raise ConfigurationError(f"q_max must be positive and finite, got {self.q_max}")
         if self.n_cells < 1:
             raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
+        if not self.dq > 0.0:
+            raise ConfigurationError(
+                f"q_max / n_cells must be positive, got {self.q_max} / {self.n_cells}"
+            )
 
     @property
     def dq(self) -> float:

@@ -175,7 +175,13 @@ def _load_types(specs, model: CostModel) -> TypeSpace:
     for i, s in enumerate(specs):
         where = f"types[{i}]"
         _only(s, {"id", "prior", "params"}, where)
-        tid = str(_require(s, "id", where))
+        tid = _require(s, "id", where)
+        # str() would write null, true or a list as Python spells them
+        if not isinstance(tid, (str, int)) or isinstance(tid, bool):
+            raise ConfigurationError(
+                f"{where}.id: expected a string or a whole number, got {tid!r}"
+            )
+        tid = str(tid)
         if "\0" in tid:
             # the CSV writers pad fields with NUL bytes
             raise ConfigurationError(f"{where}.id: {tid!r} holds a NUL character")

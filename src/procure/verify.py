@@ -3,14 +3,15 @@
 Every check returns a CheckResult with its worst violation, tolerance and
 witness. From the schedule under test, ic compares each type with every grid
 quantity up to the closure point and identity derives the buyer's utility in
-survival form. Gates (_roundoff derives the first four): ic and vp the
+survival form. Gates (_roundoff derives the first five): ic and vp the
 round-off of a utility; monotone's U half that plus the type order's slack;
 pointwise the round-off of its sums; oracle the round-off of one menu's
-utility read as the solver's and as the oracle's; monotone's q half no cell,
-quasi_concavity one; identity max(0.5% * max(1, |U|), dq * max |V' - p| over
-the open cells); worst_type_pricing 1e-9 * max(1, max |cbar|).
-As in the solver, a price is a pointwise candidate when it equals a cell
-cost, and a type survives it when its cell cost is at most that price.
+utility read as the solver's and as the oracle's; worst_type_pricing that of
+two cell costs; monotone's q half no cell, quasi_concavity one; identity
+max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells). As in the
+solver, every check compares prices with cell costs exactly: a candidate
+equals a cell cost, and a type survives (produces at) a price no lower than
+its cell cost.
 """
 from __future__ import annotations
 
@@ -59,6 +60,12 @@ def _roundoff(n_terms: int, magnitude: float) -> float:
     times the largest row scale, no_costlier's slack in the type order.
     pointwise sums priors (at most 1 in all) over the types, times vbar - price:
     2 * (n_types + 2) terms over max(|vbar| + |price|).
+    worst_type_pricing: a price is a cell cost (EC_{j+1} - EC_j) / dq, and
+    two types that differ only in c0 have equal ones in exact arithmetic.
+    An EC entry, a dot product over the weather states, is within n_states
+    + 2 units of its terms' sum of magnitudes, EC itself where every term is
+    >= 0 (the built-in models); the difference and the quotient add two
+    units of max |EC| each: 4 * (n_states + 4) terms over max |EC|, / dq.
 
     The oracle's cycle test: a gain EC_y(k_y) - EC_x(k_y) is one rounded
     difference of entries of at most max |EC|, so within one unit of it, and
@@ -170,12 +177,10 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     """Every open cell's price is a candidate and earns at least every
     candidate and closing; every closed cell earns closing's 0 at least.
 
-    As in the solver, a price is a candidate when it equals a type's cell
-    cost, and a type survives a price when its cell cost is at most that
-    price; a price earns survival * (vbar - price). Closing earns what
-    pricing at vbar earns, exactly 0. Closing a cell is beaten only where a
-    type with a positive prior costs less than vbar, so only such closed
-    cells are priced. Memory stays O(types x cells).
+    A price earns survival * (vbar - price). Closing earns what pricing at
+    vbar earns, exactly 0. Closing a cell is beaten only where a type with a
+    positive prior costs less than vbar, so only such closed cells are
+    priced. Memory stays O(types x cells).
     """
     inst, p = outcome.instance, outcome.schedule.p
     n = len(p)
@@ -206,14 +211,11 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
 def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
     """Each type's grid index against the threshold rule on the schedule
     under test, within one cell (worst is cells * dq): produce through the
-    last open cell whose price covers the type's average marginal cost."""
+    last open cell whose price is at least the type's cell cost."""
     schedule, cbar = outcome.schedule, outcome.instance.cbar
     dq, last = schedule.grid.dq, schedule.n_open
-    scale = np.maximum(1.0, np.max(np.abs(cbar), axis=1))
-    ok = schedule.p >= cbar[:, :last] - 1e-12 * scale[:, None]
-    thr = np.zeros(len(cbar), dtype=int)
-    if last > 0:
-        thr[:] = np.where(ok.any(axis=1), last - np.argmax(ok[:, ::-1], axis=1), 0)
+    ok = schedule.p >= cbar[:, :last]
+    thr = np.max(np.where(ok, np.arange(1, last + 1), 0), axis=1, initial=0)
     cells = np.abs(outcome.k - thr)
     i = int(np.argmax(cells))
     witness = outcome.admissible_ids[i] if cells[i] > 0 else "none"
@@ -221,21 +223,18 @@ def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
 
 
 def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
-    """p equals the worst type's marginal cost up to its chosen quantity
-    (within one cell). None when there is no worst type."""
+    """p equals the worst type's cell cost, within two cell costs' round-off,
+    up to its chosen quantity (within one cell). None without a worst type."""
     schedule, inst = outcome.schedule, outcome.instance
     if inst.worst_type is None:
         return None
     k = int(outcome.k[inst.worst])
     stop = max(0, min(k - 1, schedule.n_open))  # allow one-cell slack
-    dev = float(
-        np.max(np.abs(schedule.p[:stop] - inst.cbar[inst.worst, :stop]), initial=0.0)
-    )
-    tol = 1e-9 * max(1.0, float(np.max(np.abs(inst.cbar))))
-    return CheckResult(
-        "worst_type_pricing", dev <= tol, dev, tol,
-        f"worst={inst.worst_type.id}, cells<{stop}",
-    )
+    dev = float(np.max(np.abs(schedule.p[:stop] - inst.cbar[inst.worst, :stop]), initial=0.0))
+    n_states = len(inst.weather.states)
+    tol = _roundoff(4 * (n_states + 4), float(np.max(np.abs(inst.ec)))) / schedule.grid.dq
+    witness = f"worst={inst.worst_type.id}, cells<{stop}"
+    return CheckResult("worst_type_pricing", dev <= tol, dev, tol, witness)
 
 
 def _oracle_refusal(n_types: int, n_cells: int) -> Optional[str]:

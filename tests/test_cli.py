@@ -224,6 +224,17 @@ def test_corruption_that_changes_no_price_exits_2(scenario_dir, tmp_path, capsys
     _exits_2_with(path, tmp_path, capsys, message, end="\n", solve=False)
 
 
+def test_underflowing_cell_width_exits_2(scenario_dir, tmp_path, capsys, ec_calls):
+    # dq = 1e-323 / 4 rounds to 0, so the grid points repeat: the grid is
+    # refused before V or any expected cost is computed on it
+    path = tmp_path / "tiny.yaml"
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path.write_text(text.replace("{q_max: 120, n_cells: 6}", "{q_max: 1.0e-323, n_cells: 4}"))
+    message = "error: q_max / n_cells must be positive, got 1e-323 / 4\n"
+    _exits_2_with(path, tmp_path, capsys, message, end="\n")
+    assert not ec_calls
+
+
 @pytest.mark.parametrize(
     "grid", ["{q_max: 1.0e+160, n_cells: 1}", "{q_max: 1.0e+200, n_cells: 4}"]
 )

@@ -90,6 +90,13 @@ def test_grid_invariants():
             QuantityGrid(q_max=q_max, n_cells=4)
 
 
+def test_grid_refuses_a_cell_width_that_underflows():
+    # 1e-323 over 4 cells rounds to dq = 0, and the grid points repeat
+    with pytest.raises(ConfigurationError, match=r"^q_max / n_cells must be positive"):
+        QuantityGrid(q_max=1.0e-323, n_cells=4)
+    assert QuantityGrid(q_max=1.0e-323, n_cells=2).dq == 5e-324
+
+
 def test_buyer_utility_affine():
     v = BuyerUtility.affine(1.0, 0.01)
     assert v.marginal(0.0) == 1.0

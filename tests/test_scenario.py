@@ -141,6 +141,28 @@ def test_wrongly_typed_field_exits_2(tmp_path, capsys, old, new, field):
 
 
 @pytest.mark.parametrize(
+    "value", ["null", "true", "1.5", "[a, b]", "{x: 1}"],
+    ids=["null", "bool", "fraction", "list", "mapping"],
+)
+def test_type_id_of_another_kind_exits_2(tmp_path, capsys, value):
+    # str() would write these into the outputs as Python spells them
+    path = tmp_path / "bad.yaml"
+    path.write_text(TINY.replace("{id: hi,", f"{{id: {value},"))
+    with pytest.raises(ConfigurationError, match=r"^types\[1\]\.id: expected a string or a "):
+        load_scenario(path)
+    assert main(["solve", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: types[1].id: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("value, tid", [("hi", "hi"), ("'7'", "7"), ("7", "7")])
+def test_type_id_is_a_string_or_a_whole_number(tmp_path, value, tid):
+    path = tmp_path / "ok.yaml"
+    path.write_text(TINY.replace("{id: hi,", f"{{id: {value},"))
+    assert load_scenario(path).space.types[1].id == tid
+
+
+@pytest.mark.parametrize(
     "old, new",
     [
         ("intercept: 0.9", "intercept: .nan"),

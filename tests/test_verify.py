@@ -1,7 +1,8 @@
 """Certification checks: each check passes on a clean solve and trips on a
 targeted tampering of the outcome. Scalar loops for check_ic (over types
-and grid points), check_vp and check_monotone (over ordered pairs of
-types) are kept here as references."""
+and grid points), check_vp, check_monotone (over ordered pairs of types)
+and check_quasi_concavity (over types and open cells) are kept here as
+references."""
 import dataclasses
 import itertools
 import math
@@ -115,6 +116,25 @@ def ref_check_monotone(outcome):
     return CheckResult("monotone", worst <= tol, worst, tol, witness)
 
 
+def ref_check_quasi_concavity(outcome):
+    """check_quasi_concavity as a loop over the types and the open cells: a
+    type's threshold is the end of the last open cell whose price is at
+    least its cell cost (0 with none); the first type farthest from its
+    threshold is the witness, and one cell off passes."""
+    schedule, inst = outcome.schedule, outcome.instance
+    p, k = schedule.p.tolist(), outcome.k.tolist()
+    worst, witness = 0, "none"
+    for i, type_id in enumerate(outcome.admissible_ids):
+        threshold = 0
+        for j in range(schedule.n_open):
+            if p[j] >= float(inst.cbar[i, j]):
+                threshold = j + 1
+        if abs(k[i] - threshold) > worst:
+            worst, witness = abs(k[i] - threshold), type_id
+    dq = schedule.grid.dq
+    return CheckResult("quasi_concavity", worst <= 1, worst * dq, dq, witness)
+
+
 def _deflated(outcome, i):
     """Type i's utility lowered below what another bundle gives it."""
     tol = grid_tolerance(outcome.instance)
@@ -135,6 +155,7 @@ def _assert_checks_equal_references(outcome):
     assert check_ic(outcome) == ref_check_ic(outcome)
     assert check_vp(outcome) == ref_check_vp(outcome)
     assert check_monotone(outcome) == ref_check_monotone(outcome)
+    assert check_quasi_concavity(outcome) == ref_check_quasi_concavity(outcome)
 
 
 @pytest.fixture(scope="module")
@@ -509,6 +530,34 @@ def test_quasi_concavity_fails_on_shifted_quantity(six_outcome):
     assert res.witness == "c"
 
 
+def test_quasi_concavity_counts_a_cell_only_where_its_price_covers_the_cost(tiny):
+    # hi's open-cell costs one ulp above the prices: its best response is to
+    # deliver nothing, and no open cell's price covers its cost, so the
+    # threshold rule agrees only when it compares exactly, as the solver does
+    _, outcome = tiny
+    inst, schedule = outcome.instance, outcome.schedule
+    cbar, hi = inst.cbar.copy(), _row(outcome, "hi")
+    cbar[hi, : schedule.n_open] = np.nextafter(schedule.p, np.inf)
+    shifted = evaluate(dataclasses.replace(inst, cbar=cbar), schedule)
+    assert shifted.k[hi] == 0
+    res = check_quasi_concavity(shifted)
+    assert (res.passed, res.worst, res.witness) == (True, 0.0, "none")
+    assert res == ref_check_quasi_concavity(shifted)
+
+
+def test_quasi_concavity_equals_reference_with_no_open_cell(tiny):
+    # every threshold is 0: each type delivers nothing, and a type forged to
+    # deliver one cell passes, two cells fail
+    _, outcome = tiny
+    closed = evaluate(outcome.instance, dataclasses.replace(outcome.schedule, p=[]))
+    assert closed.k.tolist() == [0, 0]
+    _assert_checks_equal_references(closed)
+    for k, passed in (([1, 0], True), ([0, 2], False)):
+        res = check_quasi_concavity(forged(closed, k=np.array(k)))
+        assert res == ref_check_quasi_concavity(forged(closed, k=np.array(k)))
+        assert res.passed is passed
+
+
 def test_worst_type_pricing_none_without_worst(six_outcome):
     res = check_worst_type_pricing(six_outcome)
     assert res is None
@@ -521,6 +570,26 @@ def test_worst_type_pricing_fails_on_tampered_price(worst_outcome):
     bad = dataclasses.replace(worst_outcome, schedule=bad_sched)
     res = check_worst_type_pricing(bad)
     assert res is not None and not res.passed
+
+
+def test_worst_type_pricing_gates_on_two_cell_costs_round_off():
+    # w and b differ only in c0, so their cell costs are equal in exact
+    # arithmetic; in cell 2 b's rounds one step lower and prices it, below
+    # the worst type w's: a gate of 0 would fail this correct solve
+    space = TypeSpace(tuple(
+        SellerType(type_id, {"c0": c0, "theta_c": 0.9, "gamma": 0.8}, 0.5)
+        for type_id, c0 in (("w", 4.5), ("b", 3.1))
+    ))
+    inst = Instance.build(space, SimpleCostModel(), weibull_model(3.0, 5.0, 40),
+                          QuantityGrid(40.0, 4), BuyerUtility.affine(1.0, 1e-2))
+    outcome = solve(inst)
+    assert inst.worst_type.id == "w"
+    results = run_checks(outcome)
+    assert all(r.passed for r in results), report_text(results)
+    res = check_worst_type_pricing(outcome)
+    assert res.worst == float.fromhex("0x1.8p-54") > 0.0
+    gap = np.abs(outcome.schedule.p - inst.cbar[inst.worst, : outcome.schedule.n_open])
+    assert int(np.argmax(gap)) == 2
 
 
 def test_oracle_matches_solver_on_tiny(tiny):

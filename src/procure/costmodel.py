@@ -211,12 +211,15 @@ class CostModel:
         failed = [None] * len(space)  # the exception each row's computation raised
 
         def compute_rows(rows: range) -> None:
-            for i in rows:
-                try:
-                    ec[i] = self.expected_cost_grid(space.types[i], qs, weather)
-                except BaseException as exc:  # raised below in its type's turn
-                    failed[i] = exc
-                    return
+            # an overflow leaves inf or NaN, refused below with one line, not
+            # numpy's warnings too; errstate holds for the thread that sets it
+            with np.errstate(over="ignore", invalid="ignore"):
+                for i in rows:
+                    try:
+                        ec[i] = self.expected_cost_grid(space.types[i], qs, weather)
+                    except BaseException as exc:  # raised below in its type's turn
+                        failed[i] = exc
+                        return
 
         later = _worker_rows(self, space, weather, qs)
         worker = threading.Thread(target=compute_rows, args=(later,), name="procure-ec-rows")
@@ -456,7 +459,14 @@ class SimpleCostModel(ShortfallCostModel):
         return 0.0
 
     def generation(self, x: SellerType, w: float) -> float:
-        return x.param("gamma") * cube(w)
+        gamma = x.param("gamma")
+        g = gamma * cube(w)
+        if g == math.inf:  # check_assumptions computes it at the top speed before any row
+            raise ParameterDomainError(
+                f"type {x.id!r}: parameter gamma={gamma} is too large, gamma*w**3 overflows"
+                f" at w={w!r}"
+            )
+        return g
 
     def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
         return x.param("gamma") * weather.cubes
@@ -486,12 +496,17 @@ class WindConventionalCostModel(ShortfallCostModel):
         v_r = x.param("v_r")
         if not (x.param("v_ci") < v_r < x.param("v_co")):
             raise ParameterDomainError(f"type {x.id!r}: need v_ci < v_r < v_co")
+        gamma = x.param("gamma")
         try:
-            v_r**3
+            top = gamma * v_r**3  # the most the power curve generates
         except OverflowError:
             raise ParameterDomainError(
                 f"type {x.id!r}: parameter v_r={v_r} is too large, v_r**3 overflows"
             ) from None
+        if top == math.inf:
+            raise ParameterDomainError(
+                f"type {x.id!r}: parameter gamma={gamma} is too large, gamma*v_r**3 overflows"
+            )
 
     def generation(self, x: SellerType, w: float) -> float:
         return power_curve(x, w)
@@ -501,7 +516,8 @@ class WindConventionalCostModel(ShortfallCostModel):
         w = weather.speed_array
         v_ci, v_r, v_co = x.param("v_ci"), x.param("v_r"), x.param("v_co")
         gamma = x.param("gamma")
-        g = np.where(w <= v_r, gamma * weather.cubes, gamma * v_r**3)
+        # gamma times the chosen cube: gamma * w**3 above v_r may overflow
+        g = gamma * np.where(w <= v_r, weather.cubes, v_r**3)
         g[(w < v_ci) | (w > v_co)] = 0.0
         return g
 

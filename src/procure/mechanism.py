@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional, Sequence
@@ -45,6 +46,8 @@ class QuantityGrid:
             raise ConfigurationError(f"q_max must be positive and finite, got {self.q_max}")
         if self.n_cells < 1:
             raise ConfigurationError(f"n_cells must be >= 1, got {self.n_cells}")
+        if self.n_cells > sys.float_info.max:  # q_max / n_cells raises OverflowError
+            raise ConfigurationError("n_cells is too large, it overflows a float")
         if not self.dq > 0.0:
             raise ConfigurationError(
                 f"q_max / n_cells must be positive, got {self.q_max} / {self.n_cells}"

@@ -32,11 +32,18 @@ ORACLE_MAX_CELLS = 8
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One check's verdict. A tol that is not finite fails the check
+    whatever passed says: a gate that overflows would pass anything."""
+
     name: str
     passed: bool
     worst: float
     tol: float
     witness: str
+
+    def __post_init__(self) -> None:
+        if not math.isfinite(self.tol):
+            object.__setattr__(self, "passed", False)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"

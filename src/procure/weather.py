@@ -6,6 +6,7 @@ over the states of a :class:`WeatherModel`.
 from __future__ import annotations
 
 import math
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -107,6 +108,8 @@ def weibull_model(
         raise ParameterDomainError("shape and mean_speed must be positive")
     if n_points < 2:
         raise ConfigurationError("n_points must be at least 2")
+    if n_points > sys.float_info.max:  # TRUNCATION_QUANTILE / n_points raises OverflowError
+        raise ConfigurationError("n_points is too large, it overflows a float")
     try:
         lam = mean_speed / math.gamma(1.0 + 1.0 / shape)
     except OverflowError:

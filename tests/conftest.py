@@ -8,11 +8,14 @@ from pathlib import Path
 
 import pytest
 
+import procure
 from procure.costmodel import SimpleCostModel, WindConventionalCostModel
 from procure.mechanism import solve
 from procure.scenario import load_scenario
 
-SCENARIO_DIR = Path(__file__).resolve().parents[1] / "src" / "procure" / "scenarios"
+# the scenarios bundled with the procure this suite imports: src/ under
+# PYTHONPATH=src, site-packages where the package is installed
+SCENARIO_DIR = Path(procure.__file__).parent / "scenarios"
 
 
 def expect(weather, f):

@@ -2,6 +2,7 @@
 validation errors."""
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -129,6 +130,55 @@ def test_verify_fails_on_corrupted_scenario(scenario_dir, capsys):
     # six_types has 82 open cells, and halve_prices halves p[41:]
     pointwise = next(line for line in lines if line.startswith("check=pointwise "))
     assert pointwise.endswith("witness=cell 41: p not a candidate")
+
+
+def test_corrupted_scenario_gates_ic_vp_and_monotone_on_roundoff(scenario_dir, capsys):
+    # round-off, not a cell's cost (3.3 here); monotone's U half adds the
+    # type order's slack, 1e-12 times the largest expected cost: 6.5e-9
+    assert main(["verify", str(scenario_dir / "six_types_corrupted.yaml")]) == 1
+    tol = {}
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("check="):
+            fields = dict(field.split("=", 1) for field in line.split(" ")[:4])
+            tol[fields["check"]] = float(fields["tol"])
+    assert tol["ic"] < 1e-9 and tol["vp"] < 1e-9 and tol["monotone"] < 1e-8, tol
+
+
+def test_one_admissible_type_is_checked_by_ic(scenario_dir, tmp_path, capsys):
+    # ic compares a type with every grid quantity it could deliver, so one
+    # admissible type alone is checked too, not passed unseen
+    path = tmp_path / "one_type.yaml"
+    path.write_text((scenario_dir / "tiny_oracle.yaml").read_text()
+                    + "options: {admissible: [lo]}\n")
+    assert main(["verify", str(path)]) == 0
+    ic = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("check=ic "))
+    assert ic.startswith("check=ic status=pass ") and " witness=lo->q=" in ic
+
+
+def test_invalid_type_exits_2_with_one_error_line(scenario_dir, tmp_path, capsys):
+    # the load refuses the type before any expected cost is computed
+    path = tmp_path / "bad_gamma.yaml"
+    text = (scenario_dir / "six_types.yaml").read_text()
+    path.write_text(re.sub(r"(id: f,.*gamma: )2", r"\g<1>0", text))
+    out = tmp_path / "out"
+    assert main(["solve", str(path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: type 'f': gamma must be positive\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "old, new, count",
+    [("n_cells: 6", "n_cells: 1" + "0" * 400, "n_cells"),
+     ("n_points: 50", "n_points: 1" + "0" * 400, "n_points")],
+    ids=["n_cells", "n_points"],
+)
+def test_count_too_large_for_a_float_exits_2(scenario_dir, tmp_path, capsys, old, new, count):
+    # q_max / n_cells and the Weibull cell mass raised OverflowError: int
+    # too large to convert to float, a traceback and exit 1
+    path = tmp_path / "big.yaml"
+    path.write_text((scenario_dir / "tiny_oracle.yaml").read_text().replace(old, new))
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {count} is too large, it overflows a float\n"
 
 
 @pytest.mark.parametrize(
@@ -548,6 +598,38 @@ def test_outputs_do_not_depend_on_the_locale(tmp_path):
     outcome = outs["ascii"]["outcome.csv"].decode("utf-8").splitlines()
     assert [row.split(",")[0] for row in outcome[1:]] == ["é1", '"ü']
     assert outcome[2].startswith('"ü,""2",')
+
+
+@pytest.mark.parametrize(
+    "name, tid, param, value, argv, message",
+    [
+        ("simple_worst", "g1", "gamma", "1.0e+306", ["solve"],
+         "type 'g1': parameter gamma=1e+306 is too large, gamma*w**3 overflows at w="),
+        ("six_types", "a", "gamma", "1.0e+308", ["verify"],
+         "type 'a': parameter gamma=1e+308 is too large, gamma*v_r**3 overflows"),
+        ("six_types", "a", "theta_c", "1.0e+308", ["verify"],
+         "type 'a': expected cost inf at q=2.75 is not finite"),
+        # with two CPUs, a load at 20,000 cells computes f's row on its worker
+        ("six_types", "f", "theta_c", "1.0e+308", ["verify", "--grid-cells", "20000"],
+         "type 'f': expected cost inf at q=1.9250000000000003 is not finite"),
+    ],
+    ids=["simple-gamma", "wind-gamma", "theta_c", "theta_c-worker-row"],
+)
+def test_overflow_exits_2_with_one_line_and_no_warning(
+    scenario_dir, tmp_path, name, tid, param, value, argv, message
+):
+    # the gammas were accepted, with numpy overflow warnings and inf in
+    # settlement.csv; the theta_c rows were refused after two warnings
+    path = tmp_path / "big.yaml"
+    text = (scenario_dir / f"{name}.yaml").read_text()
+    path.write_text(re.sub(rf"(id: {tid},.*{param}: )[0-9.]+", rf"\g<1>{value}", text))
+    command, *options = argv
+    if command == "solve":
+        options += ["--out", str(tmp_path / "out")]
+    proc = _procure([command, str(path), *options])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith(f"error: {message}") and proc.stderr.count("\n") == 1
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_that_is_not_utf8_exits_2(tmp_path):

@@ -865,6 +865,30 @@ def test_a_worker_error_is_raised_in_its_types_turn(two_cpus):
         model.check_assumptions(concave_first, weather, qs)
 
 
+def test_generation_above_rated_speed_cubes_no_speed_beyond_it():
+    # gamma * w**3 was computed at every speed, and overflowed above v_r,
+    # where the power curve is flat at gamma * v_r**3: a RuntimeWarning
+    weather = empirical_model([5.0, 1.0e100])
+    x = wc_type(v_co=1.0e300, gamma=1.0e10)
+    g = WindConventionalCostModel().generation_array(x, weather)
+    assert g.tolist() == [power_curve(x, w) for w in weather.speeds] == [1.25e12, 2.197e13]
+
+
+def test_an_overflowing_row_on_the_worker_is_refused_without_a_warning(two_cpus):
+    # numpy's error state is per thread: the worker warned of the overflow
+    # (an error under this suite's warning filter) before the row's refusal
+    model = WindConventionalCostModel()
+    weather = weibull_model(3.0, 5.0, 200)
+    qs = QuantityGrid(q_max=5500.0, n_cells=20_000).points
+    f = wc_type("f", 6.0, 0.1, 1.0e308, 1.0, 13.0, 28.0, 2.0, prior=1.0 / 6.0)
+    space = TypeSpace(SIX_WIND_TYPES.types[:5] + (f,))
+    calls = spy_on_rows(model)
+    message = r"^type 'f': expected cost inf at q=\S+ is not finite$"
+    with pytest.raises(ConfigurationError, match=message):
+        model.check_assumptions(space, weather, qs)
+    assert [t is threading.main_thread() for i, t in calls if i == "f"] == [False]
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
 @pytest.mark.parametrize("tid", ["a", "f"])
 def test_an_invalid_type_costs_no_row(monkeypatch, scenario_dir, tmp_path, ec_calls, tid, cpus):

@@ -26,8 +26,8 @@ def _workloads():
     return module
 
 
-def _scenario_texts():
-    texts = {p.name: p.read_text() for p in sorted((ROOT / "src/procure/scenarios").glob("*.yaml"))}
+def _scenario_texts(scenario_dir):
+    texts = {p.name: p.read_text() for p in sorted(scenario_dir.glob("*.yaml"))}
     texts["tiny"] = TINY_YAML.format(extra="options: {alpha: 0.25, admissible: [lo, hi]}")
     texts["quoted"] = QUOTED
     texts["closed"] = CLOSED
@@ -50,8 +50,8 @@ def _canonical(obj):
     return (type(obj).__name__, obj)
 
 
-def test_libyaml_loader_builds_the_pure_python_objects():
-    texts = _scenario_texts()
+def test_libyaml_loader_builds_the_pure_python_objects(scenario_dir):
+    texts = _scenario_texts(scenario_dir)
     assert len(texts) == 4 + 3 + 48
     for name, text in texts.items():
         fast = yaml.load(text, Loader=YAML_LOADER)

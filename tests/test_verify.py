@@ -646,7 +646,7 @@ grid: {q_max: 12, n_cells: 5}
 """
 
 
-def test_oracle_finds_the_rent_the_worst_type_anchor_leaves(tmp_path):
+def test_oracle_finds_the_rent_the_worst_type_anchor_leaves(tmp_path, capsys):
     # the oracle takes least payments, not the solver's anchor: the menu
     # that charges the solver's quantities without t0's rent is worth that
     # rent more, as much as vp finds the worst type earns
@@ -659,6 +659,22 @@ def test_oracle_finds_the_rent_the_worst_type_anchor_leaves(tmp_path):
     assert res.worst == pytest.approx(0.648, abs=1e-12)
     assert res.worst == pytest.approx(vp.worst, abs=res.tol)
     assert res.witness == "oracle=22.104 solver=21.456"
+    assert main(["verify", str(path)]) == 1
+    oracle = next(line for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("check=oracle "))
+    assert " status=FAIL " in oracle and oracle.endswith(" witness=oracle=22.104 solver=21.456")
+
+
+def test_a_gate_that_overflows_fails(scenario_dir, tmp_path):
+    # a c0 of 1e308 overflows the round-off gates of ic, vp and oracle to
+    # inf, and each passed with worst 0 at tol=inf
+    path = tmp_path / "big_c0.yaml"
+    text = (scenario_dir / "tiny_oracle.yaml").read_text()
+    path.write_text(text.replace("{id: lo, params: {c0: 2,", "{id: lo, params: {c0: 1.0e308,"))
+    results = {r.name: r for r in run_checks(solve(load_scenario(path).instance))}
+    for name in ("ic", "vp", "oracle"):
+        assert results[name].tol == math.inf and not results[name].passed, name
+    assert not CheckResult("ic", True, 0.0, math.nan, "w").passed
 
 
 def test_oracle_keeps_an_allocation_whose_zero_cycle_rounds_above_zero():

@@ -31,7 +31,7 @@ from .mechanism import (
 )
 from .scenario import CORRUPTIONS, Scenario, load_scenario
 from .settlement import SettlementTable, settlement_table
-from .verify import buyer_utility_survival, grid_tolerance, report_text, run_checks
+from .verify import buyer_utility_survival, report_text, run_checks
 
 
 def _csv_field(s: str) -> str:
@@ -159,7 +159,6 @@ def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> by
         "scenario_sha256": digest,
         "package_version": __version__,
         "grid": {"q_max": grid.q_max, "n_cells": grid.n_cells, "dq": grid.dq},
-        "tol_grid": grid_tolerance(inst),
         "admissible": list(outcome.admissible_ids),
         "buyer_utility": outcome.buyer_utility,
         "buyer_utility_survival": buyer_utility_survival(outcome),

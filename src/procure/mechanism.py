@@ -381,15 +381,20 @@ def anchor_payment(outcome: ContractOutcome) -> float:
     """t(0) for the outcome's prices and quantities; its own t0 plays no
     part.
 
-    With a worst type the anchor is its startup cost C(0, worst). Without
-    one it is found a posteriori as the largest per-type deficit
-    max_x [EC(q(x), x) - integral of p to q(x)], read at the outcome's k
-    under t0 = 0, which makes every type's utility nonnegative and at
-    least one exactly zero.
+    With a worst type w the anchor is EC(0, w) less the margin the prices
+    give w before its quantity, sum over j < k_w of (p_j - cbar[w, j]) * dq,
+    so that w earns no rent. Where every price up to k_w is w's own cell cost, the margin is 0 and
+    t0 is EC(0, w) bit for bit. Without a worst type the anchor is found a
+    posteriori as the largest per-type deficit max_x [EC(q(x), x) -
+    integral of p to q(x)], read at the outcome's k under t0 = 0. Either
+    way every type's utility is nonnegative and at least one is zero: the
+    worst type's, by IC, where there is one.
     """
     inst = outcome.instance
-    if inst.worst_type is not None:
-        return inst.model.realized_cost(inst.worst_type, 0.0, inst.weather.speeds[0])
+    if inst.worst is not None:
+        w, k = inst.worst, int(outcome.k[inst.worst])
+        margin = (outcome.schedule.p[:k] - inst.cbar[w, :k]) * inst.grid.dq
+        return float(inst.ec[w, 0] - np.sum(margin))
     unanchored = replace(outcome.schedule, t0=0.0).payments()[outcome.k]
     return float(np.max(outcome.expected_cost - unanchored))
 

@@ -1,17 +1,17 @@
 """Independent certification: constraint checks and a brute-force oracle.
 
 Every check returns a CheckResult with its worst violation, tolerance and
-witness. From the schedule under test, ic compares each type with every grid
-quantity up to the closure point and identity derives the buyer's utility in
-survival form. Gates (_roundoff derives the first five): ic and vp the
-round-off of a utility; monotone's U half that plus the type order's slack;
-pointwise the round-off of its sums; oracle the round-off of one menu's
-utility read as the solver's and as the oracle's; worst_type_pricing that of
-two cell costs; monotone's q half no cell, quasi_concavity one; identity
-max(0.5% * max(1, |U|), dq * max |V' - p| over the open cells). As in the
-solver, every check compares prices with cell costs exactly: a candidate
-equals a cell cost, and a type survives (produces at) a price no lower than
-its cell cost.
+witness, and passes when worst <= tol. From the schedule under test, ic
+compares each type with every grid quantity up to the closure point and
+identity derives the buyer's utility in survival form. Gates (_roundoff
+derives the first five): ic and vp the round-off of a utility; monotone's U
+half that plus the type order's slack; pointwise the round-off of its sums;
+oracle the round-off of one menu's utility read as the solver's and as the
+oracle's; worst_type_pricing that of two cell costs; monotone's q half no
+cell, quasi_concavity one; identity max(0.5% * max(1, |U|), dq * max |V' -
+p| over the open cells). As in the solver, every check compares prices with
+cell costs exactly: a candidate equals a cell cost, and a type survives
+(produces at) a price no lower than its cell cost.
 """
 from __future__ import annotations
 
@@ -23,38 +23,37 @@ import numpy as np
 
 from .costmodel import EQUAL_COST_TOL, CostModel, TypeSpace
 from .errors import ConfigurationError
-from .mechanism import BuyerUtility, ContractOutcome, Instance, QuantityGrid
+from .mechanism import BuyerUtility, ContractOutcome, QuantityGrid
 from .weather import WeatherModel
 
-ORACLE_MAX_TYPES = 4
-ORACLE_MAX_CELLS = 8
+# the oracle's largest array, allocations x types**2 entries, at most its
+# size at 4 types x 8 cells: (8 + 1)**4 allocations of 4**2 gains each
+ORACLE_BUDGET = 9**4 * 4**2
 
 
 @dataclass(frozen=True)
 class CheckResult:
-    """One check's verdict. A tol that is not finite fails the check
-    whatever passed says: a gate that overflows would pass anything."""
+    """One check's verdict: passed when worst <= tol and tol is finite, as
+    a gate that overflows would pass anything."""
 
     name: str
-    passed: bool
     worst: float
     tol: float
     witness: str
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.tol):
-            object.__setattr__(self, "passed", False)
+    @property
+    def passed(self) -> bool:
+        return math.isfinite(self.tol) and bool(self.worst <= self.tol)
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
+        # with a zero tol: 0 at a worst of 0, else an infinity of worst's sign
+        zero_tol = 0.0 if self.worst == 0 else math.copysign(math.inf, self.worst)
+        margin = self.worst / self.tol if self.tol else zero_tol
         return (
             f"check={self.name} status={status} worst={self.worst:.12g} "
-            f"tol={self.tol:.12g} witness={self.witness}"
+            f"tol={self.tol:.12g} margin={margin:.3g} witness={self.witness}"
         )
-
-
-def grid_tolerance(inst: Instance) -> float:
-    return inst.grid.dq * float(np.max(inst.cbar))
 
 
 def _roundoff(n_terms: int, magnitude: float) -> float:
@@ -107,7 +106,7 @@ def check_ic(outcome: ContractOutcome) -> CheckResult:
     worst = float(gain[i])
     q = schedule.grid.points[int(np.argmax(surplus[i]))]
     witness = f"{outcome.admissible_ids[i]}->q={q:.12g}"
-    return CheckResult("ic", worst <= tol, worst, tol, witness)
+    return CheckResult("ic", worst, tol, witness)
 
 
 def check_vp(outcome: ContractOutcome) -> CheckResult:
@@ -115,9 +114,7 @@ def check_vp(outcome: ContractOutcome) -> CheckResult:
     tol = _utility_roundoff(outcome)
     i = int(np.argmin(outcome.utility))
     worst = abs(float(outcome.utility[i]))
-    return CheckResult(
-        "vp", worst <= tol, worst, tol, f"min U at {outcome.admissible_ids[i]}"
-    )
+    return CheckResult("vp", worst, tol, f"min U at {outcome.admissible_ids[i]}")
 
 
 def check_monotone(outcome: ContractOutcome) -> CheckResult:
@@ -135,7 +132,7 @@ def check_monotone(outcome: ContractOutcome) -> CheckResult:
         m = int(np.argmax(viol))  # the first largest, as a scan in this order finds it
         worst = float(viol[m])
         witness = f"{kind}({ids[better[m]]} better than {ids[worse[m]]})"
-    return CheckResult("monotone", worst <= tol, worst, tol, witness)
+    return CheckResult("monotone", worst, tol, witness)
 
 
 def buyer_utility_survival(outcome: ContractOutcome) -> float:
@@ -175,9 +172,7 @@ def check_identity(outcome: ContractOutcome) -> CheckResult:
     c_gate = float(np.max(np.abs(vmarg - schedule.p), initial=0.0))
     tol = max(5e-3 * scale, c_gate * schedule.grid.dq)
     c_const = err / schedule.grid.dq
-    return CheckResult(
-        "identity", err <= tol, err, tol, f"C={c_const:.6g} (err per unit dq)"
-    )
+    return CheckResult("identity", err, tol, f"C={c_const:.6g} (err per unit dq)")
 
 
 def check_pointwise(outcome: ContractOutcome) -> CheckResult:
@@ -193,9 +188,7 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     n = len(p)
     missing = np.flatnonzero(~(inst.cbar[:, :n] == p).any(axis=0))
     if missing.size:
-        return CheckResult(
-            "pointwise", False, math.inf, 0.0, f"cell {missing[0]}: p not a candidate"
-        )
+        return CheckResult("pointwise", math.inf, 0.0, f"cell {missing[0]}: p not a candidate")
     cheapest = np.min(
         inst.cbar[:, n:], axis=0, initial=np.inf, where=inst.priors[:, None] > 0.0
     )
@@ -212,7 +205,7 @@ def check_pointwise(outcome: ContractOutcome) -> CheckResult:
     worst = float(np.max(gap, initial=0.0))
     witness = f"cell {cells[int(np.argmax(gap))]}" if worst > 0.0 else "none"
     tol = _roundoff(2 * (len(cbar) + 2), float(np.max(np.abs(vbar) + np.abs(prices), initial=0.0)))
-    return CheckResult("pointwise", worst <= tol, worst, tol, witness)
+    return CheckResult("pointwise", worst, tol, witness)
 
 
 def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
@@ -226,7 +219,7 @@ def check_quasi_concavity(outcome: ContractOutcome) -> CheckResult:
     cells = np.abs(outcome.k - thr)
     i = int(np.argmax(cells))
     witness = outcome.admissible_ids[i] if cells[i] > 0 else "none"
-    return CheckResult("quasi_concavity", bool(cells[i] <= 1), float(cells[i]) * dq, dq, witness)
+    return CheckResult("quasi_concavity", float(cells[i]) * dq, dq, witness)
 
 
 def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
@@ -241,15 +234,22 @@ def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
     n_states = len(inst.weather.states)
     tol = _roundoff(4 * (n_states + 4), float(np.max(np.abs(inst.ec)))) / schedule.grid.dq
     witness = f"worst={inst.worst_type.id}, cells<{stop}"
-    return CheckResult("worst_type_pricing", dev <= tol, dev, tol, witness)
+    return CheckResult("worst_type_pricing", dev, tol, witness)
 
 
 def _oracle_refusal(n_types: int, n_cells: int) -> Optional[str]:
-    """Why the oracle will not enumerate an instance this size, or None."""
-    if n_types > ORACLE_MAX_TYPES:
-        return f"oracle limited to {ORACLE_MAX_TYPES} types"
-    if n_cells > ORACLE_MAX_CELLS:
-        return f"oracle limited to {ORACLE_MAX_CELLS} grid cells"
+    """Why the oracle will not enumerate an instance this size, or None:
+    its largest array, (n_cells + 1)**n_types allocations x n_types**2
+    entries, is over ORACLE_BUDGET. The product stops growing once it is
+    over, so a huge count is refused at once."""
+    size = n_types**2
+    for _ in range(n_types):
+        size *= n_cells + 1
+        if size > ORACLE_BUDGET:
+            return (
+                f"oracle budget of {ORACLE_BUDGET} entries (allocations x types**2) "
+                f"exceeded by {n_types} types at {n_cells} cells"
+            )
     return None
 
 
@@ -294,12 +294,14 @@ def oracle_solve(
     return float(np.max(score, initial=-math.inf, where=feasible))
 
 
-def check_oracle(outcome: ContractOutcome) -> CheckResult:
+def check_oracle(outcome: ContractOutcome) -> Optional[CheckResult]:
     """The buyer's utility against the best menu's (oracle_solve), within
     the round-off of one menu's utility read both ways. The solver's
     outcome is a menu, so a gap above the solver is utility its prices or
-    its anchor leave on the table."""
+    its anchor leave on the table. None outside the oracle's budget."""
     schedule, inst = outcome.schedule, outcome.instance
+    if _oracle_refusal(len(inst.space), schedule.grid.n_cells) is not None:
+        return None
     oracle = oracle_solve(inst.space, inst.model, inst.weather, inst.vprime, schedule.grid)
     gap = abs(oracle - outcome.buyer_utility)
     n_types = len(inst.space)
@@ -307,15 +309,13 @@ def check_oracle(outcome: ContractOutcome) -> CheckResult:
     tol = _utility_roundoff(outcome) + _roundoff(
         2 * (n_types + 1) ** 2, value + (2 * n_types + 1) * float(np.max(np.abs(inst.ec)))
     )
-    return CheckResult(
-        "oracle", gap <= tol, gap, tol,
-        f"oracle={oracle:.12g} solver={outcome.buyer_utility:.12g}",
-    )
+    return CheckResult("oracle", gap, tol, f"oracle={oracle:.12g} solver={outcome.buyer_utility:.12g}")
 
 
 def run_checks(outcome: ContractOutcome) -> list[CheckResult]:
-    """Full certification suite in a fixed order; oracle concordance is
-    included when the instance is small enough to enumerate."""
+    """Full certification suite in a fixed order, without the checks that
+    return None (worst_type_pricing without a worst type, oracle outside
+    its budget). Each check is looked up in this module when called."""
     results = [
         check_ic(outcome),
         check_vp(outcome),
@@ -323,23 +323,11 @@ def run_checks(outcome: ContractOutcome) -> list[CheckResult]:
         check_identity(outcome),
         check_pointwise(outcome),
         check_quasi_concavity(outcome),
+        check_worst_type_pricing(outcome),
+        check_oracle(outcome),
     ]
-    wt = check_worst_type_pricing(outcome)
-    if wt is not None:
-        results.append(wt)
-    if _oracle_refusal(len(outcome.instance.space), outcome.schedule.grid.n_cells) is None:
-        results.append(check_oracle(outcome))
-    return results
+    return [r for r in results if r is not None]
 
 
 def report_text(results: list[CheckResult]) -> str:
-    lines = [r.line() for r in results]
-    width = max(len(r.name) for r in results)
-    lines.append("")
-    lines.append(f"{'check':<{width}}  result  worst/tol")
-    for r in results:
-        # with a zero tol: 0 at a worst of 0, else an infinity of worst's sign
-        zero_tol = 0.0 if r.worst == 0 else math.copysign(math.inf, r.worst)
-        margin = r.worst / r.tol if r.tol else zero_tol
-        lines.append(f"{r.name:<{width}}  {'pass' if r.passed else 'FAIL'}    {margin:.3g}")
-    return "\n".join(lines)
+    return "\n".join(r.line() for r in results)

@@ -140,7 +140,7 @@ def best_points(rows: Sequence[Sequence[Fraction]], paid: Sequence[Fraction]) ->
 
 def solve(inst) -> ExactOutcome:
     """Price every cell (decision), take the best responses, anchor t0 at
-    the worst type's c0, or else at the largest deficit EC(q(x), x) - paid,
+    the largest deficit EC(q(x), x) - paid, with or without a worst type,
     and sum U = sum of prior * (V(q(x)) - t0 - paid at q(x)); closure is the
     first closed cell on, as it is exact when V' is nonincreasing and the
     costs convex."""
@@ -157,10 +157,7 @@ def solve(inst) -> ExactOutcome:
         paid.append(paid[-1] + p * dq)
     k = best_points(rows, paid)
     worst = worst_type(rows)
-    if worst is not None:
-        t0 = Fraction(inst.space.types[worst].params["c0"])
-    else:
-        t0 = max(row[ki] - paid[ki] for row, ki in zip(rows, k))
+    t0 = max(row[ki] - paid[ki] for row, ki in zip(rows, k))
     u = sum(p * (buyer_value(inst.vprime, qs[ki]) - t0 - paid[ki]) for p, ki in zip(priors, k))
     return ExactOutcome(rows, cbar, prices, paid, k, worst, t0, u)
 

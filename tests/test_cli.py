@@ -520,8 +520,8 @@ def test_bad_scenarios_exit_2_with_message(tmp_path, capsys, mutation, fragment)
     ids=["zero-prior", "one-state-weather", "identical-types", "flat-piecewise-v", "closed"],
 )
 def test_odd_but_valid_inputs_run_cleanly(request, tmp_path, capsys, replacements):
-    # one-state weather costs nothing per cell, so tol_grid is 0 while ic,
-    # vp and monotone gate on the round-off of utilities that are not 0;
+    # one-state weather makes every cell cost 0, while ic, vp and monotone
+    # gate on the round-off of utilities that are not 0;
     # the closed schedule opens no cell, so every admissible set pays t0
     # for nothing and buying nothing beats them all
     text = TINY_YAML.format(extra="")

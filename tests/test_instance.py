@@ -126,7 +126,7 @@ def test_reopening_marginal_utility_fails_pointwise_alone(
     assert main(["verify", str(path)]) == 1
     failed = [line for line in capsys.readouterr().out.splitlines() if "status=FAIL" in line]
     assert failed == [
-        "check=pointwise status=FAIL worst=8.8 tol=7.1054273576e-14 witness=cell 1999"
+        "check=pointwise status=FAIL worst=8.8 tol=7.1054273576e-14 margin=1.24e+14 witness=cell 1999"
     ]
 
 

@@ -191,22 +191,6 @@ def test_payment_requires_grid_point(worst_scenario, worst_outcome):
         )
 
 
-def test_settlement_table_equals_per_row_payments(worst_scenario, worst_outcome):
-    # the table computes both payments inline; they must match the per-row
-    # reference functions bit for bit
-    sc = worst_scenario
-    worst = _worst(sc, worst_outcome)
-    schedule = worst_outcome.schedule
-    rows = settlement_table(worst_outcome, alpha=0.3)
-    for r in rows:
-        x = sc.space.by_id(r.type_id)
-        q = _q(worst_outcome, x)
-        assert r.payment_expost == expost_payment(worst_outcome, schedule, worst, q, r.w, sc.model)
-        assert r.payment_risk == risk_payment(worst_outcome, x, r.w, 0.3, sc.model)
-    with pytest.raises(ParameterDomainError):
-        settlement_table(worst_outcome, alpha=1.5)
-
-
 class SqrtWindModel(CostModel):
     """Plugin model with a wind part: gamma*sqrt(w) free, the rest at 1.3."""
 
@@ -264,6 +248,8 @@ def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_sce
                 outcome, schedule, worst, q, w, model
             )
     assert np.array_equal(table.profit, table.payment_risk - table.realized_cost)
+    with pytest.raises(ParameterDomainError):
+        settlement_table(outcome, alpha=1.5)
 
 
 def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):

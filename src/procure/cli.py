@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import io
 import json
 import os
@@ -147,16 +146,15 @@ def _solve_scenario(sc: Scenario) -> ContractOutcome:
     return solve(sc.instance, admissible=sc.admissible)
 
 
-def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> bytes:
+def _manifest(sc: Scenario, outcome: ContractOutcome) -> bytes:
     """The run's inputs, the instance's shape and the solver's branch:
     worst_type is the solved set's worst type, which anchors the payment
     when there is one."""
-    digest = hashlib.sha256(scenario_path.read_bytes()).hexdigest()
     inst = outcome.instance
     grid = inst.grid
     worst = inst.worst_type
     data = {
-        "scenario_sha256": digest,
+        "scenario_sha256": sc.sha256,
         "package_version": __version__,
         "grid": {"q_max": grid.q_max, "n_cells": grid.n_cells, "dq": grid.dq},
         "admissible": list(outcome.admissible_ids),
@@ -164,7 +162,7 @@ def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> by
         "buyer_utility_survival": buyer_utility_survival(outcome),
         "t0": outcome.schedule.t0,
         "types": len(sc.space),
-        "weather_states": len(inst.weather.states),
+        "weather_states": len(inst.weather.speed_array),
         "n_open": outcome.schedule.n_open,
         "worst_type": None if worst is None else worst.id,
         "anchor": "a-posteriori" if worst is None else "worst-type",
@@ -173,11 +171,7 @@ def _manifest(scenario_path: Path, sc: Scenario, outcome: ContractOutcome) -> by
 
 
 def _write_outputs(
-    scenario_path: Path,
-    out_dir: Path,
-    sc: Scenario,
-    outcome: ContractOutcome,
-    alpha: Optional[float],
+    out_dir: Path, sc: Scenario, outcome: ContractOutcome, alpha: Optional[float]
 ) -> None:
     """schedule.csv, outcome.csv, settlement.csv when alpha is given, and
     run_manifest.json, written in that order into out_dir."""
@@ -190,7 +184,7 @@ def _write_outputs(
     if alpha is not None:
         table = settlement_table(outcome, alpha)
         _write_atomic(out_dir / "settlement.csv", settlement_csv(table))
-    _write_atomic(out_dir / "run_manifest.json", [_manifest(scenario_path, sc, outcome)])
+    _write_atomic(out_dir / "run_manifest.json", [_manifest(sc, outcome)])
 
 
 def cmd_solve(
@@ -206,7 +200,7 @@ def cmd_solve(
     ids = None if admissible is None else admissible.split(",")
     sc = load_scenario(scenario_path, grid_cells, ids)
     alpha = sc.alpha if alpha is None else alpha
-    _write_outputs(scenario_path, out_dir, sc, _solve_scenario(sc), alpha)
+    _write_outputs(out_dir, sc, _solve_scenario(sc), alpha)
     return 0
 
 
@@ -246,7 +240,7 @@ def cmd_exclusion_search(
 ) -> int:
     sc = load_scenario(scenario_path, grid_cells, exclusion_search=True)
     outcome = _solve_scenario(sc)
-    _write_outputs(scenario_path, out_dir, sc, outcome, sc.alpha)
+    _write_outputs(out_dir, sc, outcome, sc.alpha)
     print(f"best admissible set (exhaustive): {','.join(outcome.admissible_ids)}")
     print(f"buyer utility: {outcome.buyer_utility:.12g}")
     if outcome.buyer_utility < 0.0:

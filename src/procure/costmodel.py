@@ -161,7 +161,7 @@ class CostModel:
 
     def generation_array(self, x: SellerType, weather: WeatherModel) -> np.ndarray:
         """generation(x, w) at each state's speed, bit for bit."""
-        return np.array([self.generation(x, w) for w in weather.speeds], dtype=float)
+        return np.array([self.generation(x, w) for w, _ in weather.states], dtype=float)
 
     def realized_cost_array(
         self, x: SellerType, q: float, weather: WeatherModel, generation: np.ndarray
@@ -169,7 +169,7 @@ class CostModel:
         """realized_cost(x, q, w) at each state's speed, bit for bit, given
         generation = generation_array(x, weather); the built-in models read
         it rather than computing it again."""
-        return np.array([self.realized_cost(x, q, w) for w in weather.speeds], dtype=float)
+        return np.array([self.realized_cost(x, q, w) for w, _ in weather.states], dtype=float)
 
     def expected_cost(self, x: SellerType, q: float, weather: WeatherModel) -> float:
         if q < 0.0:
@@ -205,7 +205,7 @@ class CostModel:
 
         for x in space:
             self.validate_type(x)
-            for w in (weather.speeds[0], weather.speeds[-1]):
+            for w in weather.speed_array[[0, -1]].tolist():
                 startup_check(x, self.realized_cost(x, 0.0, w), f"at w={w}")
         ec = np.empty((len(space), len(qs)))
         failed = [None] * len(space)  # the exception each row's computation raised
@@ -552,7 +552,7 @@ def _worker_rows(
     n = len(space)
     if (
         type(model) is WindConventionalCostModel
-        and len(weather.states) * len(qs) >= THREAD_ROW_ELEMS
+        and len(weather.speed_array) * len(qs) >= THREAD_ROW_ELEMS
         and hasattr(os, "sched_getaffinity")  # elsewhere than Linux, one thread
         and len(os.sched_getaffinity(0)) >= 2
     ):

@@ -3,6 +3,7 @@ type set, buyer utility, grid, and run options. Unknown fields are rejected
 and every validation error names the offending field."""
 from __future__ import annotations
 
+import hashlib
 import importlib
 from dataclasses import dataclass
 from pathlib import Path
@@ -36,13 +37,15 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
-    """A loaded scenario: its Instance and the run options. The model
+    """A loaded scenario: its Instance, the SHA-256 of the file's bytes,
+    which the load reads once and parses, and the run options. The model
     inputs (types, cost model, weather, grid and the buyer's V') are the
     Instance's own; the properties read them there. The file's
     description is accepted and not kept: nothing reads it."""
 
     # expected costs, cell costs and dominance of the whole type set on grid
     instance: Instance
+    sha256: str
     alpha: Optional[float] = None
     admissible: Optional[tuple[str, ...]] = None
     exclusion_search: bool = False
@@ -121,11 +124,13 @@ def _load_weather(spec) -> WeatherModel:
     kind = _require(_mapping(spec, "weather"), "kind", "weather")
     if kind == "weibull":
         _only(spec, {"kind", "shape", "mean", "n_points"}, "weather")
-        return weibull_model(
-            _as(float, _require(spec, "shape", "weather"), "weather.shape"),
-            _as(float, _require(spec, "mean", "weather"), "weather.mean"),
-            _count(spec.get("n_points", DEFAULT_N_POINTS), "weather.n_points"),
-        )
+        shape = _as(float, _require(spec, "shape", "weather"), "weather.shape")
+        mean = _as(float, _require(spec, "mean", "weather"), "weather.mean")
+        n = _count(spec.get("n_points", DEFAULT_N_POINTS), "weather.n_points")
+        try:
+            return weibull_model(shape, mean, n)
+        except MemoryError:
+            raise ConfigurationError(f"weather.n_points: {n} states do not fit in memory") from None
     if kind == "empirical":
         _only(spec, {"kind", "samples"}, "weather")
         samples = _list(_require(spec, "samples", "weather"), "weather.samples")
@@ -244,8 +249,9 @@ def load_scenario(
     input, each type's parameters too, is checked before the first
     expected-cost row is computed, so a bad one costs no expected cost."""
     path = Path(path)
+    data = path.read_bytes()
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=YAML_LOADER)
+        raw = yaml.load(data.decode("utf-8"), Loader=YAML_LOADER)
     except UnicodeDecodeError as exc:
         raise ConfigurationError(f"{path}: not UTF-8 text: {exc}") from exc
     except yaml.YAMLError as exc:
@@ -300,8 +306,14 @@ def load_scenario(
 
     # the build checks the cost model's invariants, so bad scenarios fail
     # before any solve
+    try:
+        instance = Instance.build(space, model, weather, grid, vprime)
+    except MemoryError:
+        where = "grid.n_cells" if n_cells is None else "--grid-cells"
+        raise ConfigurationError(f"{where}: {grid.n_cells} cells do not fit in memory") from None
     return Scenario(
-        instance=Instance.build(space, model, weather, grid, vprime),
+        instance=instance,
+        sha256=hashlib.sha256(data).hexdigest(),
         alpha=alpha,
         admissible=admissible,
         exclusion_search=exclusion,

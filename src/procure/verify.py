@@ -231,7 +231,7 @@ def check_worst_type_pricing(outcome: ContractOutcome) -> Optional[CheckResult]:
     k = int(outcome.k[inst.worst])
     stop = max(0, min(k - 1, schedule.n_open))  # allow one-cell slack
     dev = float(np.max(np.abs(schedule.p[:stop] - inst.cbar[inst.worst, :stop]), initial=0.0))
-    n_states = len(inst.weather.states)
+    n_states = len(inst.weather.speed_array)
     tol = _roundoff(4 * (n_states + 4), float(np.max(np.abs(inst.ec)))) / schedule.grid.dq
     witness = f"worst={inst.worst_type.id}, cells<{stop}"
     return CheckResult("worst_type_pricing", dev, tol, witness)

@@ -8,7 +8,7 @@ from __future__ import annotations
 import math
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -21,53 +21,51 @@ TRUNCATION_QUANTILE = 0.9999
 DEFAULT_N_POINTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WeatherModel:
-    """Finite distribution over wind speeds (m/s).
+    """Finite distribution over wind speeds (m/s): the speed and
+    probability columns, copied into read-only float arrays and checked
+    once. Speeds are strictly increasing and probabilities sum to one.
+    Immutable after construction, safe for concurrent read-only use.
 
-    states: sorted tuple of (speed, probability) pairs with strictly
-    increasing speeds; probabilities sum to one. Immutable after
-    construction, safe for concurrent read-only use.
-
-    speeds is the states' speed column as a tuple, which the scalar cost
-    formulas read; speed_array and prob_array are the two columns as
-    read-only float arrays for the vectorized ones. All three are built
-    once, with the checks.
+    states, the (speed, probability) pairs as Python floats, which the
+    scalar cost formulas read, and cubes are derived on first use.
     """
 
-    states: tuple[tuple[float, float], ...]
-    speeds: tuple[float, ...] = field(init=False, repr=False, compare=False)
-    speed_array: np.ndarray = field(init=False, repr=False, compare=False)
-    prob_array: np.ndarray = field(init=False, repr=False, compare=False)
+    speed_array: np.ndarray
+    prob_array: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.states:
+        w, p = np.array(self.speed_array, float), np.array(self.prob_array, float)
+        if w.ndim != 1 or w.shape != p.shape:
+            raise ConfigurationError("weather model needs one probability per speed")
+        if not len(w):
             raise ConfigurationError("weather model needs at least one state")
-        speeds, probs = zip(*self.states)
-        n = len(speeds)
-        w, p = np.fromiter(speeds, float, n), np.fromiter(probs, float, n)
         finite = np.isfinite(w) & np.isfinite(p)
         if not finite.all():
             i = int(np.argmin(finite))
-            raise ParameterDomainError(f"non-finite weather state w={speeds[i]}, p={probs[i]}")
+            raise ParameterDomainError(f"non-finite weather state w={w[i]}, p={p[i]}")
         # the first state that breaks a rule, and the first rule it breaks
         bad = (w < 0.0) | (p < 0.0)
         bad[1:] |= w[1:] <= w[:-1]
         if bad.any():
             i = int(np.argmax(bad))
             if w[i] < 0.0:
-                raise ParameterDomainError(f"negative wind speed {speeds[i]}")
+                raise ParameterDomainError(f"negative wind speed {w[i]}")
             if p[i] < 0.0:
-                raise ParameterDomainError(f"negative probability {probs[i]} at w={speeds[i]}")
+                raise ParameterDomainError(f"negative probability {p[i]} at w={w[i]}")
             raise ConfigurationError("wind speeds must be strictly increasing")
-        total = math.fsum(probs)
+        total = math.fsum(p.tolist())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise ConfigurationError(f"probabilities sum to {total!r}, not 1")
         w.flags.writeable = False
         p.flags.writeable = False
-        object.__setattr__(self, "speeds", speeds)
         object.__setattr__(self, "speed_array", w)
         object.__setattr__(self, "prob_array", p)
+
+    @cached_property
+    def states(self) -> tuple[tuple[float, float], ...]:
+        return tuple(zip(self.speed_array.tolist(), self.prob_array.tolist()))
 
     @cached_property
     def cubes(self) -> np.ndarray:
@@ -75,7 +73,7 @@ class WeatherModel:
         pow) as the scalar cost formulas compute it. numpy's vectorized
         power can round differently in the last bit, which would change the
         settlement bytes."""
-        cubes = np.array([cube(w) for w in self.speeds], dtype=float)
+        cubes = np.array([cube(w) for w in self.speed_array.tolist()], dtype=float)
         cubes.flags.writeable = False
         return cubes
 
@@ -118,10 +116,11 @@ def weibull_model(
         ) from None
     p_cell = TRUNCATION_QUANTILE / n_points
     exponent = 1.0 / shape
-    # the quantile lam * (-log(1 - u))**(1/shape) at each cell's midpoint u
-    speeds = [lam * (-math.log1p(-((k + 0.5) * p_cell))) ** exponent for k in range(n_points)]
-    probs = [p_cell] * (n_points - 1) + [p_cell + (1.0 - TRUNCATION_QUANTILE)]
-    return WeatherModel(states=tuple(zip(speeds, probs)))
+    u = (np.arange(n_points) + 0.5) * p_cell  # each cell's midpoint quantile
+    speeds = [lam * (-math.log1p(-x)) ** exponent for x in u.tolist()]
+    probs = np.full(n_points, p_cell)
+    probs[-1] += 1.0 - TRUNCATION_QUANTILE
+    return WeatherModel(speeds, probs)
 
 
 def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
@@ -131,5 +130,5 @@ def empirical_model(samples: Sequence[float] | Iterable[float]) -> WeatherModel:
         raise ConfigurationError("empirical model needs at least one sample")
     counts = Counter(samples)
     n = len(samples)
-    states = tuple((float(w), counts[w] / n) for w in sorted(counts))
-    return WeatherModel(states=states)
+    speeds = sorted(counts)
+    return WeatherModel(speeds, [counts[w] / n for w in speeds])

@@ -157,7 +157,7 @@ def test_criterion_05_expost_participation(worst_scenario, worst_outcome, capsys
     failures = []
     min_profit = np.inf
     for x in sc.space:
-        for w in sc.weather.speeds:
+        for w in sc.weather.speed_array.tolist():
             pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, q_safe, w, sc.model)
             profit = pay - sc.model.realized_cost(x, q_safe, w)
             min_profit = min(min_profit, profit)
@@ -172,7 +172,7 @@ def test_criterion_05_expost_participation(worst_scenario, worst_outcome, capsys
 def test_criterion_06_risk_sharing(worst_scenario, worst_outcome, capsys):
     sc = worst_scenario
     probs = sc.weather.prob_array
-    speeds = sc.weather.speeds
+    speeds = sc.weather.speed_array.tolist()
     failures = []
     for i, x in enumerate(sc.space):
         q, payment = float(worst_outcome.q[i]), float(worst_outcome.payment[i])
@@ -249,7 +249,7 @@ def test_criterion_08_closed_form_marginal_cost(capsys):
     weather = weibull_model(3.0, 5.0, 200)
     x = SellerType("s", {"c0": 4.0, "theta_c": 1.2, "gamma": 2.0}, 1.0)
     gamma, theta = 2.0, 1.2
-    kinks = np.array([gamma * w**3 for w in weather.speeds])
+    kinks = np.array([gamma * w**3 for w in weather.speed_array.tolist()])
     failures = []
     # 20 probe points placed midway between adjacent cost kinks
     idx = np.linspace(5, len(kinks) - 10, 20).astype(int)

@@ -1,5 +1,6 @@
 """End-to-end CLI tests: deterministic outputs, exit codes, and scenario
 validation errors."""
+import hashlib
 import json
 import os
 import re
@@ -179,6 +180,59 @@ def test_count_too_large_for_a_float_exits_2(scenario_dir, tmp_path, capsys, old
     path.write_text((scenario_dir / "tiny_oracle.yaml").read_text().replace(old, new))
     assert main(["verify", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {count} is too large, it overflows a float\n"
+
+
+# 10**15 only: a count between 10**8 and 10**13 would really allocate
+@pytest.mark.parametrize(
+    "old, new, flag, field",
+    [("n_cells: 6", "n_cells: 1000000000000000", [], "grid.n_cells: 1000000000000000 cells"),
+     ("", "", ["--grid-cells", "1000000000000000"], "--grid-cells: 1000000000000000 cells"),
+     ("n_points: 50", "n_points: 1000000000000000", [],
+      "weather.n_points: 1000000000000000 states")],
+    ids=["n_cells", "grid-cells", "n_points"],
+)
+def test_count_too_large_for_memory_exits_2(scenario_dir, tmp_path, capsys, old, new, flag, field):
+    # numpy's _ArrayMemoryError was a traceback and exit 1, and the Weibull
+    # points were a Python list that grew until memory ran out
+    path = tmp_path / "big.yaml"
+    path.write_text((scenario_dir / "tiny_oracle.yaml").read_text().replace(old, new))
+    for argv in (["verify", str(path)], ["solve", str(path), "--out", str(tmp_path / "out")]):
+        assert main(argv + flag) == 2
+        assert capsys.readouterr().err == f"error: {field} do not fit in memory\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_piped_scenario_writes_the_files_a_path_writes(scenario_dir, tmp_path):
+    # the manifest hashed the scenario by opening its path a second time,
+    # and a drained pipe read as no bytes
+    path = scenario_dir / "six_types.yaml"
+    assert main(["solve", str(path), "--out", str(tmp_path / "path")]) == 0
+    out = str(tmp_path / "pipe")
+    argv = [sys.executable, "-m", "procure.cli", "solve", "/dev/stdin", "--out", out]
+    env = dict(os.environ, PYTHONPATH=str(Path(procure.__file__).parents[1]))
+    with open(path, "rb") as stdin:
+        proc = subprocess.run(argv, stdin=stdin, env=env, capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert _read_all(tmp_path / "pipe") == _read_all(tmp_path / "path")
+
+
+def test_crlf_scenario_loads_like_its_lf_twin(scenario_dir, tmp_path):
+    # Path.read_text translated line endings; bytes.decode keeps them
+    tail = b"options:\n  alpha: 0.3\n  admissible: [hi, lo]\n"
+    lf = (scenario_dir / "tiny_oracle.yaml").read_bytes() + tail
+    crlf = lf.replace(b"\n", b"\r\n")
+    loaded = []
+    for name, data in (("lf", lf), ("crlf", crlf)):
+        path = tmp_path / f"{name}.yaml"
+        path.write_bytes(data)
+        sc = load_scenario(path)
+        options = (sc.alpha, sc.admissible, sc.exclusion_search, sc.corruption)
+        loaded.append((sc.instance.ec.tobytes(), [x.id for x in sc.space], options))
+        assert main(["solve", str(path), "--out", str(tmp_path / name)]) == 0
+        manifest = json.loads((tmp_path / name / "run_manifest.json").read_text())
+        assert manifest["scenario_sha256"] == sc.sha256 == hashlib.sha256(data).hexdigest()
+    assert loaded[0] == loaded[1]
+    assert loaded[0][1:] == (["lo", "hi"], (0.3, ("hi", "lo"), False, None))
 
 
 @pytest.mark.parametrize(

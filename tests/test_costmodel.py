@@ -82,14 +82,14 @@ def test_startup_cost_is_weather_free(weather):
         (SimpleCostModel(), simple_type()),
         (WindConventionalCostModel(), wc_type()),
     ):
-        for w in weather.speeds[::40]:
+        for w in weather.speed_array[::40].tolist():
             assert model.realized_cost(x, 0.0, w) == x.param("c0")
 
 
 def test_expected_cost_point_mass():
     model = SimpleCostModel()
     x = simple_type(gamma=2.0)
-    point = WeatherModel(states=((4.0, 1.0),))
+    point = WeatherModel([4.0], [1.0])
     q = 200.0
     assert model.expected_cost(x, q, point) == model.realized_cost(x, q, 4.0)
 
@@ -117,13 +117,13 @@ def test_expected_cost_grid_matches_scalar(weather):
 
 
 def dense_simple(x, qs, weather):
-    g = (x.param("gamma") * np.array(weather.speeds) ** 3)[:, None]
+    g = (x.param("gamma") * weather.speed_array ** 3)[:, None]
     probs = weather.prob_array
     return x.param("c0") + x.param("theta_c") * probs @ np.maximum(qs[None, :] - g, 0.0)
 
 
 def dense_wind_conventional(x, qs, weather):
-    g = np.array([power_curve(x, w) for w in weather.speeds])[:, None]
+    g = np.array([power_curve(x, w) for w in weather.speed_array.tolist()])[:, None]
     probs = weather.prob_array
     wind = np.minimum(qs[None, :], g)
     short = np.maximum(qs[None, :] - g, 0.0)
@@ -136,9 +136,9 @@ def kernel_weathers():
     states, and an empirical weather of speeds rounded to 0.5 m/s."""
     speeds = np.round(2.0 * np.random.default_rng(3).weibull(2.0, 400) * 6.0) / 2.0
     return (
-        ("1", WeatherModel(states=((8.0, 1.0),))),
-        ("calm", WeatherModel(states=((0.0, 1.0),))),
-        ("calm-windy", WeatherModel(states=((0.0, 0.25), (8.0, 0.75)))),
+        ("1", WeatherModel([8.0], [1.0])),
+        ("calm", WeatherModel([0.0], [1.0])),
+        ("calm-windy", WeatherModel([0.0, 8.0], [0.25, 0.75])),
         *((str(s), weibull_model(3.0, 5.0, s)) for s in (6, 200, 2000)),
         ("empirical", empirical_model(speeds.tolist())),
     )
@@ -399,7 +399,7 @@ def test_marginal_cost_matches_finite_difference_off_kinks(weather):
     # midpoints between adjacent kinks where the slope is exact
     model = SimpleCostModel()
     x = simple_type(theta_c=1.2, gamma=2.0)
-    kinks = sorted(2.0 * w**3 for w in weather.speeds)
+    kinks = sorted(2.0 * w**3 for w in weather.speed_array.tolist())
     mids = [(a + b) / 2.0 for a, b in zip(kinks[:40], kinks[1:41])]
     for q in mids[::2]:
         h = min(1e-6 * max(q, 1.0), 0.1)
@@ -705,7 +705,7 @@ def test_realized_cost_matches_the_per_model_formulas(wind, qs, ratios, c0, thet
         model = SimpleCostModel()
         x = simple_type(c0=c0, theta_c=theta_c, gamma=gamma)
         old, old_array = old_simple_cost, old_simple_cost_array
-    weather = WeatherModel(states=tuple((w, 1.0 / len(speeds)) for w in speeds))
+    weather = WeatherModel(speeds, [1.0 / len(speeds)] * len(speeds))
     g = model.generation_array(x, weather)
     # each state's generation and multiples of it, so that both branches and
     # their tie show at every state
@@ -871,7 +871,8 @@ def test_generation_above_rated_speed_cubes_no_speed_beyond_it():
     weather = empirical_model([5.0, 1.0e100])
     x = wc_type(v_co=1.0e300, gamma=1.0e10)
     g = WindConventionalCostModel().generation_array(x, weather)
-    assert g.tolist() == [power_curve(x, w) for w in weather.speeds] == [1.25e12, 2.197e13]
+    speeds = weather.speed_array.tolist()
+    assert g.tolist() == [power_curve(x, w) for w in speeds] == [1.25e12, 2.197e13]
 
 
 def test_an_overflowing_row_on_the_worker_is_refused_without_a_warning(two_cpus):

@@ -94,7 +94,7 @@ def ref_settlement_table(outcome, alpha):
     rows = []
     for i, x in enumerate(inst.space):
         q = float(outcome.q[i])
-        for w in inst.weather.speeds:
+        for w in inst.weather.speed_array.tolist():
             cost = model.realized_cost(x, q, w)
             risk = risk_payment(outcome, x, w, alpha, model)
             rows.append(

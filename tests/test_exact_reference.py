@@ -53,7 +53,7 @@ def tiny_instances(draw, coarse=None, max_cells=12):
     kind = draw(st.sampled_from(["simple", "wind_conventional"]))
     speeds = sorted({num(0.0, 15.0, 0.5) for _ in range(draw(st.integers(1, 5)))})
     weights = [draw(st.integers(1, 4)) for _ in speeds]
-    weather = WeatherModel(states=tuple((w, k / sum(weights)) for w, k in zip(speeds, weights)))
+    weather = WeatherModel(speeds, [k / sum(weights) for k in weights])
     n_types = draw(st.integers(2, 4))
     masses = draw(st.lists(st.integers(0, 3), min_size=n_types, max_size=n_types)
                   .filter(any))
@@ -251,7 +251,7 @@ def test_a_float_tie_that_costs_the_buyer_a_quarter_of_its_utility():
     )
     inst = Instance.build(
         TypeSpace(types=types), make_model("wind_conventional"),
-        WeatherModel(states=((4.5, 0.5), (9.0, 0.5))), QuantityGrid(q_max=36.0, n_cells=8),
+        WeatherModel([4.5, 9.0], [0.5, 0.5]), QuantityGrid(q_max=36.0, n_cells=8),
         BuyerUtility.affine(3.2, 0.0),
     )
     outcome, exact = solve(inst), ref.solve(inst)

@@ -63,7 +63,7 @@ def weather():
 
 @pytest.fixture(scope="module")
 def point_weather():
-    return WeatherModel(states=((5.0, 1.0),))
+    return WeatherModel([5.0], [1.0])
 
 
 @pytest.mark.parametrize("q_max, n_cells", [(10.0, 4), (0.3, 7), (1.0, 1), (5500.0, 20000)])

@@ -235,7 +235,7 @@ def test_subclass_plugin_runs_end_to_end(tmp_path, monkeypatch, capsys):
     assert main(["solve", str(path), "--out", str(out), "--alpha", "0.5"]) == 0
     sc = load_scenario(path)
     expected = [
-        f"{sc.model.generation(x, w):.12g}" for x in sc.space for w in sc.weather.speeds
+        f"{sc.model.generation(x, w):.12g}" for x in sc.space for w, _ in sc.weather.states
     ]
     lines = (out / "settlement.csv").read_text().splitlines()
     column = lines[0].split(",").index("g_w")
@@ -278,7 +278,7 @@ def test_scenario_reads_model_inputs_from_its_instance(scenario_dir):
     # the types, weather, cost model, grid and V' live in the instance
     # alone, so a scenario cannot hold a type space other than its own
     names = [f.name for f in dataclasses.fields(Scenario)]
-    assert names == ["instance", "alpha", "admissible", "exclusion_search", "corruption"]
+    assert names == ["instance", "sha256", "alpha", "admissible", "exclusion_search", "corruption"]
     sc = load_scenario(scenario_dir / "six_types.yaml")
     for name in ("weather", "model", "space", "vprime", "grid"):
         assert getattr(sc, name) is getattr(sc.instance, name)

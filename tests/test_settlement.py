@@ -31,7 +31,7 @@ def test_expost_worst_type_profit_zero_everywhere(worst_scenario, worst_outcome)
     sc = worst_scenario
     worst = _worst(sc, worst_outcome)
     q = _q(worst_outcome, worst)
-    for w in sc.weather.speeds:
+    for w in sc.weather.speed_array.tolist():
         pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, q, w, sc.model)
         assert pay - sc.model.realized_cost(worst, q, w) == 0.0
 
@@ -57,7 +57,7 @@ def test_expost_participation_option_nonnegative(worst_scenario, worst_outcome):
     worst = _worst(sc, worst_outcome)
     q_safe = _q(worst_outcome, worst)
     for x in sc.space:
-        for w in sc.weather.speeds:
+        for w in sc.weather.speed_array.tolist():
             pay = expost_payment(
                 worst_outcome, worst_outcome.schedule, worst, q_safe, w, sc.model
             )
@@ -72,7 +72,7 @@ def test_expost_profit_at_own_bundle_can_be_negative(worst_scenario, worst_outco
     worst = _worst(sc, worst_outcome)
     g2 = sc.space.by_id("g2")
     q = _q(worst_outcome, g2)
-    calm = sc.weather.speeds[0]
+    calm = sc.weather.speed_array[0].item()
     pay = expost_payment(worst_outcome, worst_outcome.schedule, worst, q, calm, sc.model)
     assert pay - sc.model.realized_cost(g2, q, calm) < 0.0
 
@@ -104,7 +104,7 @@ def test_expost_requires_worst_type(six_scenario, six_outcome):
 def test_risk_payment_alpha_zero_is_base(worst_scenario, worst_outcome):
     sc = worst_scenario
     for x in sc.space:
-        for w in sc.weather.speeds[::50]:
+        for w in sc.weather.speed_array[::50].tolist():
             assert risk_payment(worst_outcome, x, w, 0.0, sc.model) == _payment(worst_outcome, x)
 
 
@@ -114,7 +114,7 @@ def test_risk_payment_alpha_one_insures_completely(worst_scenario, worst_outcome
         profits = {
             risk_payment(worst_outcome, x, w, 1.0, sc.model)
             - sc.model.realized_cost(x, _q(worst_outcome, x), w)
-            for w in sc.weather.speeds
+            for w in sc.weather.speed_array.tolist()
         }
         ref = worst_outcome.payment[i] - worst_outcome.expected_cost[i]
         assert all(abs(p - ref) <= 1e-9 for p in profits)
@@ -144,7 +144,7 @@ def _profit_variance(sc, outcome, x, alpha):
     profits = [
         risk_payment(outcome, x, w, alpha, sc.model)
         - sc.model.realized_cost(x, q, w)
-        for w in sc.weather.speeds
+        for w in sc.weather.speed_array.tolist()
     ]
     mean = math.fsum(p * v for (_, p), v in zip(sc.weather.states, profits))
     return math.fsum(p * (v - mean) ** 2 for (_, p), v in zip(sc.weather.states, profits))
@@ -177,7 +177,7 @@ def test_settlement_table_enumerates_all_states(worst_scenario, worst_outcome):
     rows = settlement_table(worst_outcome, alpha=0.25)
     assert len(rows) == len(sc.space) * len(sc.weather.states)
     g2 = [r for r in rows if r.type_id == "g2"]
-    assert [r.w for r in g2] == list(sc.weather.speeds)
+    assert [r.w for r in g2] == sc.weather.speed_array.tolist()
     for r in itertools.islice(rows, 10):
         assert r.profit == r.payment_risk - r.realized_cost
 
@@ -187,7 +187,7 @@ def test_payment_requires_grid_point(worst_scenario, worst_outcome):
     worst = _worst(sc, worst_outcome)
     with pytest.raises(ParameterDomainError):
         expost_payment(
-            worst_outcome, worst_outcome.schedule, worst, 1.2345, sc.weather.speeds[0], sc.model
+            worst_outcome, worst_outcome.schedule, worst, 1.2345, sc.weather.states[0][0], sc.model
         )
 
 
@@ -236,11 +236,11 @@ def test_settlement_columns_equal_scalar_functions(case, worst_scenario, six_sce
     assert worst is not None
     table = settlement_table(outcome, alpha=0.35)
     assert table.type_ids == tuple(x.id for x in space)
-    assert table.w.tolist() == list(weather.speeds)
+    assert table.w.tolist() == weather.speed_array.tolist()
     for i, x in enumerate(space):
         q = _q(outcome, x)
         assert table.payment_base[i] == _payment(outcome, x)
-        for j, w in enumerate(weather.speeds):
+        for j, w in enumerate(weather.speed_array.tolist()):
             assert table.generation[i, j] == model.generation(x, w)
             assert table.realized_cost[i, j] == model.realized_cost(x, q, w)
             assert table.payment_risk[i, j] == risk_payment(outcome, x, w, 0.35, model)
@@ -259,7 +259,7 @@ def test_settlement_table_is_a_row_sequence(worst_scenario, worst_outcome):
     rows = list(table)
     assert len(table) == len(rows) == 2 * n_states
     r = rows[n_states + 4]
-    assert (r.type_id, r.w) == ("g2", sc.weather.speeds[4])
+    assert (r.type_id, r.w) == ("g2", sc.weather.speed_array[4].item())
     assert r.realized_cost == table.realized_cost[1, 4]
     assert r.payment_expost == table.payment_expost[1, 4]
     assert type(r.profit) is float
@@ -273,4 +273,4 @@ def test_cubes_are_computed_once_per_weather_model(worst_scenario, worst_outcome
     assert weather.cubes is cubes
     assert not cubes.flags.writeable
     # libm's power, as the scalar formulas compute it, bit for bit
-    assert cubes.tolist() == [w**3 for w in weather.speeds]
+    assert cubes.tolist() == [w**3 for w in weather.speed_array.tolist()]

@@ -734,7 +734,7 @@ def test_oracle_keeps_an_allocation_whose_zero_cycle_rounds_above_zero():
         SellerType(f"t{i}", {"c0": c0, "theta_c": theta_c, "gamma": gamma}, weight / 6)
         for i, ((c0, theta_c, gamma), weight) in enumerate(zip(params, (3, 2, 1)))
     ))
-    weather = WeatherModel(states=((2.423955736583757, 1.0),))
+    weather = WeatherModel([2.423955736583757], [1.0])
     vprime = BuyerUtility.affine(1.216991809180434, 0.16584889150602206)
     grid = QuantityGrid(q_max=37.46189858502649, n_cells=4)
     outcome = solve(Instance.build(space, SimpleCostModel(), weather, grid, vprime))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -64,11 +65,11 @@ def test_empirical_rejects_bad_input():
 
 def test_model_invariants_enforced():
     with pytest.raises(ConfigurationError):
-        WeatherModel(states=((2.0, 0.5), (1.0, 0.5)))
+        WeatherModel([2.0, 1.0], [0.5, 0.5])
     with pytest.raises(ConfigurationError):
-        WeatherModel(states=((1.0, 0.4), (2.0, 0.4)))
+        WeatherModel([1.0, 2.0], [0.4, 0.4])
     with pytest.raises(ParameterDomainError):
-        WeatherModel(states=((-1.0, 1.0),))
+        WeatherModel([-1.0], [1.0])
 
 
 @pytest.mark.parametrize(
@@ -82,7 +83,7 @@ def test_model_invariants_enforced():
 )
 def test_model_names_the_first_bad_state(states, error, message):
     with pytest.raises(error, match=message):
-        WeatherModel(states=states)
+        WeatherModel(*zip(*states))
 
 
 @pytest.mark.parametrize(
@@ -99,7 +100,7 @@ def test_model_names_the_first_bad_state(states, error, message):
 def test_model_rejects_non_finite_states(states):
     # a NaN probability used to pass: the sum check compared NaN
     with pytest.raises(ParameterDomainError, match="non-finite weather state"):
-        WeatherModel(states=states)
+        WeatherModel(*zip(*states))
 
 
 @pytest.mark.parametrize("samples", [[3.0, math.nan, 5.0], [math.inf], [math.nan]])
@@ -109,7 +110,7 @@ def test_empirical_rejects_non_finite_samples(samples):
 
 
 def test_expect_normalization_and_weighted_mean():
-    model = WeatherModel(states=((5.0, 2.0 / 3.0), (10.0, 1.0 / 3.0)))
+    model = WeatherModel([5.0, 10.0], [2.0 / 3.0, 1.0 / 3.0])
     assert expect(model, lambda w: 1.0) == pytest.approx(1.0, abs=1e-15)
     assert expect(model, lambda w: w) == pytest.approx(20.0 / 3.0, abs=1e-12)
 
@@ -134,7 +135,7 @@ def test_expect_indicator_matches_weibull_cdf():
 def test_expect_is_linear(a, b, speeds):
     speeds = sorted(speeds)
     prob = 1.0 / len(speeds)
-    model = WeatherModel(states=tuple((w, prob) for w in speeds))
+    model = WeatherModel(speeds, [prob] * len(speeds))
     f = lambda w: w**2
     g = lambda w: math.sin(w)
     lhs = expect(model, lambda w: a * f(w) + b * g(w))
@@ -145,14 +146,49 @@ def test_expect_is_linear(a, b, speeds):
 @pytest.mark.parametrize(
     "model",
     [weibull_model(3.0, 5.0, 2000), empirical_model([5.0, 5.0, 10.0, 0.0]),
-     WeatherModel(states=((0.0, 1.0),))],
+     WeatherModel([0.0], [1.0])],
 )
 def test_state_arrays_are_read_only_and_bit_equal_to_the_tuples(model):
-    probs = tuple(p for _, p in model.states)
-    for array, column in ((model.speed_array, model.speeds), (model.prob_array, probs)):
+    for k, array in enumerate((model.speed_array, model.prob_array)):
         assert array.dtype == np.float64
-        assert array.tobytes() == np.array(column).tobytes()
+        assert array.tobytes() == np.array([state[k] for state in model.states]).tobytes()
         assert not array.flags.writeable
         with pytest.raises(ValueError):
             array[0] = 1.0
-    assert model.speeds == tuple(w for w, _ in model.states)
+    # the scalar cost formulas read Python floats, not numpy scalars
+    assert {type(v) for state in model.states for v in state} == {float}
+
+
+def test_model_is_its_two_columns():
+    assert [f.name for f in dataclasses.fields(WeatherModel)] == ["speed_array", "prob_array"]
+    assert not WeatherModel.__dataclass_params__.eq
+
+
+@pytest.mark.parametrize("n", [2, 50, 200, 2000, 20000])
+def test_weibull_columns_are_the_scalar_quantiles(n):
+    # each speed is the quantile lam * (-log(1 - u))**(1/shape) at its cell's
+    # midpoint u = (k + 0.5) * p_cell, computed a state at a time in floats
+    model = weibull_model(3.0, 5.0, n)
+    lam, p_cell = 5.0 / math.gamma(1.0 + 1.0 / 3.0), 0.9999 / n
+    speeds = [lam * (-math.log1p(-((k + 0.5) * p_cell))) ** (1.0 / 3.0) for k in range(n)]
+    probs = [p_cell] * (n - 1) + [p_cell + (1.0 - 0.9999)]
+    assert model.states == tuple(zip(speeds, probs))
+    assert model.cubes.tolist() == [w**3 for w in speeds]
+
+
+def test_model_copies_the_callers_columns():
+    speeds, probs = np.array([1.0, 2.0]), [0.25, 0.75]
+    model = WeatherModel(speeds, probs)
+    speeds[0], probs[0] = 9.0, 0.5
+    assert model.states == ((1.0, 0.25), (2.0, 0.75))
+
+
+@pytest.mark.parametrize(
+    "speeds, probs, message",
+    [([], [], "at least one state"),
+     ([1.0, 2.0], [1.0], "one probability per speed"),
+     ([[1.0]], [[1.0]], "one probability per speed")],
+)
+def test_model_refuses_columns_that_do_not_pair(speeds, probs, message):
+    with pytest.raises(ConfigurationError, match=message):
+        WeatherModel(speeds, probs)
